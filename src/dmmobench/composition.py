@@ -216,11 +216,3 @@ def init_composition(family, dim, rng, min_dist=None, rotation_builder=None):
         np.asarray(stretches), np.asarray(spreads), np.zeros(count))
     landscape.refresh_normalization()
     return landscape
-
-
-def evaluate_composition(landscape, x):
-    return landscape.evaluate(x)
-
-
-def composition_global_optima(landscape):
-    return landscape.global_optima()

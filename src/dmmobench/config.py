@@ -6,6 +6,7 @@ default, so an experiment is fully described by (problem, seed, config
 file).
 """
 
+import math
 from dataclasses import dataclass, fields, replace
 
 
@@ -53,11 +54,18 @@ class BenchmarkSettings:
     def validate(self):
         if self.evals_per_dim < 1 or self.environments < 1:
             raise ConfigError("budget and environment count must be >= 1")
-        if self.min_peak_distance <= 0:
-            raise ConfigError("min_peak_distance must be positive")
-        if self.distance_accuracy <= 0 or any(
-                level <= 0 for level in self.fitness_accuracy_levels):
-            raise ConfigError("accuracy thresholds must be positive")
+        if not 0 < self.min_peak_distance < math.inf:
+            raise ConfigError("min_peak_distance must be positive and finite")
+        if not self.fitness_accuracy_levels:
+            raise ConfigError("fitness_accuracy_levels must not be empty")
+        if not all(0 < value < math.inf for value in (
+                self.distance_accuracy, *self.fitness_accuracy_levels)):
+            raise ConfigError("accuracy thresholds must be positive and finite")
+        for name in ("alpha", "alpha_max", "noise_severity",
+                     "height_severity", "width_severity",
+                     "rotation_severity"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0")
         if self.period < 1:
             raise ConfigError("period must be >= 1")
         return self

@@ -106,6 +106,10 @@ class ProblemInstance:
         Raises once the final budget is exhausted mid-batch.
         """
         xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != self.spec.dimension:
+            raise ValueError(
+                f"expected a batch of {self.spec.dimension}-dimensional "
+                f"points, got shape {xs.shape}")
         out = np.empty(len(xs))
         start = 0
         while start < len(xs):

@@ -76,6 +76,15 @@ class RngStream:
         """A uniformly random permutation of 0..n-1."""
         return self._gen.permutation(n)
 
+    def index_permutations(self, rows, n):
+        """A (rows, n) array whose rows are uniformly random permutations
+        of 0..n-1.
+
+        Draws exactly as `rows` successive `index_permutation(n)` calls
+        do: the same rows, and the same stream state afterwards.
+        """
+        return self._gen.permuted(np.tile(np.arange(n), (rows, 1)), axis=1)
+
 
 def make_rng(seed, stream=0):
     """Create a named random stream for the given seed.

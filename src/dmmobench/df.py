@@ -136,11 +136,3 @@ def init_df(family, dim, rng, min_dist=None):
     heights = np.full(GLOBAL_PEAK_COUNT, GLOBAL_PEAK_HEIGHT)
     return DFLandscape(family, dim, heights, widths, positions,
                        GLOBAL_PEAK_COUNT)
-
-
-def evaluate_df(landscape, x):
-    return landscape.evaluate(x)
-
-
-def df_global_optima(landscape):
-    return landscape.global_optima()

@@ -90,38 +90,48 @@ class CrowdingDE:
     def _make_trials(self, pop, rng):
         subs, size, dim = pop.shape
         cfg = self.config
-        mutants = np.empty_like(pop)
-        idx = np.arange(size)
-        for s in range(subs):
-            # Random-offset partner selection: three distinct members,
-            # possibly including the target itself.
-            perm = rng.index_permutation(size)
-            r1 = perm[(idx + 1) % size]
-            r2 = perm[(idx + 2) % size]
-            r3 = perm[(idx + 3) % size]
-            mutants[s] = pop[s, r1] + cfg.scale_factor * (
-                pop[s, r2] - pop[s, r3])
+        # Random-offset partner selection: members 1, 2 and 3 places
+        # after the target in one permutation per subpopulation; three
+        # distinct members, possibly including the target itself.
+        perms = rng.index_permutations(subs, size)
+        offsets = (np.arange(size) + np.arange(1, 4)[:, None]) % size
+        rows = np.arange(subs)[:, None]
+        x1, x2, x3 = pop[rows[:, None], perms[:, offsets]].swapaxes(0, 1)
+        mutants = x1 + cfg.scale_factor * (x2 - x3)
         cross = rng.uniform_vector(0.0, 1.0, (subs, size, dim))
         forced = np.floor(rng.uniform_vector(0.0, dim, (subs, size)))
         forced = np.minimum(forced.astype(int), dim - 1)
         mask = cross < cfg.crossover_rate
-        np.put_along_axis(mask, forced[:, :, None], True, axis=2)
+        mask[rows, np.arange(size), forced] = True
         trials = np.where(mask, mutants, pop)
         return np.clip(trials, DOMAIN_LOW, DOMAIN_HIGH)
 
     @staticmethod
     def _crowding_replace(pop, fitness, trials, trial_fitness):
-        # Nearest neighbours are fixed at generation start; replacements
-        # are applied sequentially so later trials see updated fitness.
+        # Each trial competes with the member nearest to it at generation
+        # start.  Applied one trial at a time in index order, a trial
+        # replaces its target when it is at least as fit as the target
+        # is by then, so a target ends at the last occurrence of the
+        # maximum fitness among the trials aimed at it, provided that
+        # maximum is >= the target's fitness before the generation.
+        # This needs trial fitness free of NaN, where the running
+        # comparison and the sort below would disagree; it holds because
+        # trials are clipped into the domain, where every landscape is
+        # finite.
         diff = trials[:, :, None, :] - pop[:, None, :, :]
         nearest = (diff * diff).sum(-1).argmin(2)
         subs, size = nearest.shape
-        for s in range(subs):
-            for i in range(size):
-                m = nearest[s, i]
-                if trial_fitness[s, i] >= fitness[s, m]:
-                    pop[s, m] = trials[s, i]
-                    fitness[s, m] = trial_fitness[s, i]
+        target = (np.arange(subs)[:, None] * size + nearest).ravel()
+        # lexsort is stable, so equal fitness within a target keeps
+        # trial order and the group's last entry is the winner.
+        order = np.lexsort((trial_fitness.ravel(), target))
+        last = np.append(target[order[1:]] != target[order[:-1]], True)
+        s, i = np.divmod(order[last], size)
+        m = nearest[s, i]
+        wins = trial_fitness[s, i] >= fitness[s, m]
+        s, i, m = s[wins], i[wins], m[wins]
+        pop[s, m] = trials[s, i]
+        fitness[s, m] = trial_fitness[s, i]
 
     def _respond_to_change(self, instance, pop, fitness, memory, rng):
         cfg = self.config

@@ -282,11 +282,14 @@ def rescore_snapshots(out_dir, settings=None, levels=None):
     problems = []
     seeds = []
     for name in names:
-        with open(os.path.join(out_dir, name), encoding="utf-8") as handle:
+        path = os.path.join(out_dir, name)
+        with open(path, encoding="utf-8") as handle:
             text = handle.read()
         head = text.splitlines()[0].split()
         dim = problem_spec(head[1]).dimension
         problem, seed, snapshots = parse_snapshots(text, dim)
+        if not snapshots:
+            raise ValueError(f"{path}: no environments recorded")
         truths = {}
         for env, landscape, _ in iterate_environments(
                 problem, seed, settings,

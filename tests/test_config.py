@@ -1,0 +1,25 @@
+import pytest
+
+from dmmobench.config import ConfigError, parse_config_text
+
+
+@pytest.mark.parametrize("line", [
+    "fitness_accuracy_levels =",
+    "fitness_accuracy_levels = 1e-3, inf",
+    "fitness_accuracy_levels = nan",
+    "fitness_accuracy_levels = 0",
+    "distance_accuracy = nan",
+    "distance_accuracy = inf",
+    "min_peak_distance = nan",
+    "min_peak_distance = inf",
+    "min_peak_distance = 0",
+    "alpha = -0.04",
+    "alpha_max = inf",
+    "noise_severity = nan",
+    "height_severity = -7",
+    "width_severity = inf",
+    "rotation_severity = -1",
+])
+def test_meaningless_settings_are_rejected(line):
+    with pytest.raises(ConfigError):
+        parse_config_text(line)

@@ -97,6 +97,14 @@ def test_report_shape_checked():
         inst.report_population(np.zeros((2, 4)))
 
 
+@pytest.mark.parametrize("shape", [(5,), (2, 4), (1, 5, 1)])
+def test_batch_shape_checked_before_charging(shape):
+    inst = create_problem("P1", 1, tiny_settings())
+    with pytest.raises(ValueError):
+        inst.evaluate_many(np.zeros(shape))
+    assert inst.remaining_budget() == inst.budget
+
+
 def test_ground_truth_archive():
     cone = create_problem("P2", 1, tiny_settings())
     positions, values = cone.ground_truth(1)

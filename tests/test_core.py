@@ -46,6 +46,16 @@ def test_index_permutation_covers_all_indices():
     assert sorted(perm) == list(range(8))
 
 
+@pytest.mark.parametrize("rows, n", [(0, 5), (1, 4), (10, 10), (3, 1)])
+def test_index_permutations_draw_as_successive_permutations(rows, n):
+    batched, looped = make_rng(5, 1), make_rng(5, 1)
+    expected = [looped.index_permutation(n) for _ in range(rows)]
+    perms = batched.index_permutations(rows, n)
+    assert perms.shape == (rows, n)
+    assert np.array_equal(perms, np.reshape(expected, (rows, n)))
+    assert batched.uniform(0, 1) == looped.uniform(0, 1)
+
+
 def test_euclidean_distance_known_value():
     assert euclidean_distance([0, 0], [3, 4]) == 5.0
 

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dmmobench.config import BenchmarkSettings, OptimizerConfig
 from dmmobench.controller import create_problem
-from dmmobench.core import RngStream
-from dmmobench.optimizers import make_optimizer
+from dmmobench.core import DOMAIN_HIGH, DOMAIN_LOW, RngStream
+from dmmobench.optimizers import CrowdingDE, make_optimizer
 
 
 SETTINGS = BenchmarkSettings(evals_per_dim=60, environments=5)
@@ -67,3 +70,95 @@ def test_config_controls_population_shape():
 def test_unknown_optimizer_rejected():
     with pytest.raises(ValueError):
         make_optimizer("tabu")
+
+
+# Reference implementations: the loop forms of CrowdingDE's generation
+# step.  The vectorised methods must match them bit for bit and draw
+# from the random stream identically.
+
+def reference_make_trials(cfg, pop, rng):
+    subs, size, dim = pop.shape
+    mutants = np.empty_like(pop)
+    idx = np.arange(size)
+    for s in range(subs):
+        perm = rng.index_permutation(size)
+        r1 = perm[(idx + 1) % size]
+        r2 = perm[(idx + 2) % size]
+        r3 = perm[(idx + 3) % size]
+        mutants[s] = pop[s, r1] + cfg.scale_factor * (
+            pop[s, r2] - pop[s, r3])
+    cross = rng.uniform_vector(0.0, 1.0, (subs, size, dim))
+    forced = np.floor(rng.uniform_vector(0.0, dim, (subs, size)))
+    forced = np.minimum(forced.astype(int), dim - 1)
+    mask = cross < cfg.crossover_rate
+    np.put_along_axis(mask, forced[:, :, None], True, axis=2)
+    trials = np.where(mask, mutants, pop)
+    return np.clip(trials, DOMAIN_LOW, DOMAIN_HIGH)
+
+
+def reference_crowding_replace(pop, fitness, trials, trial_fitness):
+    diff = trials[:, :, None, :] - pop[:, None, :, :]
+    nearest = (diff * diff).sum(-1).argmin(2)
+    subs, size = nearest.shape
+    for s in range(subs):
+        for i in range(size):
+            m = nearest[s, i]
+            if trial_fitness[s, i] >= fitness[s, m]:
+                pop[s, m] = trials[s, i]
+                fitness[s, m] = trial_fitness[s, i]
+
+
+def rng_state(rng):
+    return rng._gen.bit_generator.state
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype \
+        and a.tobytes() == b.tobytes()
+
+
+SHAPES = st.tuples(st.integers(1, 4), st.integers(4, 8),
+                   st.sampled_from([1, 2, 5, 10]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=SHAPES, seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(0.0, 1.0), crossover=st.floats(0.0, 1.0))
+def test_make_trials_matches_the_loop_reference(shape, seed, scale,
+                                                crossover):
+    cfg = OptimizerConfig(subpopulations=shape[0],
+                          subpopulation_size=shape[1], scale_factor=scale,
+                          crossover_rate=crossover)
+    pop = RngStream(seed).uniform_vector(DOMAIN_LOW, DOMAIN_HIGH, shape)
+    rng, ref_rng = RngStream(seed, 1), RngStream(seed, 1)
+    trials = CrowdingDE(cfg)._make_trials(pop.copy(), rng)
+    expected = reference_make_trials(cfg, pop.copy(), ref_rng)
+    assert same_bits(trials, expected)
+    assert rng_state(rng) == rng_state(ref_rng)
+
+
+@st.composite
+def crowding_inputs(draw):
+    subs, size, dim = draw(SHAPES)
+    # Few distinct coordinates put several trials on one nearest member;
+    # few distinct fitness values (with both signed zeros) make ties
+    # between trials and trials exactly as fit as their target.
+    coords = st.sampled_from([-1.0, 0.0, 0.5, 2.0])
+    values = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 3.0])
+    pop = draw(hnp.arrays(np.float64, (subs, size, dim), elements=coords))
+    trials = draw(hnp.arrays(np.float64, (subs, size, dim), elements=coords))
+    fitness = draw(hnp.arrays(np.float64, (subs, size), elements=values))
+    trial_fitness = draw(hnp.arrays(np.float64, (subs, size),
+                                    elements=values))
+    return pop, fitness, trials, trial_fitness
+
+
+@settings(max_examples=300, deadline=None)
+@given(crowding_inputs())
+def test_crowding_replace_matches_the_loop_reference(inputs):
+    pop, fitness, trials, trial_fitness = inputs
+    ref_pop, ref_fitness = pop.copy(), fitness.copy()
+    CrowdingDE._crowding_replace(pop, fitness, trials, trial_fitness)
+    reference_crowding_replace(ref_pop, ref_fitness, trials, trial_fitness)
+    assert same_bits(pop, ref_pop)
+    assert same_bits(fitness, ref_fitness)

@@ -9,6 +9,7 @@ from dmmobench.reporting import (
     execute_run,
     parse_snapshots,
     render_snapshots,
+    rescore_snapshots,
     run_benchmark,
 )
 
@@ -75,3 +76,10 @@ def test_failures_do_not_poison_the_table(tmp_path):
     assert report.failures[0][:2] == ("P1", -3)
     assert report.records["P1"][LEVELS[0]].shape == (2, 2)
     assert len(report.table.rows) == 1
+
+
+def test_rescore_names_a_snapshot_file_without_environments(tmp_path):
+    path = tmp_path / "snapshots_P1_seed1.txt"
+    path.write_text("problem P1\nseed 1\n")
+    with pytest.raises(ValueError, match="snapshots_P1_seed1.txt"):
+        rescore_snapshots(str(tmp_path))
