@@ -10,6 +10,7 @@ no point evaluates above 0.
 import numpy as np
 
 from .core import MIN_PEAK_DISTANCE, draw_spaced_points
+from .dynamics import random_rotation
 
 #: Scale applied to each normalized component value.
 NORMALIZATION_SCALE = 2000.0
@@ -147,11 +148,6 @@ class CompositionLandscape:
                 (corner / self.stretches[i]) @ self.rotations[i])
             self.peak_magnitudes[i] = abs(float(raw))
 
-    def evaluate(self, x):
-        if len(x) != self.dim:
-            raise ValueError(f"expected {self.dim} coordinates, got {len(x)}")
-        return float(self.evaluate_many(np.asarray(x, dtype=float)[None])[0])
-
     def evaluate_many(self, xs):
         xs = np.asarray(xs, dtype=float)
         diff = xs[:, None, :] - self.shifts[None, :, :]
@@ -188,13 +184,12 @@ class CompositionLandscape:
         return positions, values
 
 
-def init_composition(family, dim, rng, min_dist=None, rotation_builder=None):
+def init_composition(family, dim, rng, min_dist=None):
     """Build the initial landscape for one of F5-F8.
 
     Shifts are drawn with the spacing rejection used everywhere else;
-    each component then gets an independent random rotation from
-    `rotation_builder(dim, rng)`.  Draw order: all shifts first, then
-    rotations component by component.
+    each component then gets an independent random rotation.  Draw
+    order: all shifts first, then rotations component by component.
     """
     if dim < 2:
         raise ValueError("composition landscapes need dim >= 2")
@@ -202,15 +197,12 @@ def init_composition(family, dim, rng, min_dist=None, rotation_builder=None):
         kinds, stretches, spreads = _FAMILY_RECIPES[family]
     except KeyError:
         raise ValueError(f"unknown composition family {family!r}") from None
-    if rotation_builder is None:
-        from .dynamics import random_rotation
-        rotation_builder = random_rotation
     if min_dist is None:
         min_dist = MIN_PEAK_DISTANCE
 
     count = len(kinds)
     shifts = draw_spaced_points(count, dim, rng, min_dist)
-    rotations = np.stack([rotation_builder(dim, rng) for _ in range(count)])
+    rotations = np.stack([random_rotation(dim, rng) for _ in range(count)])
     landscape = CompositionLandscape(
         family, dim, kinds, shifts, rotations,
         np.asarray(stretches), np.asarray(spreads), np.zeros(count))

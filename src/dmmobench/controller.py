@@ -11,7 +11,8 @@ import numpy as np
 
 from .composition import init_composition
 from .config import BenchmarkSettings
-from .core import RunFrozenError, make_rng, problem_spec
+from .core import (DOMAIN_HIGH, DOMAIN_LOW, ProblemSpec, RunFrozenError,
+                   make_rng, problem_spec)
 from .df import init_df
 from .dynamics import advance_environment, init_change_state
 
@@ -83,33 +84,31 @@ class ProblemInstance:
         return self.budget - self.evaluations_used_in_env
 
     def evaluate(self, x):
-        """Fitness of one candidate, charged against the budget.
+        """Fitness of one candidate: `evaluate_many` on a single row."""
+        return float(self.evaluate_many(np.asarray(x, dtype=float)[None])[0])
+
+    def evaluate_many(self, xs):
+        """Fitness of a batch of candidates, charged against the budget.
 
         The evaluation that exhausts an environment's budget is itself
         scored under that environment; the change happens immediately
-        after it, so the next call sees the new landscape.
-        """
-        if self.frozen:
-            raise RunFrozenError("the run's full evaluation budget is spent")
-        value = self.landscape.evaluate(x)
-        self.evaluations_used_in_env += 1
-        if self.evaluations_used_in_env == self.budget:
-            self._seal_environment()
-        return value
-
-    def evaluate_many(self, xs):
-        """Batch evaluation with semantics identical to serial calls.
-
-        The batch is split at environment boundaries: a chunk that
-        straddles a change is scored partly under each environment,
-        exactly as the same sequence of single evaluations would be.
-        Raises once the final budget is exhausted mid-batch.
+        after it.  A batch that straddles a change is therefore scored
+        partly under each environment, exactly as the same sequence of
+        single evaluations would be.  Raises once the final budget is
+        exhausted mid-batch.  A batch of the wrong shape, or with any
+        coordinate that is not a finite number in the domain, raises
+        ValueError before anything is charged.
         """
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.spec.dimension:
             raise ValueError(
                 f"expected a batch of {self.spec.dimension}-dimensional "
                 f"points, got shape {xs.shape}")
+        # NaN fails both comparisons
+        if not ((xs >= DOMAIN_LOW) & (xs <= DOMAIN_HIGH)).all():
+            raise ValueError(
+                f"points must lie in [{DOMAIN_LOW}, {DOMAIN_HIGH}] in every "
+                f"coordinate")
         out = np.empty(len(xs))
         start = 0
         while start < len(xs):
@@ -189,14 +188,20 @@ def create_problem(index, seed, settings=None):
     return ProblemInstance(problem_spec(index), seed, settings)
 
 
-def iterate_environments(index, seed, settings=None, environments=None):
+def iterate_environments(index, seed, settings=None, environments=None,
+                         dim_override=None):
     """Yield (env, landscape, state) for each environment in turn.
 
     Drives the dynamics directly, consuming no evaluation budget; used
-    by parameter dumps and landscape exports.  The yielded landscape is
-    the live object: consume it before resuming the generator.
+    by parameter dumps, landscape exports and re-scoring.  The yielded
+    landscape is the live object: consume it before resuming the
+    generator.  `dim_override` builds the problem at another dimension.
     """
-    instance = create_problem(index, seed, settings)
+    spec = problem_spec(index)
+    if dim_override is not None:
+        spec = ProblemSpec(spec.index, spec.family, spec.mode, dim_override)
+    instance = ProblemInstance(
+        spec, seed, settings if settings is not None else BenchmarkSettings())
     last = environments if environments is not None \
         else instance.settings.environments
     yield 1, instance.landscape, instance.state

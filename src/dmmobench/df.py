@@ -81,14 +81,6 @@ class DFLandscape:
         inactive = ~self.active[:self.n_global]
         self._eval_heights[:self.n_global][inactive] = DEACTIVATED_HEIGHT
 
-    def evaluate(self, x):
-        """Fitness at a single point."""
-        if len(x) != self.dim:
-            raise ValueError(f"expected {self.dim} coordinates, got {len(x)}")
-        diff = self.positions - x
-        dist = np.sqrt((diff * diff).sum(1))
-        return float((self._eval_heights - self.widths * dist).max())
-
     def evaluate_many(self, xs):
         """Fitness for a batch of points, one row each."""
         xs = np.asarray(xs, dtype=float)

@@ -101,16 +101,17 @@ def best_worst(record):
     return float(ratios.max()), float(ratios.min())
 
 
-def score_run(instance, levels=DEFAULT_LEVELS):
-    """Score one finished run at several accuracy levels in one pass.
+def score_run(snapshots, ground_truth, levels=DEFAULT_LEVELS):
+    """Score one run's snapshots at several accuracy levels in one pass.
 
+    `ground_truth(env)` gives environment `env`'s (positions, values).
     Returns (peaks, counts): the per-environment optimum counts and a
     dict mapping each level to its per-environment found counts.
     """
     peaks = []
     counts = {level: [] for level in levels}
-    for snapshot in instance.snapshots:
-        optima = instance.ground_truth(snapshot.environment)
+    for snapshot in snapshots:
+        optima = ground_truth(snapshot.environment)
         peaks.append(len(optima[0]))
         for level in levels:
             counts[level].append(count_npf(snapshot, optima, level))

@@ -11,16 +11,19 @@ Artifacts per output directory:
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .config import BenchmarkSettings
-from .controller import (PopulationSnapshot, ProblemInstance, create_problem,
-                        dump_environments_text, iterate_environments)
-from .core import DOMAIN_HIGH, DOMAIN_LOW, ProblemSpec, make_rng, problem_spec
-from .metrics import (AccuracyLevel, RunRecord, best_worst, count_npf,
-                      peak_ratio, score_run)
+from .controller import (PopulationSnapshot, create_problem,
+                         dump_environments_text, iterate_environments)
+from .core import DOMAIN_HIGH, DOMAIN_LOW, make_rng, problem_spec
+# count_npf is unused here, but the benchmark's tracer patches it by name.
+from .metrics import (AccuracyLevel, RunRecord, best_worst,  # noqa: F401
+                      count_npf, peak_ratio, score_run)
 from .optimizers import make_optimizer
 
 #: Stream number of the optimizer's random draws; the problem side owns
@@ -60,36 +63,24 @@ class ResultsTable:
                     f"{index}: scores must satisfy worst <= PR <= best")
         self.rows.append((index, group, cells))
 
-    def _cell_values(self, cells):
-        for level in self.levels:
-            yield from cells[level]
+    def _lines(self):
+        """The header line and one line per row, as lists of fields."""
+        headers = ["problem", "group"] + [
+            f"{name}_{level.key}" for level in self.levels
+            for name in ("pr", "best", "worst")]
+        return [headers] + [
+            [index, group] + [format(value, ".6f") for level in self.levels
+                              for value in cells[level]]
+            for index, group, cells in self.rows]
 
     def render(self):
-        headers = ["problem", "group"]
-        for level in self.levels:
-            headers += [f"pr_{level.key}", f"best_{level.key}",
-                        f"worst_{level.key}"]
-        widths = [max(len(h), 12) for h in headers]
-        widths[0] = max(len(headers[0]), 7)
-        widths[1] = max(len(headers[1]), 5)
-        lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
-        for index, group, cells in self.rows:
-            fields = [index, group] + [
-                format(value, ".6f") for value in self._cell_values(cells)]
-            lines.append("  ".join(f.ljust(w) for f, w in zip(fields, widths)))
-        return "\n".join(lines) + "\n"
+        lines = self._lines()
+        widths = [7, 5] + [max(len(h), 12) for h in lines[0][2:]]
+        return "".join("  ".join(f.ljust(w) for f, w in zip(fields, widths))
+                       + "\n" for fields in lines)
 
     def to_csv(self):
-        headers = ["problem", "group"]
-        for level in self.levels:
-            headers += [f"pr_{level.key}", f"best_{level.key}",
-                        f"worst_{level.key}"]
-        lines = [",".join(headers)]
-        for index, group, cells in self.rows:
-            fields = [index, group] + [
-                format(value, ".6f") for value in self._cell_values(cells)]
-            lines.append(",".join(fields))
-        return "\n".join(lines) + "\n"
+        return "".join(",".join(fields) + "\n" for fields in self._lines())
 
 
 @dataclass
@@ -109,15 +100,10 @@ def execute_run(problem, seed, optimizer="baseline", settings=None,
     instance = create_problem(problem, seed, settings)
     engine = make_optimizer(optimizer, optimizer_config)
     engine.optimize(instance, make_rng(seed, OPTIMIZER_STREAM))
-    peaks, counts = score_run(instance, levels)
+    peaks, counts = score_run(instance.snapshots, instance.ground_truth,
+                              levels)
     return RunResult(problem, seed, peaks, counts,
                      instance.snapshots if keep_snapshots else None)
-
-
-def _run_task(args):
-    problem, seed, optimizer, settings, optimizer_config, levels, keep = args
-    return execute_run(problem, seed, optimizer, settings, optimizer_config,
-                       levels, keep)
 
 
 def run_benchmark(problems, seeds, optimizer="baseline", settings=None,
@@ -139,23 +125,31 @@ def run_benchmark(problems, seeds, optimizer="baseline", settings=None,
 
     outcomes = {}
     failures = []
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {pool.submit(_run_task, task): task for task in tasks}
-            for future, task in futures.items():
-                key = (task[0], task[1])
-                try:
-                    outcomes[key] = future.result()
-                except Exception as exc:
-                    failures.append((key[0], key[1], repr(exc)))
-    else:
-        for task in tasks:
-            key = (task[0], task[1])
+    with ExitStack() as stack:
+        if jobs > 1 and len(tasks) > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+            results = [pool.submit(execute_run, *task).result
+                       for task in tasks]
+        else:
+            results = [partial(execute_run, *task) for task in tasks]
+        for (problem, seed, *_), result in zip(tasks, results):
             try:
-                outcomes[key] = _run_task(task)
+                outcomes[(problem, seed)] = result()
             except Exception as exc:
-                failures.append((key[0], key[1], repr(exc)))
+                failures.append((problem, seed, repr(exc)))
 
+    table, records = _tabulate(problems, seeds, outcomes, levels)
+    if out_dir is not None:
+        _write_artifacts(out_dir, table, records, outcomes, problems, seeds,
+                         levels, settings, save_snapshots)
+    return BenchmarkReport(table, records, failures)
+
+
+def _tabulate(problems, seeds, outcomes, levels):
+    """The score table and per-level run records of the scored runs.
+
+    A problem with no scored run gets neither a row nor records.
+    """
     table = ResultsTable(levels)
     records = {}
     for problem in problems:
@@ -164,20 +158,13 @@ def run_benchmark(problems, seeds, optimizer="baseline", settings=None,
         if not rows:
             continue
         peaks = np.array([r.peaks for r in rows])
-        by_level = {}
-        cells = {}
-        for level in levels:
-            record = RunRecord(np.array([r.counts[level] for r in rows]),
-                               peaks)
-            by_level[level] = record
-            cells[level] = (peak_ratio(record), *best_worst(record))
-        records[problem] = by_level
-        table.add_row(problem, problem_spec(problem).group, cells)
-
-    if out_dir is not None:
-        _write_artifacts(out_dir, table, records, outcomes, problems, seeds,
-                         levels, settings, save_snapshots)
-    return BenchmarkReport(table, records, failures)
+        records[problem] = {
+            level: RunRecord(np.array([r.counts[level] for r in rows]), peaks)
+            for level in levels}
+        table.add_row(problem, problem_spec(problem).group, {
+            level: (peak_ratio(record), *best_worst(record))
+            for level, record in records[problem].items()})
+    return table, records
 
 
 def _write_artifacts(out_dir, table, records, outcomes, problems, seeds,
@@ -279,8 +266,6 @@ def rescore_snapshots(out_dir, settings=None, levels=None):
         raise ValueError(f"no snapshot files in {out_dir}")
 
     outcomes = {}
-    problems = []
-    seeds = []
     for name in names:
         path = os.path.join(out_dir, name)
         with open(path, encoding="utf-8") as handle:
@@ -290,41 +275,16 @@ def rescore_snapshots(out_dir, settings=None, levels=None):
         problem, seed, snapshots = parse_snapshots(text, dim)
         if not snapshots:
             raise ValueError(f"{path}: no environments recorded")
-        truths = {}
-        for env, landscape, _ in iterate_environments(
-                problem, seed, settings,
-                environments=max(s.environment for s in snapshots)):
-            truths[env] = landscape.global_optima()
-        peaks = []
-        counts = {level: [] for level in levels}
-        for snapshot in snapshots:
-            optima = truths[snapshot.environment]
-            peaks.append(len(optima[0]))
-            for level in levels:
-                counts[level].append(count_npf(snapshot, optima, level))
+        truths = {env: landscape.global_optima()
+                  for env, landscape, _ in iterate_environments(
+                      problem, seed, settings,
+                      environments=max(s.environment for s in snapshots))}
+        peaks, counts = score_run(snapshots, truths.__getitem__, levels)
         outcomes[(problem, seed)] = RunResult(problem, seed, peaks, counts)
-        if problem not in problems:
-            problems.append(problem)
-        if seed not in seeds:
-            seeds.append(seed)
 
-    problems.sort(key=lambda p: int(p[1:]))
-    seeds.sort()
-    table = ResultsTable(levels)
-    records = {}
-    for problem in problems:
-        rows = [outcomes[(problem, seed)] for seed in seeds
-                if (problem, seed) in outcomes]
-        peaks = np.array([r.peaks for r in rows])
-        by_level = {}
-        cells = {}
-        for level in levels:
-            record = RunRecord(np.array([r.counts[level] for r in rows]),
-                               peaks)
-            by_level[level] = record
-            cells[level] = (peak_ratio(record), *best_worst(record))
-        records[problem] = by_level
-        table.add_row(problem, problem_spec(problem).group, cells)
+    problems = sorted({p for p, _ in outcomes}, key=lambda p: int(p[1:]))
+    seeds = sorted({s for _, s in outcomes})
+    table, records = _tabulate(problems, seeds, outcomes, levels)
     return BenchmarkReport(table, records, [])
 
 
@@ -343,21 +303,16 @@ def export_landscape_grid(problem, seed, env=1, resolution=101,
             f"environment {env} outside 1..{settings.environments}")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    base = problem_spec(problem)
-    if dim_override is not None:
-        spec = ProblemSpec(base.index, base.family, base.mode, dim_override)
-    else:
-        spec = base
-    instance = ProblemInstance(spec, seed, settings)
-    for _ in range(env - 1):
-        instance._advance()
-    landscape = instance.landscape
+    for _, landscape, _ in iterate_environments(
+            problem, seed, settings, environments=env,
+            dim_override=dim_override):
+        pass  # the landscape left is that of environment `env`
 
     axis = np.linspace(DOMAIN_LOW, DOMAIN_HIGH, resolution)
     lines = [f"problem {problem}", f"seed {seed}", f"env {env}",
-             f"dim {spec.dimension}", f"resolution {resolution}",
+             f"dim {landscape.dim}", f"resolution {resolution}",
              "axis " + " ".join(format(a, ".16e") for a in axis)]
-    points = np.zeros((resolution, spec.dimension))
+    points = np.zeros((resolution, landscape.dim))
     for i in range(resolution):
         points[:, 0] = axis[i]
         points[:, 1] = axis

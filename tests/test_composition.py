@@ -80,7 +80,8 @@ def test_shifts_are_global_optima_at_zero(family):
     positions, values = landscape.global_optima()
     assert (values == 0.0).all()
     for point in positions:
-        assert landscape.evaluate(point) == pytest.approx(0.0, abs=1e-9)
+        assert landscape.evaluate_many([point])[0] == pytest.approx(
+            0.0, abs=1e-9)
 
 
 def test_no_point_exceeds_zero():
@@ -111,7 +112,7 @@ def test_evaluate_matches_evaluate_many():
     landscape = init_composition("F8", 5, make_rng(8))
     xs = make_rng(9).uniform_vector(-5, 5, (40, 5))
     batch = landscape.evaluate_many(xs)
-    single = np.array([landscape.evaluate(x) for x in xs])
+    single = np.array([landscape.evaluate_many([x])[0] for x in xs])
     assert np.array_equal(batch, single)
 
 
@@ -121,22 +122,24 @@ def test_deactivated_component_sinks_to_minus_one():
     positions, _ = landscape.global_optima()
     assert len(positions) == 4
     dead_shift = landscape.shifts[5]
-    assert landscape.evaluate(dead_shift) == pytest.approx(-1.0, abs=1e-9)
+    assert landscape.evaluate_many([dead_shift])[0] == pytest.approx(
+        -1.0, abs=1e-9)
     # active optima are untouched by the deactivation of others
     for point in positions:
-        assert landscape.evaluate(point) == pytest.approx(0.0, abs=1e-9)
+        assert landscape.evaluate_many([point])[0] == pytest.approx(
+            0.0, abs=1e-9)
 
 
 def test_far_outside_point_still_evaluable():
     landscape = init_composition("F5", 5, make_rng(11))
-    value = landscape.evaluate(np.full(5, 1e6))
+    value = landscape.evaluate_many([np.full(5, 1e6)])[0]
     assert np.isfinite(value)
 
 
 def test_dimension_mismatch_rejected():
     landscape = init_composition("F5", 5, make_rng(12))
     with pytest.raises(ValueError):
-        landscape.evaluate(np.zeros(4))
+        landscape.evaluate_many([np.zeros(4)])
 
 
 def test_unknown_family_rejected():

@@ -97,12 +97,30 @@ def test_report_shape_checked():
         inst.report_population(np.zeros((2, 4)))
 
 
-@pytest.mark.parametrize("shape", [(5,), (2, 4), (1, 5, 1)])
+# Each case is (batch shape, value of the batch's last coordinate).
+@pytest.mark.parametrize("shape", [
+    ((5,), 0.0), ((2, 4), 0.0), ((1, 5, 1), 0.0),
+    ((2, 5), np.nan), ((2, 5), np.inf), ((2, 5), -np.inf),
+    ((2, 5), np.nextafter(5.0, 6.0)), ((2, 5), -40.0),
+])
 def test_batch_shape_checked_before_charging(shape):
+    shape, last = shape
+    batch = np.zeros(shape)
+    batch.flat[-1] = last
     inst = create_problem("P1", 1, tiny_settings())
     with pytest.raises(ValueError):
-        inst.evaluate_many(np.zeros(shape))
+        inst.evaluate_many(batch)
     assert inst.remaining_budget() == inst.budget
+
+
+def test_single_point_domain_checked_before_charging():
+    inst = create_problem("P1", 1, tiny_settings())
+    with pytest.raises(ValueError):
+        inst.evaluate([0.0, 0.0, np.nan, 0.0, 0.0])
+    assert inst.remaining_budget() == inst.budget
+    # the closed box itself is inside the domain
+    inst.evaluate([-5.0, 5.0, 0.0, 0.0, 0.0])
+    assert inst.remaining_budget() == inst.budget - 1
 
 
 def test_ground_truth_archive():

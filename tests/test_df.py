@@ -54,28 +54,29 @@ def test_evaluate_is_cone_envelope():
     expected = max(
         75.0 - 12.0 * np.sqrt(((p - x) ** 2).sum())
         for p in landscape.positions)
-    assert landscape.evaluate(x) == pytest.approx(expected, abs=1e-12)
+    assert landscape.evaluate_many([x])[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_peak_positions_evaluate_to_height():
     landscape = init_df("F1", 5, make_rng(3))
     positions, values = landscape.global_optima()
     for point, value in zip(positions, values):
-        assert landscape.evaluate(point) == pytest.approx(value, abs=1e-12)
+        assert landscape.evaluate_many([point])[0] == pytest.approx(
+            value, abs=1e-12)
 
 
 def test_evaluate_many_matches_scalar_path():
     landscape = init_df("F1", 5, make_rng(9))
     xs = make_rng(10).uniform_vector(-5, 5, (50, 5))
     batch = landscape.evaluate_many(xs)
-    single = np.array([landscape.evaluate(x) for x in xs])
+    single = np.array([landscape.evaluate_many([x])[0] for x in xs])
     assert np.array_equal(batch, single)
 
 
 def test_dimension_mismatch_rejected():
     landscape = init_df("F2", 5, make_rng(1))
     with pytest.raises(ValueError):
-        landscape.evaluate(np.zeros(4))
+        landscape.evaluate_many([np.zeros(4)])
 
 
 def test_deactivation_drops_optima_and_caps_height():
@@ -86,7 +87,8 @@ def test_deactivation_drops_optima_and_caps_height():
     assert (values == 75.0).all()
     # a deactivated peak responds at the top of the local range
     dead = landscape.positions[3]
-    assert landscape.evaluate(dead) == pytest.approx(DEACTIVATED_HEIGHT)
+    assert landscape.evaluate_many([dead])[0] == pytest.approx(
+        DEACTIVATED_HEIGHT)
     landscape.set_active_count(4)
     assert len(landscape.global_optima()[0]) == 4
 

@@ -194,7 +194,7 @@ def test_score_run_on_a_perfect_player():
         positions, _ = inst.ground_truth(env)
         inst.report_population(positions)
         inst.evaluate_many(np.zeros((20, 5)))
-    peaks, counts = score_run(inst)
+    peaks, counts = score_run(inst.snapshots, inst.ground_truth)
     assert peaks == [4, 4]
     for level in DEFAULT_LEVELS:
         assert counts[level] == [4, 4]
