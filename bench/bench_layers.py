@@ -1,0 +1,74 @@
+"""Layered micro-benchmarks of the hot paths, at the batch shapes the
+bundled DE baseline uses (10 subpopulations of 10, D in {5, 10}).
+
+Run from the root of a checkout:
+
+    PYTHONPATH=src python -m pytest bench -o python_files='bench_*.py' \
+        --benchmark-only
+
+The plain test run (`python -m pytest`) does not collect these files,
+whose names do not start with `test_`.
+"""
+
+import numpy as np
+import pytest
+
+from dmmobench import BenchmarkSettings, create_problem
+from dmmobench.config import OptimizerConfig
+from dmmobench.core import DOMAIN_HIGH, DOMAIN_LOW, RngStream
+from dmmobench.optimizers import CrowdingDE
+
+#: Problems with cone landscapes at the two table dimensions.
+CONE_PROBLEMS = {5: "P1", 10: "P17"}
+
+#: Large enough that no benchmark round reaches an environment change.
+UNCHANGING = BenchmarkSettings(evals_per_dim=10**7, environments=1)
+
+
+def population(dim, seed=1):
+    cfg = OptimizerConfig()
+    return RngStream(seed).uniform_vector(
+        DOMAIN_LOW, DOMAIN_HIGH,
+        (cfg.subpopulations, cfg.subpopulation_size, dim))
+
+
+@pytest.mark.benchmark(group="de.make_trials")
+@pytest.mark.parametrize("dim", [5, 10])
+def test_make_trials(benchmark, dim):
+    optimizer = CrowdingDE()
+    pop = population(dim)
+    rng = RngStream(1, stream=1)
+    trials = benchmark(optimizer._make_trials, pop, rng)
+    assert trials.shape == pop.shape
+
+
+@pytest.mark.benchmark(group="de.crowding_replace")
+@pytest.mark.parametrize("dim", [5, 10])
+def test_crowding_replace(benchmark, dim):
+    pop = population(dim)
+    trials = CrowdingDE()._make_trials(pop, RngStream(1, stream=1))
+    rng = np.random.default_rng(2)
+    fitness = rng.uniform(0.0, 75.0, pop.shape[:2])
+    trial_fitness = rng.uniform(0.0, 75.0, pop.shape[:2])
+
+    def fresh():
+        # the replacement writes into the population and its fitness
+        return (pop.copy(), fitness.copy(), trials, trial_fitness), {}
+
+    benchmark.pedantic(CrowdingDE._crowding_replace, setup=fresh,
+                       rounds=2000, warmup_rounds=50)
+
+
+@pytest.mark.benchmark(group="evaluate_many")
+@pytest.mark.parametrize("dim", [5, 10])
+@pytest.mark.parametrize("layer", ["landscape", "instance"])
+def test_evaluate_many(benchmark, dim, layer):
+    """`DFLandscape.evaluate_many` alone and through the budget-charging
+    `ProblemInstance.evaluate_many`; the difference is the controller's
+    overhead per batch."""
+    instance = create_problem(CONE_PROBLEMS[dim], 1, UNCHANGING)
+    target = instance if layer == "instance" else instance.landscape
+    points = population(dim).reshape(-1, dim)
+    values = benchmark(target.evaluate_many, points)
+    assert values.shape == (len(points),)
+    assert instance.t == 1

@@ -11,8 +11,8 @@ import numpy as np
 
 from .composition import init_composition
 from .config import BenchmarkSettings
-from .core import (DOMAIN_HIGH, DOMAIN_LOW, ProblemSpec, RunFrozenError,
-                   make_rng, problem_spec)
+from .core import (CONE_FAMILIES, DOMAIN_HIGH, DOMAIN_LOW, ProblemSpec,
+                   RunFrozenError, format_floats, make_rng, problem_spec)
 from .df import init_df
 from .dynamics import advance_environment, init_change_state
 
@@ -48,7 +48,7 @@ class ProblemInstance:
         self.seed = seed
         self.settings = settings
         self._rng = make_rng(seed)
-        if spec.family in ("F1", "F2", "F3", "F4"):
+        if spec.family in CONE_FAMILIES:
             self.landscape = init_df(spec.family, spec.dimension, self._rng,
                                      settings.min_peak_distance)
         else:
@@ -210,12 +210,8 @@ def iterate_environments(index, seed, settings=None, environments=None,
         yield instance.t, instance.landscape, instance.state
 
 
-def _fmt(value):
-    return format(value, ".16e")
-
-
 def _row_line(label, index, row):
-    return f"{label} {index} " + " ".join(_fmt(c) for c in row)
+    return f"{label} {index} {format_floats(row)}"
 
 
 def format_environment(env, landscape, state):
@@ -226,24 +222,24 @@ def format_environment(env, landscape, state):
     """
     lines = [f"env {env}", f"g {state.g}"]
     for name, angle in state.angles.items():
-        lines.append(f"angle {name} {_fmt(angle)}")
+        lines.append(f"angle {name} {format_floats(angle)}")
     if landscape.kind == "df":
         for i in range(landscape.n_peaks):
             label = "global" if i < landscape.n_global else "local"
-            lines.append(f"peak {i} {label} {_fmt(landscape.heights[i])} "
-                         f"{_fmt(landscape.widths[i])}")
+            lines.append(f"peak {i} {label} " + format_floats(
+                (landscape.heights[i], landscape.widths[i])))
         for i, row in enumerate(landscape.positions):
             lines.append(_row_line("position", i, row))
     else:
         for i in range(landscape.n_components):
             lines.append(f"component {i} {landscape.kinds[i]} "
-                         f"{_fmt(landscape.stretches[i])} "
-                         f"{_fmt(landscape.spreads[i])} "
-                         f"{_fmt(landscape.peak_magnitudes[i])}")
+                         + format_floats((landscape.stretches[i],
+                                          landscape.spreads[i],
+                                          landscape.peak_magnitudes[i])))
         for i, row in enumerate(landscape.shifts):
             lines.append(_row_line("shift", i, row))
         for i, matrix in enumerate(landscape.rotations):
-            lines.append(_row_line("rotation", i, matrix.ravel()))
+            lines.append(_row_line("rotation", i, matrix))
     return lines
 
 

@@ -19,6 +19,8 @@ MIN_PEAK_DISTANCE = 0.1
 PLACEMENT_ATTEMPTS = 1000
 
 FAMILIES = ("F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8")
+#: The cone-peak families; the others are composition landscapes.
+CONE_FAMILIES = FAMILIES[:4]
 CHANGE_MODES = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8")
 
 
@@ -49,6 +51,7 @@ class RngStream:
         self.stream = stream
         entropy = seed if stream == 0 else (seed, stream)
         self._gen = np.random.Generator(np.random.PCG64(entropy))
+        self._permutation_bases = {}
 
     def uniform(self, low, high):
         """One uniform real in [low, high)."""
@@ -83,7 +86,13 @@ class RngStream:
         Draws exactly as `rows` successive `index_permutation(n)` calls
         do: the same rows, and the same stream state afterwards.
         """
-        return self._gen.permuted(np.tile(np.arange(n), (rows, 1)), axis=1)
+        base = self._permutation_bases.get((rows, n))
+        if base is None:
+            base = np.tile(np.arange(n), (rows, 1))
+            base.flags.writeable = False
+            self._permutation_bases[rows, n] = base
+        # `permuted` shuffles a copy, so one read-only base serves every call
+        return self._gen.permuted(base, axis=1)
 
 
 def make_rng(seed, stream=0):
@@ -94,6 +103,17 @@ def make_rng(seed, stream=0):
     from stream 1 so neither perturbs the other.
     """
     return RngStream(seed, stream)
+
+
+def format_floats(values):
+    """Every value of an array-like, in C order, as space-separated text.
+
+    This is the one float format of every text artifact: 17 significant
+    digits, so each value reads back bit for bit.  The bytes are those
+    of `format(v, ".16e")`, including signed zeros, infinities and NaN.
+    """
+    return " ".join(map("%.16e".__mod__,
+                        np.asarray(values, float).ravel().tolist()))
 
 
 def euclidean_distance(a, b):

@@ -19,25 +19,32 @@ from .core import DOMAIN_HIGH, DOMAIN_LOW, RunFrozenError
 class ChangeDetector:
     """Notices environment transitions from inside an optimizer.
 
-    Prefers the exposed environment index; when configuration hides it,
-    falls back to watching the budget counter jump back up.
+    Every evaluation the optimizer makes goes through `evaluate_many`,
+    which counts it.  The environment then follows from that count and
+    the per-environment budget, as `current_environment()` reports it
+    until the run freezes, so detection needs no exposed index and
+    works the same way whether or not configuration hides it.  Create
+    the detector before the optimizer's first evaluation.
     """
 
     def __init__(self, instance):
         self.instance = instance
-        self.use_index = instance.settings.expose_environment_index
-        self.last_env = instance.current_environment() if self.use_index else 0
-        self.last_remaining = instance.remaining_budget()
+        self.budget = instance.settings.environment_budget(
+            instance.spec.dimension)
+        self.spent = 0
+        self.last_env = 1
+
+    def evaluate_many(self, xs):
+        """`instance.evaluate_many`, counting the evaluations charged."""
+        values = self.instance.evaluate_many(xs)
+        self.spent += len(values)
+        return values
 
     def changed(self):
-        if self.use_index:
-            now = self.instance.current_environment()
-            moved = now != self.last_env
-            self.last_env = now
-            return moved
-        now = self.instance.remaining_budget()
-        moved = now > self.last_remaining
-        self.last_remaining = now
+        """Whether the environment moved since the previous call."""
+        now = 1 + self.spent // self.budget
+        moved = now != self.last_env
+        self.last_env = now
         return moved
 
 
@@ -56,18 +63,34 @@ class CrowdingDE:
 
     def __init__(self, config=None):
         self.config = config if config is not None else OptimizerConfig()
+        subs = self.config.subpopulations
+        size = self.config.subpopulation_size
+        # Index constants of the generation step, fixed by the config.
+        # Random-offset partner selection: members 1, 2 and 3 places
+        # after the target in one permutation per subpopulation; three
+        # distinct members, possibly including the target itself.
+        # `_partner_slots[k, s, i]` is where, in the flattened
+        # (subs, size) permutations, partner k of member (s, i) sits.
+        self._rows = np.arange(subs)[:, None]
+        self._columns = np.arange(size)
+        offsets = (self._columns + np.arange(1, 4)[:, None]) % size
+        self._row_starts = self._rows * size
+        self._partner_slots = self._row_starts + offsets[:, None, :]
 
     def optimize(self, instance, rng):
         cfg = self.config
         subs, size = cfg.subpopulations, cfg.subpopulation_size
         dim = instance.spec.dimension
+        detector = ChangeDetector(instance)
         pop = rng.uniform_vector(DOMAIN_LOW, DOMAIN_HIGH, (subs, size, dim))
         try:
-            fitness = instance.evaluate_many(
+            fitness = detector.evaluate_many(
                 pop.reshape(-1, dim)).reshape(subs, size)
         except RunFrozenError:
             return instance.snapshots
-        detector = ChangeDetector(instance)
+        # the population is fresh: a change while scoring it needs no
+        # response
+        detector.changed()
         memory = deque(maxlen=cfg.memory_size)
 
         while not instance.frozen:
@@ -75,13 +98,13 @@ class CrowdingDE:
             trials = self._make_trials(pop, rng)
             # a batch can outlive the run's final budget mid-generation
             try:
-                trial_fitness = instance.evaluate_many(
+                trial_fitness = detector.evaluate_many(
                     trials.reshape(-1, dim)).reshape(subs, size)
                 self._crowding_replace(pop, fitness, trials, trial_fitness)
                 if instance.frozen:
                     break
                 if detector.changed():
-                    self._respond_to_change(instance, pop, fitness, memory,
+                    self._respond_to_change(detector, pop, fitness, memory,
                                             rng)
             except RunFrozenError:
                 break
@@ -90,21 +113,25 @@ class CrowdingDE:
     def _make_trials(self, pop, rng):
         subs, size, dim = pop.shape
         cfg = self.config
-        # Random-offset partner selection: members 1, 2 and 3 places
-        # after the target in one permutation per subpopulation; three
-        # distinct members, possibly including the target itself.
         perms = rng.index_permutations(subs, size)
-        offsets = (np.arange(size) + np.arange(1, 4)[:, None]) % size
-        rows = np.arange(subs)[:, None]
-        x1, x2, x3 = pop[rows[:, None], perms[:, offsets]].swapaxes(0, 1)
-        mutants = x1 + cfg.scale_factor * (x2 - x3)
+        # row numbers of every partner in the flattened population
+        partners = perms.take(self._partner_slots)
+        partners += self._row_starts
+        x1, x2, x3 = pop.reshape(-1, dim).take(partners, axis=0)
+        # x1 + F * (x2 - x3), one operation at a time, in x2's buffer
+        mutants = np.subtract(x2, x3, out=x2)
+        mutants *= cfg.scale_factor
+        mutants += x1
         cross = rng.uniform_vector(0.0, 1.0, (subs, size, dim))
-        forced = np.floor(rng.uniform_vector(0.0, dim, (subs, size)))
-        forced = np.minimum(forced.astype(int), dim - 1)
+        # truncation is floor on these non-negative draws
+        forced = rng.uniform_vector(0.0, dim, (subs, size)).astype(np.intp)
+        np.minimum(forced, dim - 1, out=forced)
         mask = cross < cfg.crossover_rate
-        mask[rows, np.arange(size), forced] = True
+        mask[self._rows, self._columns, forced] = True
         trials = np.where(mask, mutants, pop)
-        return np.clip(trials, DOMAIN_LOW, DOMAIN_HIGH)
+        # equal to np.clip on finite values, and the trials are finite
+        np.maximum(trials, DOMAIN_LOW, out=trials)
+        return np.minimum(trials, DOMAIN_HIGH, out=trials)
 
     @staticmethod
     def _crowding_replace(pop, fitness, trials, trial_fitness):
@@ -117,23 +144,31 @@ class CrowdingDE:
         # This needs trial fitness free of NaN, where the running
         # comparison and the sort below would disagree; it holds because
         # trials are clipped into the domain, where every landscape is
-        # finite.
+        # finite.  `pop` and `fitness` are C-contiguous, so their flat
+        # views below write through.
         diff = trials[:, :, None, :] - pop[:, None, :, :]
-        nearest = (diff * diff).sum(-1).argmin(2)
+        nearest = np.multiply(diff, diff, out=diff).sum(-1).argmin(2)
         subs, size = nearest.shape
-        target = (np.arange(subs)[:, None] * size + nearest).ravel()
+        # flat member index of each trial's target
+        nearest += np.arange(0, subs * size, size)[:, None]
+        target = nearest.reshape(-1)
         # lexsort is stable, so equal fitness within a target keeps
         # trial order and the group's last entry is the winner.
-        order = np.lexsort((trial_fitness.ravel(), target))
-        last = np.append(target[order[1:]] != target[order[:-1]], True)
-        s, i = np.divmod(order[last], size)
-        m = nearest[s, i]
-        wins = trial_fitness[s, i] >= fitness[s, m]
-        s, i, m = s[wins], i[wins], m[wins]
-        pop[s, m] = trials[s, i]
-        fitness[s, m] = trial_fitness[s, i]
+        order = np.lexsort((trial_fitness.reshape(-1), target))
+        ranked = target[order]
+        last = np.empty(len(ranked), bool)
+        last[-1] = True
+        np.not_equal(ranked[1:], ranked[:-1], out=last[:-1])
+        winners, members = order[last], ranked[last]
+        flat_fitness = fitness.reshape(-1)
+        challengers = trial_fitness.reshape(-1)[winners]
+        wins = challengers >= flat_fitness[members]
+        members = members[wins]
+        flat_fitness[members] = challengers[wins]
+        dim = pop.shape[-1]
+        pop.reshape(-1, dim)[members] = trials.reshape(-1, dim)[winners[wins]]
 
-    def _respond_to_change(self, instance, pop, fitness, memory, rng):
+    def _respond_to_change(self, detector, pop, fitness, memory, rng):
         cfg = self.config
         subs, size, dim = pop.shape
         best = fitness.argmax(1)
@@ -149,7 +184,7 @@ class CrowdingDE:
         seeds = list(memory)[::-1][:subs]
         for s, point in enumerate(seeds):
             pop[s, order[s, 0]] = point
-        fitness[:] = instance.evaluate_many(
+        fitness[:] = detector.evaluate_many(
             pop.reshape(-1, dim)).reshape(subs, size)
 
 
@@ -184,7 +219,7 @@ class RandomSearch:
                 # is in force before the environment seals
                 chunk = remaining // 2
             batch = rng.uniform_vector(DOMAIN_LOW, DOMAIN_HIGH, (chunk, dim))
-            batch_values = instance.evaluate_many(batch)
+            batch_values = detector.evaluate_many(batch)
             if instance.frozen or detector.changed():
                 points = np.empty((0, dim))
                 values = np.empty(0)

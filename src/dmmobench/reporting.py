@@ -20,7 +20,8 @@ import numpy as np
 from .config import BenchmarkSettings
 from .controller import (PopulationSnapshot, create_problem,
                          dump_environments_text, iterate_environments)
-from .core import DOMAIN_HIGH, DOMAIN_LOW, make_rng, problem_spec
+from .core import (CONE_FAMILIES, DOMAIN_HIGH, DOMAIN_LOW, format_floats,
+                   make_rng, problem_spec)
 # count_npf is unused here, but the benchmark's tracer patches it by name.
 from .metrics import (AccuracyLevel, RunRecord, best_worst,  # noqa: F401
                       count_npf, peak_ratio, score_run)
@@ -114,7 +115,8 @@ def run_benchmark(problems, seeds, optimizer="baseline", settings=None,
     A failing run aborts only itself; its absence is reported in the
     returned failures list and it contributes nothing to the table.
     Runs are independent, so `jobs` > 1 parallelizes across pairs
-    without changing any result.
+    without changing any result; the pool starts the costliest runs
+    first, and results are still collected in task order.
     """
     settings = settings if settings is not None else BenchmarkSettings()
     levels = accuracy_levels(settings)
@@ -128,8 +130,10 @@ def run_benchmark(problems, seeds, optimizer="baseline", settings=None,
     with ExitStack() as stack:
         if jobs > 1 and len(tasks) > 1:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
-            results = [pool.submit(execute_run, *task).result
-                       for task in tasks]
+            futures = {i: pool.submit(execute_run, *tasks[i])
+                       for i in sorted(range(len(tasks)),
+                                       key=lambda i: _cost_rank(tasks[i][0]))}
+            results = [futures[i].result for i in range(len(tasks))]
         else:
             results = [partial(execute_run, *task) for task in tasks]
         for (problem, seed, *_), result in zip(tasks, results):
@@ -143,6 +147,13 @@ def run_benchmark(problems, seeds, optimizer="baseline", settings=None,
         _write_artifacts(out_dir, table, records, outcomes, problems, seeds,
                          levels, settings, save_snapshots)
     return BenchmarkReport(table, records, failures)
+
+
+def _cost_rank(problem):
+    """Sort key putting the costliest runs first: composition
+    landscapes before cone landscapes, then higher dimensions."""
+    spec = problem_spec(problem)
+    return spec.family in CONE_FAMILIES, -spec.dimension
 
 
 def _tabulate(problems, seeds, outcomes, levels):
@@ -212,8 +223,8 @@ def render_snapshots(problem, seed, snapshots, environments):
     for snapshot in snapshots:
         lines.append(f"env {snapshot.environment}")
         for point, value in zip(snapshot.individuals, snapshot.fitness):
-            coords = " ".join(format(c, ".16e") for c in point)
-            lines.append(f"individual {coords} fitness {value:.16e}")
+            lines.append(f"individual {format_floats(point)} "
+                         f"fitness {format_floats(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -270,11 +281,11 @@ def rescore_snapshots(out_dir, settings=None, levels=None):
         path = os.path.join(out_dir, name)
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-        head = text.splitlines()[0].split()
-        dim = problem_spec(head[1]).dimension
-        problem, seed, snapshots = parse_snapshots(text, dim)
-        if not snapshots:
-            raise ValueError(f"{path}: no environments recorded")
+        try:
+            problem, seed, snapshots = _load_snapshots(
+                text, settings.environments)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         truths = {env: landscape.global_optima()
                   for env, landscape, _ in iterate_environments(
                       problem, seed, settings,
@@ -286,6 +297,37 @@ def rescore_snapshots(out_dir, settings=None, levels=None):
     seeds = sorted({s for _, s in outcomes})
     table, records = _tabulate(problems, seeds, outcomes, levels)
     return BenchmarkReport(table, records, [])
+
+
+def _load_snapshots(text, environments):
+    """Parse one snapshot file and check it against the run length.
+
+    Raises ValueError unless the file declares `environments` and holds
+    at least one env block, each in 1..environments and none twice.
+    """
+    header = {}
+    for line in text.splitlines():
+        key, _, value = line.partition(" ")
+        if key == "env":
+            break
+        header[key] = value.strip()
+    problem, seed, snapshots = parse_snapshots(
+        text, problem_spec(header.get("problem")).dimension)
+    if not snapshots:
+        raise ValueError("no environments recorded")
+    declared = header.get("environments")
+    if declared != str(environments):
+        raise ValueError(f"recorded under environments {declared}, "
+                         f"not {environments}")
+    seen = set()
+    for snapshot in snapshots:
+        env = snapshot.environment
+        if not 1 <= env <= environments:
+            raise ValueError(f"env {env} outside 1..{environments}")
+        if env in seen:
+            raise ValueError(f"env {env} recorded twice")
+        seen.add(env)
+    return problem, seed, snapshots
 
 
 def export_landscape_grid(problem, seed, env=1, resolution=101,
@@ -311,18 +353,17 @@ def export_landscape_grid(problem, seed, env=1, resolution=101,
     axis = np.linspace(DOMAIN_LOW, DOMAIN_HIGH, resolution)
     lines = [f"problem {problem}", f"seed {seed}", f"env {env}",
              f"dim {landscape.dim}", f"resolution {resolution}",
-             "axis " + " ".join(format(a, ".16e") for a in axis)]
+             f"axis {format_floats(axis)}"]
     points = np.zeros((resolution, landscape.dim))
     for i in range(resolution):
         points[:, 0] = axis[i]
         points[:, 1] = axis
         values = landscape.evaluate_many(points)
-        lines.append(f"row {i} " + " ".join(
-            format(v, ".16e") for v in values))
+        lines.append(f"row {i} {format_floats(values)}")
     positions, values = landscape.global_optima()
     for k, (point, value) in enumerate(zip(positions, values)):
-        coords = " ".join(format(c, ".16e") for c in point)
-        lines.append(f"optimum {k} {coords} value {value:.16e}")
+        lines.append(f"optimum {k} {format_floats(point)} "
+                     f"value {format_floats(value)}")
     return "\n".join(lines) + "\n"
 
 

@@ -163,3 +163,17 @@ def test_score_without_snapshots_exits_2(tmp_path, config_path, capsys):
                     "--out-dir", tmp_path / "empty"])
     assert code == 2
     assert "snapshot" in capsys.readouterr().err.lower()
+
+
+def test_score_rejects_an_environment_outside_the_run(tmp_path, config_path,
+                                                      capsys):
+    out = tmp_path / "snaps"
+    os.makedirs(out)
+    (out / "snapshots_P1_seed1.txt").write_text(
+        "problem P1\nseed 1\nenvironments 4\nenv 0\n"
+        "individual 0 0 0 0 0 fitness 0\n")
+    code = run_cli(["score", "--config", config_path, "--out-dir", out])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "snapshots_P1_seed1.txt" in err and "env 0 outside 1..4" in err
+    assert "Traceback" not in err

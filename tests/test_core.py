@@ -9,6 +9,7 @@ from dmmobench.core import (
     PlacementError,
     draw_spaced_points,
     euclidean_distance,
+    format_floats,
     make_rng,
     min_pairwise_distance,
     problem_spec,
@@ -126,3 +127,17 @@ def test_problem_table_g2_sweeps_modes_on_f8():
 def test_unknown_problem_index():
     with pytest.raises(ValueError):
         problem_spec("P25")
+
+
+def test_format_floats_matches_format_e16():
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310,
+               np.finfo(float).max, -np.finfo(float).max,
+               np.finfo(float).tiny, 1.0, -75.0]
+    drawn = np.random.default_rng(3).standard_normal(5000) \
+        * 10.0 ** np.random.default_rng(4).integers(-300, 300, 5000)
+    for values in (special, drawn, np.reshape(special, (3, 4))):
+        expected = " ".join(format(v, ".16e")
+                            for v in np.ravel(values).tolist())
+        assert format_floats(values) == expected
+    assert format_floats(np.float64(-0.0)) == "-0.0000000000000000e+00"
+    assert format_floats([]) == ""

@@ -7,7 +7,7 @@ from hypothesis.extra import numpy as hnp
 from dmmobench.config import BenchmarkSettings, OptimizerConfig
 from dmmobench.controller import create_problem
 from dmmobench.core import DOMAIN_HIGH, DOMAIN_LOW, RngStream
-from dmmobench.optimizers import CrowdingDE, make_optimizer
+from dmmobench.optimizers import ChangeDetector, CrowdingDE, make_optimizer
 
 
 SETTINGS = BenchmarkSettings(evals_per_dim=60, environments=5)
@@ -162,3 +162,43 @@ def test_crowding_replace_matches_the_loop_reference(inputs):
     reference_crowding_replace(ref_pop, ref_fitness, trials, trial_fitness)
     assert same_bits(pop, ref_pop)
     assert same_bits(fitness, ref_fitness)
+
+
+def snapshots_under(name, evals_per_dim, expose):
+    settings = BenchmarkSettings(evals_per_dim=evals_per_dim, environments=6,
+                                 expose_environment_index=expose)
+    instance = create_problem("P1", 2, settings)
+    make_optimizer(name).optimize(instance, RngStream(2, stream=1))
+    return instance.snapshots
+
+
+@pytest.mark.parametrize("name", ["baseline", "random"])
+@pytest.mark.parametrize("evals_per_dim", [10, 20, 30, 40, 60])
+def test_hidden_index_changes_nothing(name, evals_per_dim):
+    # with batches of 100 and a budget of 100 per environment, one batch
+    # covers a whole environment, which a watch on the remaining budget
+    # cannot see
+    hidden = snapshots_under(name, evals_per_dim, expose=False)
+    exposed = snapshots_under(name, evals_per_dim, expose=True)
+    assert len(hidden) == len(exposed) == 6
+    for a, b in zip(hidden, exposed):
+        assert a.environment == b.environment
+        assert same_bits(a.individuals, b.individuals)
+        assert same_bits(a.fitness, b.fitness)
+
+
+@pytest.mark.parametrize("expose", [False, True])
+def test_detector_sees_every_change_of_a_whole_environment_batch(expose):
+    settings = BenchmarkSettings(evals_per_dim=20, environments=6,
+                                 expose_environment_index=expose)
+    instance = create_problem("P1", 1, settings)
+    detector = ChangeDetector(instance)
+    points = np.zeros((instance.remaining_budget(), 5))
+    seen = []
+    for _ in range(5):
+        detector.evaluate_many(points)
+        seen.append(detector.changed())
+        if expose:
+            assert detector.last_env == instance.current_environment()
+    assert seen == [True] * 5
+    assert not detector.changed()

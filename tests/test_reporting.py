@@ -1,11 +1,15 @@
+import os
+
 import numpy as np
 import pytest
 
 from dmmobench.config import BenchmarkSettings
 from dmmobench.controller import PopulationSnapshot
+from dmmobench.core import PROBLEM_INDICES
 from dmmobench.metrics import AccuracyLevel
 from dmmobench.reporting import (
     ResultsTable,
+    _cost_rank,
     execute_run,
     parse_snapshots,
     render_snapshots,
@@ -83,3 +87,62 @@ def test_rescore_names_a_snapshot_file_without_environments(tmp_path):
     path.write_text("problem P1\nseed 1\n")
     with pytest.raises(ValueError, match="snapshots_P1_seed1.txt"):
         rescore_snapshots(str(tmp_path))
+
+
+def test_pool_output_and_failures_match_serial(tmp_path):
+    # the pool starts P21 and P5 before P17 and P1; nothing may show it
+    settings = BenchmarkSettings(evals_per_dim=20, environments=2)
+    problems, seeds = ["P1", "P5", "P17", "P21"], [1, -3]
+    reports = {}
+    for jobs in (1, 2):
+        reports[jobs] = run_benchmark(
+            problems, seeds, settings=settings, jobs=jobs,
+            out_dir=str(tmp_path / str(jobs)), save_snapshots=True)
+    assert reports[1].failures == reports[2].failures
+    assert [f[:2] for f in reports[2].failures] == [(p, -3) for p in problems]
+    names = sorted(os.listdir(tmp_path / "1"))
+    assert names == sorted(os.listdir(tmp_path / "2"))
+    assert len(names) == 2 + 2 * len(problems)
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() \
+            == (tmp_path / "2" / name).read_bytes()
+
+
+def test_cost_rank_puts_composition_and_higher_dimensions_first():
+    ranked = sorted(PROBLEM_INDICES, key=_cost_rank)
+    assert ranked[:4] == ["P21", "P22", "P23", "P24"]
+    assert ranked[-8:] == ["P17", "P18", "P19", "P20", "P1", "P2", "P3", "P4"]
+
+
+def write_snapshot_file(directory, environments, envs):
+    lines = ["problem P1", "seed 1", f"environments {environments}"]
+    for env in envs:
+        lines += [f"env {env}", "individual 0 0 0 0 0 fitness 0"]
+    path = directory / "snapshots_P1_seed1.txt"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+BAD_ENVIRONMENTS = [
+    (3, [0, 1], "env 0 outside 1..3"),
+    (3, [1, 5], "env 5 outside 1..3"),
+    (3, [1, 2, 2], "env 2 recorded twice"),
+    (4, [1, 2], "recorded under environments 4, not 3"),
+]
+
+
+@pytest.mark.parametrize("environments, envs, message", BAD_ENVIRONMENTS)
+def test_rescore_rejects_environments_the_run_never_had(
+        tmp_path, environments, envs, message):
+    write_snapshot_file(tmp_path, environments, envs)
+    settings = BenchmarkSettings(evals_per_dim=20, environments=3)
+    with pytest.raises(ValueError, match="snapshots_P1_seed1.txt") as info:
+        rescore_snapshots(str(tmp_path), settings)
+    assert message in str(info.value)
+
+
+def test_rescore_accepts_a_subset_of_the_environments(tmp_path):
+    write_snapshot_file(tmp_path, 3, [1, 3])
+    settings = BenchmarkSettings(evals_per_dim=20, environments=3)
+    report = rescore_snapshots(str(tmp_path), settings)
+    assert len(report.table.rows) == 1
