@@ -21,6 +21,13 @@ from dmmobench.optimizers import CrowdingDE
 #: Problems with cone landscapes at the two table dimensions.
 CONE_PROBLEMS = {5: "P1", 10: "P17"}
 
+#: The composition problem of each family F5-F8 at the two table
+#: dimensions (families, then change mode C1).
+COMPOSITION_PROBLEMS = {
+    (family, dim): f"P{number + (0 if dim == 5 else 16)}"
+    for number, family in enumerate(("F5", "F6", "F7", "F8"), start=5)
+    for dim in (5, 10)}
+
 #: Large enough that no benchmark round reaches an environment change.
 UNCHANGING = BenchmarkSettings(evals_per_dim=10**7, environments=1)
 
@@ -72,3 +79,29 @@ def test_evaluate_many(benchmark, dim, layer):
     values = benchmark(target.evaluate_many, points)
     assert values.shape == (len(points),)
     assert instance.t == 1
+
+
+@pytest.mark.benchmark(group="composition.evaluate_many")
+@pytest.mark.parametrize("dim", [5, 10])
+@pytest.mark.parametrize("family", ["F5", "F6", "F7", "F8"])
+def test_composition_evaluate_many(benchmark, family, dim):
+    landscape = create_problem(
+        COMPOSITION_PROBLEMS[family, dim], 1, UNCHANGING).landscape
+    assert landscape.family == family
+    points = population(dim).reshape(-1, dim)
+    values = benchmark(landscape.evaluate_many, points)
+    assert values.shape == (len(points),)
+
+
+@pytest.mark.benchmark(group="composition.weights")
+@pytest.mark.parametrize("dim", [5, 10])
+@pytest.mark.parametrize("family", ["F5", "F6", "F7", "F8"])
+def test_composition_weights(benchmark, family, dim):
+    """The blend weights alone, from the (point, component, coordinate)
+    offsets that `evaluate_many` passes them."""
+    landscape = create_problem(
+        COMPOSITION_PROBLEMS[family, dim], 1, UNCHANGING).landscape
+    points = population(dim).reshape(-1, dim)
+    diff = points[:, None, :] - landscape.shifts[None, :, :]
+    weights = benchmark(landscape._weights, diff)
+    assert weights.shape == (len(points), landscape.n_components)

@@ -9,7 +9,7 @@ no point evaluates above 0.
 
 import numpy as np
 
-from .core import MIN_PEAK_DISTANCE, draw_spaced_points
+from .core import MIN_PEAK_DISTANCE, coordinate_sum, draw_spaced_points
 from .dynamics import random_rotation
 
 #: Scale applied to each normalized component value.
@@ -164,7 +164,10 @@ class CompositionLandscape:
         return -(weights * normalized).sum(1)
 
     def _weights(self, diff):
-        sq_dist = (diff * diff).sum(-1)
+        # coordinate axis first, so each addition spans every
+        # (point, component) pair
+        coords = np.ascontiguousarray(diff.transpose(2, 0, 1))
+        sq_dist = coordinate_sum(np.multiply(coords, coords, out=coords))
         raw = np.exp(-sq_dist / (2.0 * self.dim * self.spreads[None, :] ** 2))
         peak = raw.max(1, keepdims=True)
         damped = np.where(raw == peak, raw, raw * (1.0 - peak ** WEIGHT_SHARPNESS))

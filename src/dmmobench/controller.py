@@ -99,16 +99,7 @@ class ProblemInstance:
         coordinate that is not a finite number in the domain, raises
         ValueError before anything is charged.
         """
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim != 2 or xs.shape[1] != self.spec.dimension:
-            raise ValueError(
-                f"expected a batch of {self.spec.dimension}-dimensional "
-                f"points, got shape {xs.shape}")
-        # NaN fails both comparisons
-        if not ((xs >= DOMAIN_LOW) & (xs <= DOMAIN_HIGH)).all():
-            raise ValueError(
-                f"points must lie in [{DOMAIN_LOW}, {DOMAIN_HIGH}] in every "
-                f"coordinate")
+        xs = _checked_batch(xs, self.spec.dimension)
         out = np.empty(len(xs))
         start = 0
         while start < len(xs):
@@ -130,7 +121,10 @@ class ProblemInstance:
         Last write wins: the report in force when the environment's
         budget runs out is the one scored.  Individuals are re-evaluated
         against the sealed environment at that moment, free of budget,
-        so scoring never distorts the protocol.
+        so scoring never distorts the protocol.  A single individual may
+        be given as a 1-D array.  Individuals are checked as `evaluate_many`
+        checks a batch: a wrong shape or a coordinate outside the domain
+        raises ValueError and leaves the report in force unchanged.
         """
         if self.frozen:
             raise RunFrozenError("the run's full evaluation budget is spent")
@@ -138,11 +132,8 @@ class ProblemInstance:
         if individuals.size == 0:
             individuals = np.empty((0, self.spec.dimension))
         else:
-            individuals = np.atleast_2d(individuals).copy()
-            if individuals.shape[1] != self.spec.dimension:
-                raise ValueError(
-                    f"expected {self.spec.dimension}-dimensional individuals, "
-                    f"got shape {individuals.shape}")
+            individuals = _checked_batch(
+                np.atleast_2d(individuals), self.spec.dimension).copy()
         self._pending_report = individuals
 
     def ground_truth(self, env):
@@ -180,6 +171,24 @@ class ProblemInstance:
                             self.settings)
         self.evaluations_used_in_env = 0
         self._archive_ground_truth()
+
+
+def _checked_batch(points, dim):
+    """`points` as a float array, provided it is a 2-D batch of
+    `dim`-dimensional points with every coordinate a finite number in
+    the domain; raises ValueError otherwise."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != dim:
+        raise ValueError(
+            f"expected a batch of {dim}-dimensional points, got shape "
+            f"{points.shape}")
+    # The domain is symmetric about the origin; NaN passes through abs
+    # and max and fails the comparison.
+    if not np.abs(points).max(initial=0.0) <= DOMAIN_HIGH:
+        raise ValueError(
+            f"points must lie in [{DOMAIN_LOW}, {DOMAIN_HIGH}] in every "
+            f"coordinate")
+    return points
 
 
 def create_problem(index, seed, settings=None):

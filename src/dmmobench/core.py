@@ -125,6 +125,55 @@ def euclidean_distance(a, b):
     return float(np.sqrt(((a - b) ** 2).sum()))
 
 
+#: Length up to which numpy's pairwise summation runs one unrolled block.
+_PAIRWISE_BLOCK = 128
+
+
+def coordinate_sum(terms):
+    """Sum over the leading axis, of length at least 1, bit for bit as
+    numpy's `sum` adds the elements of one contiguous axis.
+
+    `coordinate_sum(np.moveaxis(t, -1, 0))` equals `t.sum(-1)` for a
+    C-contiguous `t`, but each addition runs over whole arrays instead
+    of one short loop per output element, which is faster when the
+    summed axis is short and the others are long.  Numpy's order
+    (pairwise summation): fewer than 8 terms are added in order; up to
+    128 are gathered in eight interleaved accumulators, which are then
+    combined pairwise, and the tail is added in order; longer runs are
+    split at half their length rounded down to a multiple of 8 and the
+    two halves summed the same way.  The one difference: numpy starts
+    from +0.0, so a sum of negative zeros only is +0.0 there and -0.0
+    here.  A sum of squares holds no negative zero.
+    """
+    n = len(terms)
+    if n == 1:
+        return terms[0].copy()
+    if n < 8:
+        total = terms[0] + terms[1]
+        for term in terms[2:]:
+            total += term
+        return total
+    if n <= _PAIRWISE_BLOCK:
+        blocked = n - n % 8
+        acc = terms[:8]
+        if blocked > 8:
+            acc = acc + terms[8:16]
+            for start in range(16, blocked, 8):
+                acc += terms[start:start + 8]
+        # one slab at a time: faster here than adding strided halves
+        total = acc[0] + acc[1]
+        total += acc[2] + acc[3]
+        right = acc[4] + acc[5]
+        right += acc[6] + acc[7]
+        total += right
+        for term in terms[blocked:]:
+            total += term
+        return total
+    half = n // 2
+    half -= half % 8
+    return coordinate_sum(terms[:half]) + coordinate_sum(terms[half:])
+
+
 def pairwise_distances(points):
     """Condensed matrix of pairwise distances between row vectors."""
     points = np.asarray(points, dtype=float)

@@ -11,7 +11,7 @@ dominate the local peaks.
 
 import numpy as np
 
-from .core import MIN_PEAK_DISTANCE, draw_spaced_points
+from .core import MIN_PEAK_DISTANCE, coordinate_sum, draw_spaced_points
 
 GLOBAL_PEAK_HEIGHT = 75.0
 
@@ -84,9 +84,16 @@ class DFLandscape:
     def evaluate_many(self, xs):
         """Fitness for a batch of points, one row each."""
         xs = np.asarray(xs, dtype=float)
-        diff = xs[:, None, :] - self.positions[None, :, :]
-        dist = np.sqrt((diff * diff).sum(-1))
-        return (self._eval_heights[None, :] - self.widths[None, :] * dist).max(1)
+        # laid out (dim, peak, point), so each operation runs over every
+        # (peak, point) pair at once
+        coords = np.ascontiguousarray(xs.T)
+        diff = coords[:, None, :] - self.positions.T[:, :, None]
+        dist = coordinate_sum(np.multiply(diff, diff, out=diff))
+        np.sqrt(dist, out=dist)
+        dist *= self.widths[:, None]
+        # The max over peaks is exact in any order: inside the box no
+        # cone value is NaN, and none is -0.0, as heights are positive.
+        return np.subtract(self._eval_heights[:, None], dist, out=dist).max(0)
 
     def global_optima(self):
         """Positions and heights of the currently active global peaks."""

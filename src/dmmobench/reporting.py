@@ -229,7 +229,13 @@ def render_snapshots(problem, seed, snapshots, environments):
 
 
 def parse_snapshots(text, dim):
-    """Inverse of render_snapshots."""
+    """Inverse of render_snapshots.
+
+    Raises ValueError naming the line for a `problem`, `seed` or `env`
+    line without exactly one value, for an `individual` line that is
+    not `dim` coordinates followed by `fitness` and one value or that
+    comes before any `env` line, and for a value that does not parse.
+    """
     problem = None
     seed = None
     snapshots = []
@@ -244,23 +250,40 @@ def parse_snapshots(text, dim):
             snapshots.append(PopulationSnapshot(
                 current, individuals, np.array(values)))
 
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), start=1):
         parts = line.split()
         if not parts:
             continue
-        if parts[0] == "problem":
-            problem = parts[1]
-        elif parts[0] == "seed":
-            seed = int(parts[1])
-        elif parts[0] == "env":
-            close()
-            current = int(parts[1])
-            rows, values = [], []
-        elif parts[0] == "individual":
-            rows.append([float(c) for c in parts[1:1 + dim]])
-            values.append(float(parts[-1]))
+        key, fields = parts[0], parts[1:]
+        if key == "individual":
+            if (current is None or len(fields) != dim + 2
+                    or fields[dim] != "fitness"):
+                raise _malformed(number, line)
+        elif key in ("problem", "seed", "env"):
+            if len(fields) != 1:
+                raise _malformed(number, line)
+        else:
+            continue
+        try:
+            if key == "individual":
+                rows.append([float(c) for c in fields[:dim]])
+                values.append(float(fields[-1]))
+            elif key == "env":
+                close()
+                current = int(fields[0])
+                rows, values = [], []
+            elif key == "seed":
+                seed = int(fields[0])
+            else:
+                problem = fields[0]
+        except ValueError:
+            raise _malformed(number, line) from None
     close()
     return problem, seed, snapshots
+
+
+def _malformed(number, line):
+    return ValueError(f"line {number}: malformed line {line.strip()!r}")
 
 
 def rescore_snapshots(out_dir, settings=None, levels=None):

@@ -177,3 +177,16 @@ def test_score_rejects_an_environment_outside_the_run(tmp_path, config_path,
     err = capsys.readouterr().err
     assert "snapshots_P1_seed1.txt" in err and "env 0 outside 1..4" in err
     assert "Traceback" not in err
+
+
+def test_score_rejects_a_malformed_line(tmp_path, config_path, capsys):
+    out = tmp_path / "snaps"
+    os.makedirs(out)
+    (out / "snapshots_P1_seed1.txt").write_text(
+        "problem P1\nseed 1\nenvironments 4\nenv 1\nenv\n")
+    code = run_cli(["score", "--config", config_path, "--out-dir", out])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "snapshots_P1_seed1.txt" in err
+    assert "line 5: malformed line 'env'" in err
+    assert "Traceback" not in err

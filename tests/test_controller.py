@@ -97,6 +97,25 @@ def test_report_shape_checked():
         inst.report_population(np.zeros((2, 4)))
 
 
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
+                                 np.nextafter(5.0, 6.0),
+                                 np.nextafter(-5.0, -6.0), -40.0])
+def test_report_domain_checked_before_storing(bad):
+    inst = create_problem("P1", 1, tiny_settings())
+    kept = np.full((2, 5), 0.5)
+    inst.report_population(kept)
+    report = np.zeros((2, 5))
+    report[1, 3] = bad
+    with pytest.raises(ValueError):
+        inst.report_population(report)
+    with pytest.raises(ValueError):
+        inst.report_population(report[1])
+    inst.evaluate_many(np.zeros((20, 5)))
+    # the rejected reports left the earlier one in force
+    assert np.array_equal(inst.snapshots[0].individuals, kept)
+    assert np.isfinite(inst.snapshots[0].fitness).all()
+
 # Each case is (batch shape, value of the batch's last coordinate).
 @pytest.mark.parametrize("shape", [
     ((5,), 0.0), ((2, 4), 0.0), ((1, 5, 1), 0.0),

@@ -7,6 +7,7 @@ from dmmobench.core import (
     PROBLEM_INDICES,
     PROBLEM_TABLE,
     PlacementError,
+    coordinate_sum,
     draw_spaced_points,
     euclidean_distance,
     format_floats,
@@ -141,3 +142,25 @@ def test_format_floats_matches_format_e16():
         assert format_floats(values) == expected
     assert format_floats(np.float64(-0.0)) == "-0.0000000000000000e+00"
     assert format_floats([]) == ""
+
+
+#: Leading shapes for the coordinate sum: one point, a batch, the DE's
+#: (subs, trial, member) layout and a long axis.
+SUM_SHAPES = [(1,), (7,), (3, 4), (2, 3, 5), (301,)]
+
+
+@pytest.mark.parametrize("shape", SUM_SHAPES)
+def test_coordinate_sum_adds_in_numpys_order(shape):
+    # Continuous data: squares of differences at many scales, whose sum
+    # depends on the order of addition (the in-order sum differs from
+    # numpy's at most lengths from 8 on).
+    rng = np.random.default_rng(len(shape) * 1000 + shape[-1])
+    for dim in range(1, 301):
+        a = rng.standard_normal(shape + (dim,)) * 10.0 ** rng.uniform(
+            -3, 3, shape + (dim,))
+        diff = a - rng.standard_normal(shape + (dim,))
+        expected = (diff * diff).sum(-1)
+        got = coordinate_sum(np.moveaxis(diff * diff, -1, 0))
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes(), dim
+

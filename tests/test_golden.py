@@ -74,6 +74,90 @@ def test_artifacts_match_stored_hashes(optimizer, tmp_path):
     assert _hashes(tmp_path) == GOLDEN[optimizer]
 
 
+#: The other 19 problems, so that every family, change mode and dimension
+#: of the table is pinned through the same artifacts.
+REST = tuple(p for p in PROBLEM_INDICES if p not in PROBLEMS)
+
+REST_SCORES = {
+    "records_P2.csv": "38172a64ef677980f091645a773d657b489c3ca46a1a2205dfa4aa1fe9dcb8af",
+    "records_P3.csv": "38172a64ef677980f091645a773d657b489c3ca46a1a2205dfa4aa1fe9dcb8af",
+    "records_P4.csv": "38172a64ef677980f091645a773d657b489c3ca46a1a2205dfa4aa1fe9dcb8af",
+    "records_P6.csv": "848bf5e7c5f1884366d43525c93a1a23c605788edcccfb76eb81f86e859f2ff3",
+    "records_P7.csv": "2d35b04fa506a961c70919c0948fab5f32e462d9c4ba9f4911f82c0d15b0a27e",
+    "records_P8.csv": "848bf5e7c5f1884366d43525c93a1a23c605788edcccfb76eb81f86e859f2ff3",
+    "records_P10.csv": "848bf5e7c5f1884366d43525c93a1a23c605788edcccfb76eb81f86e859f2ff3",
+    "records_P11.csv": "848bf5e7c5f1884366d43525c93a1a23c605788edcccfb76eb81f86e859f2ff3",
+    "records_P12.csv": "848bf5e7c5f1884366d43525c93a1a23c605788edcccfb76eb81f86e859f2ff3",
+    "records_P13.csv": "848bf5e7c5f1884366d43525c93a1a23c605788edcccfb76eb81f86e859f2ff3",
+    "records_P14.csv": "848bf5e7c5f1884366d43525c93a1a23c605788edcccfb76eb81f86e859f2ff3",
+    "records_P15.csv": "5457da9076b23d3d164fde200d9bb35381a6f8b3fed104a095c7c6ee958eedb1",
+    "records_P16.csv": "ececfd5b975952c9a9dbbccd82cdb3494c817ba2f1933ffc3673a069a606eee0",
+    "records_P18.csv": "38172a64ef677980f091645a773d657b489c3ca46a1a2205dfa4aa1fe9dcb8af",
+    "records_P19.csv": "38172a64ef677980f091645a773d657b489c3ca46a1a2205dfa4aa1fe9dcb8af",
+    "records_P20.csv": "38172a64ef677980f091645a773d657b489c3ca46a1a2205dfa4aa1fe9dcb8af",
+    "records_P22.csv": "848bf5e7c5f1884366d43525c93a1a23c605788edcccfb76eb81f86e859f2ff3",
+    "records_P23.csv": "2d35b04fa506a961c70919c0948fab5f32e462d9c4ba9f4911f82c0d15b0a27e",
+    "records_P24.csv": "848bf5e7c5f1884366d43525c93a1a23c605788edcccfb76eb81f86e859f2ff3",
+    "results.csv": "ea714c7652ed5419943fbfd19088a5ab5935b9fe6c53df02cfd75df0bf985bd5",
+    "results.txt": "b48e682cfe19fd5afbbfa86770c589ee8d99924c0b48d397aef8ed565f40149a",
+}
+
+REST_GOLDEN = {
+    "baseline": {
+        **REST_SCORES,
+        "snapshots_P2_seed1.txt": "c45ee5be917f31256f27f89a97455ce90a4ec39966d3a64b96c82bf63545ecc6",
+        "snapshots_P3_seed1.txt": "8bd48d0cec3011a529cb979a722bb36d589247e2947f15f3071c7e695774df2b",
+        "snapshots_P4_seed1.txt": "6440027dcd4d188334d035bf5468d9fb434f1672d867d2637e8bd81e167783eb",
+        "snapshots_P6_seed1.txt": "8672a4fc4fdc0a8073a990c5456ceff1747c967f3787ac84bb9c58be8ad8f40a",
+        "snapshots_P7_seed1.txt": "21bf767ab923fef2645784a097c85b3d85ef540e41b5525554cb46fde4d10e06",
+        "snapshots_P8_seed1.txt": "38f2098f4832e4b6eb26075fd5ba40620aba96ff327b9a214fa2d1a38c100227",
+        "snapshots_P10_seed1.txt": "385963ccd1c4956682de7b34456abeaeb09bc6c2e4dc653f0775a6435be8efa6",
+        "snapshots_P11_seed1.txt": "b6a762ea6ca75dbf063898648d6a1c08d42710e43678641a276705ea9ddca214",
+        "snapshots_P12_seed1.txt": "a004127444b809f38227f955dbb363782bb0f5b0235a8233e683cebfaf2bb5f2",
+        "snapshots_P13_seed1.txt": "561eb0ed06c59e83b2275ada808882eea18786073f7561396ebeb346021c0543",
+        "snapshots_P14_seed1.txt": "2614b7f5827e88c692ca3d9169877054319e4530475b699aec7b0404ed8d58e8",
+        "snapshots_P15_seed1.txt": "9401a2396b55e25d6ab77f7d1f1d982aafe2c0663cb67903c1003deb14402124",
+        "snapshots_P16_seed1.txt": "3d649767aff8c69e875bf9ad141d0fd290d8937593a4f8d8d6d739fceb4a49a2",
+        "snapshots_P18_seed1.txt": "6ce49ad93cdc9181d449d07cbbb18d5e397387c8909d63bec8485dbee5d434da",
+        "snapshots_P19_seed1.txt": "b86be0178c513b7618f04f0c7507a9058d38e3ab382ccada5e1f0e61bb305cfe",
+        "snapshots_P20_seed1.txt": "279e62e58d669c308e40558e0cd577ebfacb8050f62a1fb1ed20d11ebcd68523",
+        "snapshots_P22_seed1.txt": "2edda6a7a94a93854676a9fdaa557b1a6dce9909ebdaca37e551065aaa4dd5b1",
+        "snapshots_P23_seed1.txt": "19c4813fee9dafac8b2ea34c85bba678b54c1d24f39e821855827069fc092c78",
+        "snapshots_P24_seed1.txt": "69b63fc13885466560c61e19ca4c379354b5458edacb139d413a2d7b8b2463c0",
+    },
+    "random": {
+        **REST_SCORES,
+        "snapshots_P2_seed1.txt": "75223a75a62aeaa0a1ed8abe3c5de30b81d9b757c69d4809c1cdca3df72d4b0f",
+        "snapshots_P3_seed1.txt": "f690df049573eeb6b3ccb554b50e45a90ee4b735d1c9aee10bd8c16aef36aed9",
+        "snapshots_P4_seed1.txt": "7106d08e91459550e7e8f8821f131c8d597310a79ae65b33e889142ef75646b2",
+        "snapshots_P6_seed1.txt": "f711065f4d5d3152ab29843f0a72e8afc819ed30021e37b22535c448f636fadb",
+        "snapshots_P7_seed1.txt": "db1de49d1136448ecb4c457e408c88a7be44c106fef972b832de3b9b6c5f72f4",
+        "snapshots_P8_seed1.txt": "e81b789580aa0312fdfbb3c344d2381efe0455adad00859e686ff2c35adfa7f5",
+        "snapshots_P10_seed1.txt": "1967f621c00b27159647412a3abe4b1aae91e783482ea5a5d7b9c88232c18502",
+        "snapshots_P11_seed1.txt": "f7ea2028dc8f0e8d72db0d91e2c90b243db456f71b9b9b8b61074d1a2bb236ca",
+        "snapshots_P12_seed1.txt": "7d336440ae5b50c022145163794a1d0193f8c00dbf044aa91734065bddd2a5c1",
+        "snapshots_P13_seed1.txt": "b14891323b0c7b18ea042ea7adc218e174c5e4f9e88bef1e2aa3d5050a7d36e5",
+        "snapshots_P14_seed1.txt": "91173ecd21998b03e27c1c16309c1b7cda03b555be0be112529ee8c387832ef6",
+        "snapshots_P15_seed1.txt": "07d65801fde08fe4339b435dce6a6a9e2347099ae9645446b383008fc3510ffd",
+        "snapshots_P16_seed1.txt": "b90e378e84ffd6c9ab32734f76cf5dcf75dd115de3fe08ab3d6094fb34bc43c7",
+        "snapshots_P18_seed1.txt": "ade3c4e1baa0b5300a8fab62f44e0ec32969f0dae5967a4bc6186091bc608dc8",
+        "snapshots_P19_seed1.txt": "39f001e1e1cf0afa1b8644b8e06d248b3419eccf12ea4ccd1fcc528dd5d51189",
+        "snapshots_P20_seed1.txt": "8fa982c1ab3736867f281d629bb3a1cb87d755743626ed6f4b8386d6d9c9df26",
+        "snapshots_P22_seed1.txt": "11650407fb2077b1cf691dcc74f7196e33be95b4f881aedf8045d6052ff4b8f6",
+        "snapshots_P23_seed1.txt": "f6ccd44d99db7d244c420319a04afd622e849452cacc64f27e791b58aea77589",
+        "snapshots_P24_seed1.txt": "89ceea003e259c82abc73b9c25547fa2b0aa0d8a5f7e219f5dbefad358719c0e",
+    },
+}
+
+
+@pytest.mark.parametrize("optimizer", sorted(REST_GOLDEN))
+def test_other_problems_match_stored_hashes(optimizer, tmp_path):
+    report = run_benchmark(REST, [1], optimizer, SETTINGS,
+                           out_dir=str(tmp_path), save_snapshots=True)
+    assert report.failures == []
+    assert _hashes(tmp_path) == REST_GOLDEN[optimizer]
+
+
 # -- dynamics dumps and landscape grids ---------------------------------------
 
 DUMP_SEEDS = (1, 2)

@@ -164,6 +164,33 @@ def test_crowding_replace_matches_the_loop_reference(inputs):
     assert same_bits(fitness, ref_fitness)
 
 
+
+@settings(max_examples=200, deadline=None)
+@given(shape=SHAPES, seed=st.integers(0, 2**32 - 1))
+def test_crowding_replace_matches_the_loop_reference_on_continuous_points(
+        shape, seed):
+    # Continuous coordinates, with every member of a subpopulation at
+    # the same distance, in exact arithmetic, from that subpopulation's
+    # first trial: each member is the trial plus a permutation of one
+    # offset vector, and the sums are exact, so the squared differences
+    # are the same numbers in another order.  Which member is nearest
+    # then rests on how each sum rounds, so on the order of addition.
+    subs, size, dim = shape
+    rng = np.random.default_rng(seed)
+    trials = rng.uniform(DOMAIN_LOW, DOMAIN_HIGH, shape)
+    trials[:, 0] = np.round(rng.uniform(-3.0, 3.0, (subs, dim)) * 4) / 4
+    offset = np.round(rng.uniform(-1.0, 1.0, dim) * 2.0**40) / 2.0**40
+    pop = trials[:, :1] + offset[rng.permuted(
+        np.tile(np.arange(dim), (subs, size, 1)), axis=2)]
+    fitness = rng.uniform(0.0, 75.0, shape[:2])
+    trial_fitness = rng.uniform(0.0, 75.0, shape[:2])
+    ref_pop, ref_fitness = pop.copy(), fitness.copy()
+    CrowdingDE._crowding_replace(pop, fitness, trials, trial_fitness)
+    reference_crowding_replace(ref_pop, ref_fitness, trials, trial_fitness)
+    assert same_bits(pop, ref_pop)
+    assert same_bits(fitness, ref_fitness)
+
+
 def snapshots_under(name, evals_per_dim, expose):
     settings = BenchmarkSettings(evals_per_dim=evals_per_dim, environments=6,
                                  expose_environment_index=expose)

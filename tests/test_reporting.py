@@ -146,3 +146,33 @@ def test_rescore_accepts_a_subset_of_the_environments(tmp_path):
     settings = BenchmarkSettings(evals_per_dim=20, environments=3)
     report = rescore_snapshots(str(tmp_path), settings)
     assert len(report.table.rows) == 1
+
+
+#: Lines that break a P1 (D=5) snapshot file when written as its sixth
+#: line, after the header, `env 1` and one individual.
+MALFORMED_LINES = [
+    "env",
+    "env 2 3",
+    "seed",
+    "individual 0 0 0 0 fitness 0",
+    "individual 0 0 0 0 0 0 0 fitness 0",
+    "individual 0 0 0 0 0 0",
+    "individual 0 0 0 0 0 score 0",
+    "individual 0 0 0 0 x fitness 0",
+]
+
+
+@pytest.mark.parametrize("line", MALFORMED_LINES)
+def test_rescore_names_a_malformed_line(tmp_path, line):
+    path = write_snapshot_file(tmp_path, 3, [1])
+    path.write_text(path.read_text() + line + "\n")
+    settings = BenchmarkSettings(evals_per_dim=20, environments=3)
+    with pytest.raises(ValueError, match="snapshots_P1_seed1.txt") as info:
+        rescore_snapshots(str(tmp_path), settings)
+    assert f"line 6: malformed line {line!r}" in str(info.value)
+
+
+def test_parse_rejects_an_individual_before_any_environment():
+    text = "problem P1\nseed 1\nindividual 0 0 0 0 0 fitness 0\nenv 1\n"
+    with pytest.raises(ValueError, match="line 3"):
+        parse_snapshots(text, 5)
