@@ -86,15 +86,6 @@ _FAMILY_RECIPES = {
 }
 
 
-def basic_function(kind, z):
-    """Raw value of one basic function; zero at the zero vector."""
-    try:
-        evaluate = BASIC_FUNCTIONS[kind]
-    except KeyError:
-        raise ValueError(f"unknown basic function {kind!r}") from None
-    return float(evaluate(np.asarray(z, dtype=float)))
-
-
 class CompositionLandscape:
     """Component-list landscape for one environment of F5-F8.
 
@@ -122,10 +113,6 @@ class CompositionLandscape:
     @property
     def n_components(self):
         return len(self.kinds)
-
-    @property
-    def active_global_count(self):
-        return int(self.active.sum())
 
     def set_active_count(self, count):
         """Keep the first `count` components active, deactivate the rest."""
@@ -187,7 +174,7 @@ class CompositionLandscape:
         return positions, values
 
 
-def init_composition(family, dim, rng, min_dist=None):
+def init_composition(family, dim, rng, min_dist=MIN_PEAK_DISTANCE):
     """Build the initial landscape for one of F5-F8.
 
     Shifts are drawn with the spacing rejection used everywhere else;
@@ -200,8 +187,6 @@ def init_composition(family, dim, rng, min_dist=None):
         kinds, stretches, spreads = _FAMILY_RECIPES[family]
     except KeyError:
         raise ValueError(f"unknown composition family {family!r}") from None
-    if min_dist is None:
-        min_dist = MIN_PEAK_DISTANCE
 
     count = len(kinds)
     shifts = draw_spaced_points(count, dim, rng, min_dist)

@@ -61,7 +61,7 @@ class BenchmarkSettings:
         if not all(0 < value < math.inf for value in (
                 self.distance_accuracy, *self.fitness_accuracy_levels)):
             raise ConfigError("accuracy thresholds must be positive and finite")
-        for name in ("alpha", "alpha_max", "noise_severity",
+        for name in ("alpha", "alpha_max", "chaos_factor", "noise_severity",
                      "height_severity", "width_severity",
                      "rotation_severity"):
             if not 0 <= getattr(self, name) < math.inf:

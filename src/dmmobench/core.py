@@ -47,8 +47,6 @@ class RngStream:
     def __init__(self, seed, stream=0):
         if seed < 0:
             raise ValueError(f"seed must be >= 0, got {seed}")
-        self.seed = seed
-        self.stream = stream
         entropy = seed if stream == 0 else (seed, stream)
         self._gen = np.random.Generator(np.random.PCG64(entropy))
         self._permutation_bases = {}
@@ -116,15 +114,6 @@ def format_floats(values):
                         np.asarray(values, float).ravel().tolist()))
 
 
-def euclidean_distance(a, b):
-    """L2 distance between two solution vectors of equal length."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    return float(np.sqrt(((a - b) ** 2).sum()))
-
-
 #: Length up to which numpy's pairwise summation runs one unrolled block.
 _PAIRWISE_BLOCK = 128
 
@@ -174,24 +163,7 @@ def coordinate_sum(terms):
     return coordinate_sum(terms[:half]) + coordinate_sum(terms[half:])
 
 
-def pairwise_distances(points):
-    """Condensed matrix of pairwise distances between row vectors."""
-    points = np.asarray(points, dtype=float)
-    diff = points[:, None, :] - points[None, :, :]
-    return np.sqrt((diff * diff).sum(-1))
-
-
-def min_pairwise_distance(points):
-    """Smallest distance between any two distinct rows (inf for < 2 rows)."""
-    n = len(points)
-    if n < 2:
-        return float("inf")
-    dist = pairwise_distances(points)
-    return float(dist[np.triu_indices(n, k=1)].min())
-
-
-def draw_spaced_points(count, dim, rng, min_dist=MIN_PEAK_DISTANCE,
-                       low=DOMAIN_LOW, high=DOMAIN_HIGH):
+def draw_spaced_points(count, dim, rng, min_dist=MIN_PEAK_DISTANCE):
     """Draw `count` points uniformly in the box, rejecting any placement
     closer than `min_dist` to an earlier point.
 
@@ -201,7 +173,7 @@ def draw_spaced_points(count, dim, rng, min_dist=MIN_PEAK_DISTANCE,
     points = np.empty((count, dim))
     for i in range(count):
         for _ in range(PLACEMENT_ATTEMPTS):
-            candidate = rng.uniform_vector(low, high, dim)
+            candidate = rng.uniform_vector(DOMAIN_LOW, DOMAIN_HIGH, dim)
             if i == 0:
                 points[i] = candidate
                 break
@@ -215,12 +187,12 @@ def draw_spaced_points(count, dim, rng, min_dist=MIN_PEAK_DISTANCE,
     return points
 
 
-def reflect_into_domain(points, low=DOMAIN_LOW, high=DOMAIN_HIGH):
-    """Fold coordinates back into [low, high] by reflection at the walls."""
-    width = high - low
-    folded = np.mod(np.asarray(points, dtype=float) - low, 2.0 * width)
+def reflect_into_domain(points):
+    """Fold coordinates back into the domain by reflection at the walls."""
+    width = DOMAIN_HIGH - DOMAIN_LOW
+    folded = np.mod(np.asarray(points, dtype=float) - DOMAIN_LOW, 2.0 * width)
     folded = np.where(folded <= width, folded, 2.0 * width - folded)
-    return low + folded
+    return DOMAIN_LOW + folded
 
 
 class ProblemSpec:

@@ -66,10 +66,6 @@ class DFLandscape:
     def n_local(self):
         return self.n_peaks - self.n_global
 
-    @property
-    def active_global_count(self):
-        return int(self.active[:self.n_global].sum())
-
     def set_active_count(self, count):
         """Keep the first `count` global peaks active, deactivate the rest."""
         self.active[:self.n_global] = np.arange(self.n_global) < count
@@ -103,7 +99,7 @@ class DFLandscape:
         return positions, values
 
 
-def init_df(family, dim, rng, min_dist=None):
+def init_df(family, dim, rng, min_dist=MIN_PEAK_DISTANCE):
     """Build the initial landscape for one of F1-F4.
 
     F1 draws everything: a local-peak count in 0..4, spaced positions,
@@ -112,8 +108,6 @@ def init_df(family, dim, rng, min_dist=None):
     reproducibility contract: local count, positions, widths, local
     heights.
     """
-    if min_dist is None:
-        min_dist = MIN_PEAK_DISTANCE
     if family == "F1":
         n_local = rng.randint(0, MAX_LOCAL_PEAKS)
         n_peaks = GLOBAL_PEAK_COUNT + n_local

@@ -19,18 +19,13 @@ Under C7/C8 every other parameter keeps changing in small steps.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import BenchmarkSettings
-from .core import (
-    DOMAIN_HIGH,
-    DOMAIN_LOW,
-    MIN_PEAK_DISTANCE,
-    PlacementError,
-)
-from .core import reflect_into_domain
+from .core import (DOMAIN_HIGH, DOMAIN_LOW, MIN_PEAK_DISTANCE, PlacementError,
+                   reflect_into_domain)
 from .df import LOCAL_HEIGHT_HIGH, LOCAL_HEIGHT_LOW, WIDTH_HIGH, WIDTH_LOW
 
 #: Total single moves allowed while repairing optimum spacing after one
@@ -46,17 +41,14 @@ FULL_ANGLE_RANGE = (-math.pi, math.pi)
 
 @dataclass
 class ScalarChangeParams:
-    """Bounds, severity, and mode constants for one changing scalar."""
+    """Bounds, severity and phase of one changing scalar; the mode
+    constants come from `settings`."""
 
     e_min: float
     e_max: float
     severity: float
-    alpha: float = 0.04
-    alpha_max: float = 0.01
-    chaos_factor: float = 3.67
-    period: int = 12
-    noise_severity: float = 0.8
     phase: float = 0.0
+    settings: BenchmarkSettings = field(default_factory=BenchmarkSettings)
 
     @property
     def e_range(self):
@@ -66,8 +58,8 @@ class ScalarChangeParams:
 def _recurrent_level(t, params):
     # reducing t first makes recurrence bit-exact: t and t + period
     # produce the same sine argument, not two arguments 2*pi apart
-    wave = math.sin(
-        2.0 * math.pi * (t % params.period) / params.period + params.phase)
+    period = params.settings.period
+    wave = math.sin(2.0 * math.pi * (t % period) / period + params.phase)
     return params.e_min + params.e_range * (wave + 1.0) / 2.0
 
 
@@ -78,26 +70,29 @@ def apply_scalar_change(mode, value, t, params, rng):
     modes depend only on t (not on the current value), so they revisit
     the same level every `period` changes exactly.
     """
+    settings = params.settings
+    alpha = settings.alpha
     if mode in ("C7", "C8"):
         mode = "C1"
     if mode == "C1":
         shift = rng.uniform(-1.0, 1.0)
-        value = value + params.alpha * params.e_range * shift * params.severity
+        value = value + alpha * params.e_range * shift * params.severity
     elif mode == "C2":
         shift = rng.uniform(-1.0, 1.0)
-        step = (params.alpha * float(np.sign(shift))
-                + (params.alpha_max - params.alpha) * shift)
+        step = (alpha * float(np.sign(shift))
+                + (settings.alpha_max - alpha) * shift)
         value = value + params.e_range * step * params.severity
     elif mode == "C3":
         value = value + params.severity * rng.normal()
     elif mode == "C4":
         offset = value - params.e_min
-        value = (params.e_min
-                 + params.chaos_factor * offset * (1.0 - offset / params.e_range))
+        value = (params.e_min + settings.chaos_factor * offset
+                 * (1.0 - offset / params.e_range))
     elif mode == "C5":
         value = _recurrent_level(t, params)
     elif mode == "C6":
-        value = _recurrent_level(t, params) + params.noise_severity * rng.normal()
+        value = (_recurrent_level(t, params)
+                 + settings.noise_severity * rng.normal())
     else:
         raise ValueError(f"unknown change mode {mode!r}")
     return min(max(value, params.e_min), params.e_max)
@@ -128,13 +123,6 @@ def rotation_from_pairs(dim, pairs, angles):
     return rotation
 
 
-def build_rotation(dim, theta, rng):
-    """Rotation by one shared angle over a freshly drawn random pairing."""
-    if dim < 2:
-        raise ValueError("rotation needs dim >= 2")
-    return rotation_from_pairs(dim, random_pairing(dim, rng), theta)
-
-
 def random_rotation(dim, rng):
     """Orthogonal matrix with an independent random angle per plane."""
     if dim < 2:
@@ -144,8 +132,7 @@ def random_rotation(dim, rng):
     return rotation_from_pairs(dim, pairs, angles)
 
 
-def enforce_min_distance(positions, rng, min_dist=MIN_PEAK_DISTANCE,
-                         low=DOMAIN_LOW, high=DOMAIN_HIGH):
+def enforce_min_distance(positions, rng, min_dist=MIN_PEAK_DISTANCE):
     """Repair a point set until every pairwise distance reaches `min_dist`.
 
     A violating point is nudged by exactly `min_dist` in a uniformly
@@ -168,7 +155,8 @@ def enforce_min_distance(positions, rng, min_dist=MIN_PEAK_DISTANCE,
         if norm == 0.0:
             continue
         points[culprit] = np.clip(
-            points[culprit] + direction * (min_dist / norm), low, high)
+            points[culprit] + direction * (min_dist / norm),
+            DOMAIN_LOW, DOMAIN_HIGH)
 
 
 def _first_violation(points, min_dist):
@@ -271,18 +259,11 @@ def apply_matrix_change(mode, name, state, params, rng):
     return base @ rotation
 
 
-def _scalar_params(settings, e_min, e_max, severity, phase):
-    return ScalarChangeParams(
-        e_min, e_max, severity,
-        alpha=settings.alpha, alpha_max=settings.alpha_max,
-        chaos_factor=settings.chaos_factor, period=settings.period,
-        noise_severity=settings.noise_severity, phase=phase)
-
-
 def _angle_params(mode, settings, phase):
     low, high = (RECURRENT_ANGLE_RANGE if mode in ("C5", "C6")
                  else FULL_ANGLE_RANGE)
-    return _scalar_params(settings, low, high, settings.rotation_severity, phase)
+    return ScalarChangeParams(low, high, settings.rotation_severity, phase,
+                              settings)
 
 
 def advance_environment(landscape, state, rng, settings=None):
@@ -309,14 +290,16 @@ def _advance_df(landscape, state, rng, settings):
     first_local = landscape.n_global
     height_phases = state.scalar_phases["heights"]
     for k in range(landscape.n_local):
-        params = _scalar_params(settings, LOCAL_HEIGHT_LOW, LOCAL_HEIGHT_HIGH,
-                                settings.height_severity, height_phases[k])
+        params = ScalarChangeParams(LOCAL_HEIGHT_LOW, LOCAL_HEIGHT_HIGH,
+                                    settings.height_severity,
+                                    height_phases[k], settings)
         landscape.heights[first_local + k] = apply_scalar_change(
             mode, landscape.heights[first_local + k], t, params, rng)
     width_phases = state.scalar_phases["widths"]
     for k in range(landscape.n_peaks):
-        params = _scalar_params(settings, WIDTH_LOW, WIDTH_HIGH,
-                                settings.width_severity, width_phases[k])
+        params = ScalarChangeParams(WIDTH_LOW, WIDTH_HIGH,
+                                    settings.width_severity, width_phases[k],
+                                    settings)
         landscape.widths[k] = apply_scalar_change(
             mode, landscape.widths[k], t, params, rng)
     angle = _angle_params(mode, settings, state.angle_phases["positions"])

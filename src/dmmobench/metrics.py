@@ -78,10 +78,6 @@ class RunRecord:
         self.npf = npf
         self.peaks = peaks
 
-    @property
-    def shape(self):
-        return self.npf.shape
-
 
 def peak_ratio(record):
     """Found peaks over total peaks, both summed over runs and

@@ -230,12 +230,11 @@ class RandomSearch:
                 continue
             points = np.concatenate([points, batch])
             values = np.concatenate([values, batch_values])
-            if len(points) > 4 * self.pool_size:
-                keep = np.argsort(-values, kind="stable")[:self.pool_size]
-                points = points[keep]
-                values = values[keep]
+            # best first; the stable sort keeps ties in the order drawn
             keep = np.argsort(-values, kind="stable")[:self.pool_size]
-            instance.report_population(points[keep])
+            points = points[keep]
+            values = values[keep]
+            instance.report_population(points)
         return instance.snapshots
 
 

@@ -286,14 +286,14 @@ def _malformed(number, line):
     return ValueError(f"line {number}: malformed line {line.strip()!r}")
 
 
-def rescore_snapshots(out_dir, settings=None, levels=None):
+def rescore_snapshots(out_dir, settings=None):
     """Re-score stored snapshot files against replayed ground truth.
 
     The configuration must match the one the snapshots were produced
     under, otherwise the replayed optima describe a different problem.
     """
     settings = settings if settings is not None else BenchmarkSettings()
-    levels = levels if levels is not None else accuracy_levels(settings)
+    levels = accuracy_levels(settings)
     names = sorted(name for name in os.listdir(out_dir)
                    if name.startswith("snapshots_") and name.endswith(".txt"))
     if not names:
@@ -360,9 +360,11 @@ def export_landscape_grid(problem, seed, env=1, resolution=101,
     Row i, column j sample the point (axis[i], axis[j], 0, ..., 0);
     beyond two dimensions the slice fixes every other coordinate at
     zero.  `dim_override` rebuilds the problem at another dimension
-    (2 is the useful one, for direct visualisation).
+    (2 is the useful one, for direct visualisation), at least 2.
     """
     settings = settings if settings is not None else BenchmarkSettings()
+    if dim_override is not None and dim_override < 2:
+        raise ValueError(f"dimension must be at least 2, got {dim_override}")
     if not 1 <= env <= settings.environments:
         raise ValueError(
             f"environment {env} outside 1..{settings.environments}")
@@ -390,15 +392,13 @@ def export_landscape_grid(problem, seed, env=1, resolution=101,
     return "\n".join(lines) + "\n"
 
 
-def dump_environments(problem, seed, settings=None, out_dir=None):
-    """Write (or return) the golden parameter dump for one run."""
+def dump_environments(problem, seed, settings, out_dir):
+    """Write the golden parameter dump for one run; return its path."""
     text = dump_environments_text(problem, seed, settings)
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, f"dump_{problem}_seed{seed}.txt")
-        _write_text(path, text)
-        return path
-    return text
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, f"dump_{problem}_seed{seed}.txt")
+    _write_text(path, text)
+    return path
 
 
 def _write_text(path, text):

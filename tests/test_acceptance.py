@@ -22,10 +22,10 @@ from dmmobench.core import (
     PROBLEM_INDICES,
     RunFrozenError,
     make_rng,
-    min_pairwise_distance,
     problem_spec,
 )
-from dmmobench.dynamics import build_rotation, random_rotation
+from dmmobench.dynamics import (random_pairing, random_rotation,
+                                rotation_from_pairs)
 from dmmobench.metrics import (
     AccuracyLevel,
     RunRecord,
@@ -34,6 +34,7 @@ from dmmobench.metrics import (
     peak_ratio,
 )
 from dmmobench.reporting import accuracy_levels, run_benchmark
+from helpers import min_pairwise_distance
 
 
 def _ok(number):
@@ -284,10 +285,12 @@ def test_criterion_11_rotation_machinery():
         matrix = random_rotation(dim, rng)
         assert np.abs(matrix @ matrix.T - np.eye(dim)).max() <= 1e-9
     for dim in (2, 3, 5, 8, 11):
-        assert np.array_equal(build_rotation(dim, 0.0, make_rng(dim)),
+        pairs = random_pairing(dim, make_rng(dim))
+        assert np.array_equal(rotation_from_pairs(dim, pairs, 0.0),
                               np.eye(dim))
     for dim in (3, 5, 7, 9):
-        matrix = build_rotation(dim, 0.9, make_rng(dim))
+        matrix = rotation_from_pairs(
+            dim, random_pairing(dim, make_rng(dim)), 0.9)
         fixed = [i for i in range(dim)
                  if np.array_equal(matrix[i], np.eye(dim)[i])
                  and np.array_equal(matrix[:, i], np.eye(dim)[i])]

@@ -119,6 +119,19 @@ def test_grid_verb_tiny_resolution(tmp_path, config_path):
     assert max(values) <= 1e-6
 
 
+@pytest.mark.parametrize("dim", ["0", "1"])
+def test_grid_verb_rejects_a_dimension_below_2(tmp_path, config_path, capsys,
+                                               dim):
+    code = run_cli(["grid", "--problems", "P1", "--seeds", "1",
+                    "--config", config_path, "--out-dir", tmp_path,
+                    "--dim", dim])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "at least 2" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "grid_P1_seed1_env1.txt").exists()
+
+
 def test_score_verb_reproduces_the_run_table(tmp_path, config_path, capsys):
     out = tmp_path / "runout"
     assert run_cli(["run", "--problems", "P2", "--seeds", "1-2",

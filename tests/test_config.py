@@ -15,6 +15,8 @@ from dmmobench.config import ConfigError, parse_config_text
     "min_peak_distance = 0",
     "alpha = -0.04",
     "alpha_max = inf",
+    "chaos_factor = nan",
+    "chaos_factor = inf",
     "noise_severity = nan",
     "height_severity = -7",
     "width_severity = inf",

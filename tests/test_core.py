@@ -9,13 +9,12 @@ from dmmobench.core import (
     PlacementError,
     coordinate_sum,
     draw_spaced_points,
-    euclidean_distance,
     format_floats,
     make_rng,
-    min_pairwise_distance,
     problem_spec,
     reflect_into_domain,
 )
+from helpers import min_pairwise_distance
 
 
 def test_rng_same_seed_same_sequence():
@@ -56,15 +55,6 @@ def test_index_permutations_draw_as_successive_permutations(rows, n):
     assert perms.shape == (rows, n)
     assert np.array_equal(perms, np.reshape(expected, (rows, n)))
     assert batched.uniform(0, 1) == looped.uniform(0, 1)
-
-
-def test_euclidean_distance_known_value():
-    assert euclidean_distance([0, 0], [3, 4]) == 5.0
-
-
-def test_euclidean_distance_shape_mismatch():
-    with pytest.raises(ValueError):
-        euclidean_distance([0, 0], [1, 2, 3])
 
 
 def test_draw_spaced_points_respects_spacing():

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from dmmobench.core import make_rng, min_pairwise_distance
+from dmmobench.core import make_rng
 from dmmobench.df import (
     DEACTIVATED_HEIGHT,
     GLOBAL_PEAK_COUNT,
     GLOBAL_PEAK_HEIGHT,
     init_df,
 )
+from helpers import min_pairwise_distance
 
 
 def test_f2_layout_is_fixed():

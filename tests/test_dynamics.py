@@ -4,18 +4,13 @@ import numpy as np
 import pytest
 
 from dmmobench.composition import init_composition
-from dmmobench.core import (
-    PlacementError,
-    make_rng,
-    min_pairwise_distance,
-)
+from dmmobench.core import PlacementError, make_rng
 from dmmobench.df import init_df
 from dmmobench.dynamics import (
     ChangeState,
     ScalarChangeParams,
     advance_environment,
     apply_scalar_change,
-    build_rotation,
     enforce_min_distance,
     init_change_state,
     random_pairing,
@@ -23,6 +18,7 @@ from dmmobench.dynamics import (
     rotation_from_pairs,
     update_active_count,
 )
+from helpers import min_pairwise_distance
 
 
 class StubRng:
@@ -131,7 +127,8 @@ def test_unknown_mode_rejected():
 
 
 def test_zero_angle_rotation_is_identity():
-    assert np.array_equal(build_rotation(6, 0.0, make_rng(1)), np.eye(6))
+    pairs = random_pairing(6, make_rng(1))
+    assert np.array_equal(rotation_from_pairs(6, pairs, 0.0), np.eye(6))
 
 
 @pytest.mark.parametrize("dim", [2, 3, 5, 8, 10])
@@ -144,7 +141,7 @@ def test_random_rotations_are_orthogonal(dim):
 
 
 def test_odd_dimension_fixes_exactly_one_axis():
-    matrix = build_rotation(5, 0.7, make_rng(3))
+    matrix = rotation_from_pairs(5, random_pairing(5, make_rng(3)), 0.7)
     fixed = [
         i for i in range(5)
         if np.array_equal(matrix[i], np.eye(5)[i])

@@ -294,3 +294,55 @@ def test_oracle_scores_match_stored_hashes(tmp_path, monkeypatch):
     assert digests == ORACLE
     rescored = rescore_snapshots(str(tmp_path), SETTINGS)
     assert rescored.table.render() == report.table.render()
+
+
+# -- change settings away from their defaults -----------------------------------
+
+#: Every change constant and severity set away from its default, so that
+#: dynamics which silently fell back to a default would move a hash.
+CHANGED_SETTINGS = BenchmarkSettings(
+    alpha=0.07, alpha_max=0.03, chaos_factor=3.9, period=7,
+    noise_severity=0.3, height_severity=5.0, width_severity=0.5,
+    rotation_severity=0.6)
+
+#: sha256 of dump_environments_text under CHANGED_SETTINGS, seed 1: F1
+#: under C1 (heights and widths) and F8 under each change mode.
+CHANGED_DUMPS = {
+    "P1": "c7201053b5e9fa9cbf25595f1df8e8ee2f83e52999940fe72c42108f84eb5dd8",
+    "P9": "7591b726d431fc263b4be9a76f89a346302f9ab5756f5b020ef889f7934a0f03",
+    "P10": "7df06d86c8685c22b24e43a6d67aa92d21252e8b9ff21ef8d9e1f91415797aac",
+    "P11": "18d47b7304cab0cec18d55871a2bbb08c36772511d9e7eb00ab6e02e3b8081f6",
+    "P12": "71f4a3b03f0a88d65d3a48adaa9cb20ecee936059760ab88e06634d3eb715ba5",
+    "P13": "e2c89a5162c1ea5f9ec86e0d9649f5797bebb60c20ad626a6d6737125ee744de",
+    "P14": "243f89ad974a880e608d943a0a391d36fd63a779e96aec1442e2097ec9ab240d",
+    "P15": "a977f90207fa4ef7823398b390efeb46a042f51f8b71f76f2d62a4a9a3f2c089",
+    "P16": "92e66168b1b8728f58079abe4983e10a95b2956de9a4922d2ea71a92de4858f8",
+}
+
+
+def test_dumps_under_changed_settings_match_stored_hashes():
+    digests = {problem: _sha(dump_environments_text(
+                   problem, 1, CHANGED_SETTINGS))
+               for problem in CHANGED_DUMPS}
+    assert digests == CHANGED_DUMPS
+
+
+# -- random search with a pruned pool ------------------------------------------
+
+#: Batches of 1000 evaluations, so the random search holds far more points
+#: than its pool of 100 and prunes after every batch.
+PRUNED_SETTINGS = BenchmarkSettings(evals_per_dim=2000, environments=2)
+
+PRUNED = {
+    "snapshots_P1_seed3.txt": "01154c30e0a0b1307a4f2a8607c3e1c4b03cab523c4b091240f0086071f6c3c1",
+    "snapshots_P5_seed3.txt": "5b43be656664611ce7ca6ac04a6b9cacc206f29a898f0781c56492f513106e49",
+}
+
+
+def test_random_search_past_its_pool_matches_stored_hashes(tmp_path):
+    report = run_benchmark(("P1", "P5"), [3], "random", PRUNED_SETTINGS,
+                           out_dir=str(tmp_path), save_snapshots=True)
+    assert report.failures == []
+    digests = {name: digest for name, digest in _hashes(tmp_path).items()
+               if name.startswith("snapshots_")}
+    assert digests == PRUNED

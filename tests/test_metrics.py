@@ -164,7 +164,7 @@ def test_run_record_validation():
     with pytest.raises(ValueError):
         RunRecord([[-1]], [[4]])
     record = RunRecord([[1, 2]], [[4, 4]])
-    assert record.shape == (1, 2)
+    assert record.npf.shape == (1, 2)
 
 
 def test_peak_ratio_values():

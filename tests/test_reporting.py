@@ -78,7 +78,7 @@ def test_failures_do_not_poison_the_table(tmp_path):
                            out_dir=str(tmp_path))
     assert len(report.failures) == 1
     assert report.failures[0][:2] == ("P1", -3)
-    assert report.records["P1"][LEVELS[0]].shape == (2, 2)
+    assert report.records["P1"][LEVELS[0]].npf.shape == (2, 2)
     assert len(report.table.rows) == 1
 
 
