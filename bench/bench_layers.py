@@ -13,7 +13,7 @@ whose names do not start with `test_`.
 import numpy as np
 import pytest
 
-from dmmobench import BenchmarkSettings, create_problem
+from dmmobench import BenchmarkSettings, create_problem, problem_spec
 from dmmobench.config import OptimizerConfig
 from dmmobench.core import DOMAIN_HIGH, DOMAIN_LOW, RngStream
 from dmmobench.optimizers import CrowdingDE
@@ -85,9 +85,9 @@ def test_evaluate_many(benchmark, dim, layer):
 @pytest.mark.parametrize("dim", [5, 10])
 @pytest.mark.parametrize("family", ["F5", "F6", "F7", "F8"])
 def test_composition_evaluate_many(benchmark, family, dim):
-    landscape = create_problem(
-        COMPOSITION_PROBLEMS[family, dim], 1, UNCHANGING).landscape
-    assert landscape.family == family
+    problem = COMPOSITION_PROBLEMS[family, dim]
+    assert problem_spec(problem).family == family
+    landscape = create_problem(problem, 1, UNCHANGING).landscape
     points = population(dim).reshape(-1, dim)
     values = benchmark(landscape.evaluate_many, points)
     assert values.shape == (len(points),)

@@ -7,11 +7,11 @@ fitness-evaluation budget protocol and peak-ratio scoring.
 from .config import BenchmarkSettings, ConfigError, OptimizerConfig, load_config
 from .controller import (PopulationSnapshot, ProblemInstance, create_problem,
                          dump_environments_text, iterate_environments)
-from .core import (DOMAIN_HIGH, DOMAIN_LOW, MIN_PEAK_DISTANCE,
-                   PROBLEM_INDICES, PROBLEM_TABLE, PlacementError, ProblemSpec,
-                   RngStream, RunFrozenError, make_rng, problem_spec)
-from .metrics import (DEFAULT_LEVELS, AccuracyLevel, RunRecord, best_worst,
-                      count_npf, peak_ratio, score_run)
+from .core import (DOMAIN_HIGH, DOMAIN_LOW, PROBLEM_INDICES, PROBLEM_TABLE,
+                   PlacementError, ProblemSpec, RngStream, RunFrozenError,
+                   make_rng, problem_spec)
+from .metrics import (AccuracyLevel, RunRecord, best_worst, count_npf,
+                      peak_ratio, score_run)
 from .optimizers import OPTIMIZERS, CrowdingDE, RandomSearch, make_optimizer
 from .reporting import (BenchmarkReport, ResultsTable, dump_environments,
                         execute_run, export_landscape_grid,
@@ -25,10 +25,8 @@ __all__ = [
     "BenchmarkSettings",
     "ConfigError",
     "CrowdingDE",
-    "DEFAULT_LEVELS",
     "DOMAIN_HIGH",
     "DOMAIN_LOW",
-    "MIN_PEAK_DISTANCE",
     "OPTIMIZERS",
     "OptimizerConfig",
     "PROBLEM_INDICES",

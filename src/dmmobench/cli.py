@@ -15,71 +15,49 @@ import os
 import sys
 from dataclasses import replace
 
-from .config import ConfigError, load_config
-from .core import PROBLEM_INDICES
+from .config import load_config, parse_value
+from .core import PROBLEM_INDICES, problem_spec
 from .reporting import (dump_environments, export_landscape_grid,
                         rescore_snapshots, run_benchmark)
+
+
+def _expand(text, what, number):
+    """The items of a comma-separated list of single items and `lo-hi`
+    ranges, each end read by `number`, in order and without duplicates."""
+    out = {}
+    for part in filter(str.strip, text.split(",")):
+        lo, dash, hi = part.partition("-")
+        try:
+            items = range(number(lo), number(hi if dash else lo) + 1)
+        except ValueError as exc:
+            raise ValueError(f"bad {what} {part.strip()!r}: {exc}") from None
+        out.update(dict.fromkeys(items))
+    if not out:
+        raise ValueError(f"no {what}s in {text!r}")
+    return list(out)
+
+
+def _problem_number(end):
+    """The number of an existing problem named like `P3`, `p3` or `3`."""
+    number = int(end.strip().upper().lstrip("P"))
+    problem_spec(f"P{number}")
+    return number
 
 
 def parse_problems(text):
     """Expand a problem list like `all`, `P3`, `P1-P8,P17`."""
     if text.strip().lower() == "all":
         return list(PROBLEM_INDICES)
-    known = set(PROBLEM_INDICES)
-    out = []
-    for part in text.split(","):
-        part = part.strip().upper()
-        if not part:
-            continue
-        if "-" in part:
-            lo, _, hi = part.partition("-")
-            try:
-                numbers = range(int(lo.lstrip("P")), int(hi.lstrip("P")) + 1)
-            except ValueError:
-                raise ValueError(f"bad problem range {part!r}") from None
-            names = [f"P{n}" for n in numbers]
-        else:
-            names = ["P" + part.lstrip("P")]
-        for name in names:
-            if name not in known:
-                raise ValueError(f"unknown problem {name!r}; expected P1..P24")
-            if name not in out:
-                out.append(name)
-    if not out:
-        raise ValueError(f"no problems in {text!r}")
-    return out
+    # both ends of a range exist, so every problem between them does
+    return [f"P{n}" for n in _expand(text, "problem", _problem_number)]
 
 
 def parse_seeds(text):
-    """Expand a seed list like `1`, `1-30`, `1,2,7`."""
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "-" in part:
-            lo, _, hi = part.partition("-")
-            try:
-                numbers = list(range(int(lo), int(hi) + 1))
-            except ValueError:
-                raise ValueError(f"bad seed range {part!r}") from None
-        else:
-            numbers = [int(part)]
-        for number in numbers:
-            if number < 0:
-                raise ValueError("seeds must be >= 0")
-            if number not in out:
-                out.append(number)
-    if not out:
-        raise ValueError(f"no seeds in {text!r}")
-    return out
+    """Expand a seed list like `1`, `1-30`, `1,2,7`.
 
-
-def parse_accuracy(text):
-    levels = tuple(float(part) for part in text.split(",") if part.strip())
-    if not levels or any(level <= 0 for level in levels):
-        raise ValueError(f"bad accuracy list {text!r}")
-    return levels
+    A minus sign always reads as a range, so no seed is negative.
+    """
+    return _expand(text, "seed", int)
 
 
 def build_parser():
@@ -108,7 +86,7 @@ def build_parser():
                      help="override the scored fitness accuracies, "
                           "e.g. 1e-3,1e-4")
     run.add_argument("--jobs", type=int, default=1,
-                     help="parallel worker processes across runs")
+                     help="parallel worker processes across runs (>= 1)")
     run.add_argument("--save-snapshots", action="store_true",
                      help="also write re-scorable population snapshots")
 
@@ -134,10 +112,10 @@ def build_parser():
 
 def _load(args):
     settings, optimizer_config = load_config(args.config)
-    if getattr(args, "accuracy", None):
-        settings = replace(
-            settings,
-            fitness_accuracy_levels=parse_accuracy(args.accuracy)).validate()
+    if getattr(args, "accuracy", None) is not None:
+        settings = replace(settings, fitness_accuracy_levels=parse_value(
+            "fitness_accuracy_levels", args.accuracy,
+            settings.fitness_accuracy_levels))
     return settings, optimizer_config
 
 
@@ -200,7 +178,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,7 +9,7 @@ no point evaluates above 0.
 
 import numpy as np
 
-from .core import MIN_PEAK_DISTANCE, coordinate_sum, draw_spaced_points
+from .core import coordinate_sum, draw_spaced_points
 from .dynamics import random_rotation
 
 #: Scale applied to each normalized component value.
@@ -96,9 +96,8 @@ class CompositionLandscape:
 
     kind = "composition"
 
-    def __init__(self, family, dim, kinds, shifts, rotations, stretches,
-                 spreads, peak_magnitudes):
-        self.family = family
+    def __init__(self, dim, kinds, shifts, rotations, stretches, spreads,
+                 peak_magnitudes):
         self.dim = dim
         self.kinds = kinds
         self.shifts = shifts
@@ -174,15 +173,13 @@ class CompositionLandscape:
         return positions, values
 
 
-def init_composition(family, dim, rng, min_dist=MIN_PEAK_DISTANCE):
+def init_composition(family, dim, rng, min_dist):
     """Build the initial landscape for one of F5-F8.
 
     Shifts are drawn with the spacing rejection used everywhere else;
     each component then gets an independent random rotation.  Draw
     order: all shifts first, then rotations component by component.
     """
-    if dim < 2:
-        raise ValueError("composition landscapes need dim >= 2")
     try:
         kinds, stretches, spreads = _FAMILY_RECIPES[family]
     except KeyError:
@@ -192,7 +189,7 @@ def init_composition(family, dim, rng, min_dist=MIN_PEAK_DISTANCE):
     shifts = draw_spaced_points(count, dim, rng, min_dist)
     rotations = np.stack([random_rotation(dim, rng) for _ in range(count)])
     landscape = CompositionLandscape(
-        family, dim, kinds, shifts, rotations,
-        np.asarray(stretches), np.asarray(spreads), np.zeros(count))
+        dim, kinds, shifts, rotations, np.asarray(stretches),
+        np.asarray(spreads), np.zeros(count))
     landscape.refresh_normalization()
     return landscape

@@ -1,9 +1,10 @@
 """Run configuration: benchmark constants, optimizer parameters, and the
 flat key=value file format that overrides them.
 
-Every numeric constant of the benchmark definition lives here with its
-default, so an experiment is fully described by (problem, seed, config
-file).
+Every configurable constant of the benchmark definition lives here with
+its default, so an experiment is fully described by (problem, seed,
+config file).  Settings are checked when they are built and cannot be
+changed afterwards, so an invalid settings object never exists.
 """
 
 import math
@@ -14,7 +15,7 @@ class ConfigError(ValueError):
     """Raised for an unreadable or inconsistent configuration file."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class BenchmarkSettings:
     """Constants of the problem definition and evaluation protocol."""
 
@@ -47,6 +48,9 @@ class BenchmarkSettings:
     #: cheap change-detection channel).
     expose_environment_index: bool = True
 
+    def __post_init__(self):
+        self.validate()
+
     def environment_budget(self, dim):
         """Fitness evaluations granted per environment at dimension `dim`."""
         return self.evals_per_dim * dim
@@ -71,7 +75,7 @@ class BenchmarkSettings:
         return self
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizerConfig:
     """Parameters of the bundled differential-evolution baseline."""
 
@@ -81,6 +85,9 @@ class OptimizerConfig:
     crossover_rate: float = 0.9
     memory_size: int = 20
     reinit_fraction: float = 0.5
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self):
         if self.subpopulation_size < 4:
@@ -98,7 +105,9 @@ class OptimizerConfig:
         return self
 
 
-def _parse_value(key, raw, default):
+def parse_value(key, raw, default):
+    """`raw` read as a value of `default`'s type for option `key`; a
+    list is comma-separated and may be empty."""
     kind = type(default)
     try:
         if kind is bool:
@@ -119,15 +128,14 @@ def _parse_value(key, raw, default):
     raise ConfigError(f"unsupported option type for {key}")
 
 
-def parse_config_text(text, settings=None, optimizer=None):
+def parse_config_text(text, settings=BenchmarkSettings(),
+                      optimizer=OptimizerConfig()):
     """Apply key=value lines to the two config dataclasses.
 
     Lines are `key = value`; blank lines and `#` comments are ignored.
     Keys are field names of BenchmarkSettings or OptimizerConfig;
     anything else is an error.
     """
-    settings = settings if settings is not None else BenchmarkSettings()
-    optimizer = optimizer if optimizer is not None else OptimizerConfig()
     bench_defaults = {f.name: getattr(settings, f.name) for f in fields(settings)}
     opt_defaults = {f.name: getattr(optimizer, f.name) for f in fields(optimizer)}
 
@@ -143,15 +151,14 @@ def parse_config_text(text, settings=None, optimizer=None):
         if not sep or not key:
             raise ConfigError(f"line {lineno}: expected `key = value`, got {line!r}")
         if key in bench_defaults:
-            bench_updates[key] = _parse_value(key, raw, bench_defaults[key])
+            bench_updates[key] = parse_value(key, raw, bench_defaults[key])
         elif key in opt_defaults:
-            opt_updates[key] = _parse_value(key, raw, opt_defaults[key])
+            opt_updates[key] = parse_value(key, raw, opt_defaults[key])
         else:
             raise ConfigError(f"line {lineno}: unknown option {key!r}")
 
-    settings = replace(settings, **bench_updates).validate()
-    optimizer = replace(optimizer, **opt_updates).validate()
-    return settings, optimizer
+    return (replace(settings, **bench_updates),
+            replace(optimizer, **opt_updates))
 
 
 def load_config(path=None):

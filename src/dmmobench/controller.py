@@ -45,16 +45,11 @@ class ProblemInstance:
 
     def __init__(self, spec, seed, settings):
         self.spec = spec
-        self.seed = seed
         self.settings = settings
         self._rng = make_rng(seed)
-        if spec.family in CONE_FAMILIES:
-            self.landscape = init_df(spec.family, spec.dimension, self._rng,
-                                     settings.min_peak_distance)
-        else:
-            self.landscape = init_composition(
-                spec.family, spec.dimension, self._rng,
-                settings.min_peak_distance)
+        init = init_df if spec.family in CONE_FAMILIES else init_composition
+        self.landscape = init(spec.family, spec.dimension, self._rng,
+                              settings.min_peak_distance)
         self.state = init_change_state(self.landscape, spec.mode, self._rng)
         self.budget = settings.environment_budget(spec.dimension)
         self.evaluations_used_in_env = 0
@@ -191,14 +186,13 @@ def _checked_batch(points, dim):
     return points
 
 
-def create_problem(index, seed, settings=None):
+def create_problem(index, seed, settings=BenchmarkSettings()):
     """Build a fresh instance of one of the 24 table problems."""
-    settings = settings if settings is not None else BenchmarkSettings()
     return ProblemInstance(problem_spec(index), seed, settings)
 
 
-def iterate_environments(index, seed, settings=None, environments=None,
-                         dim_override=None):
+def iterate_environments(index, seed, settings=BenchmarkSettings(),
+                         environments=None, dim_override=None):
     """Yield (env, landscape, state) for each environment in turn.
 
     Drives the dynamics directly, consuming no evaluation budget; used
@@ -209,10 +203,8 @@ def iterate_environments(index, seed, settings=None, environments=None,
     spec = problem_spec(index)
     if dim_override is not None:
         spec = ProblemSpec(spec.index, spec.family, spec.mode, dim_override)
-    instance = ProblemInstance(
-        spec, seed, settings if settings is not None else BenchmarkSettings())
-    last = environments if environments is not None \
-        else instance.settings.environments
+    instance = ProblemInstance(spec, seed, settings)
+    last = environments if environments is not None else settings.environments
     yield 1, instance.landscape, instance.state
     for _ in range(2, last + 1):
         instance._advance()
@@ -252,10 +244,9 @@ def format_environment(env, landscape, state):
     return lines
 
 
-def dump_environments_text(index, seed, settings=None):
+def dump_environments_text(index, seed, settings=BenchmarkSettings()):
     """The full parameter dump for one (problem, seed) run."""
     spec = problem_spec(index)
-    settings = settings if settings is not None else BenchmarkSettings()
     lines = [
         f"problem {index}",
         f"seed {seed}",

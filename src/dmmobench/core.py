@@ -11,10 +11,6 @@ import numpy as np
 DOMAIN_LOW = -5.0
 DOMAIN_HIGH = 5.0
 
-#: Minimum pairwise distance between any two optima, enforced at
-#: initialisation and after every environmental change.
-MIN_PEAK_DISTANCE = 0.1
-
 #: Attempts allowed when rejection-sampling a spaced point set.
 PLACEMENT_ATTEMPTS = 1000
 
@@ -163,7 +159,7 @@ def coordinate_sum(terms):
     return coordinate_sum(terms[:half]) + coordinate_sum(terms[half:])
 
 
-def draw_spaced_points(count, dim, rng, min_dist=MIN_PEAK_DISTANCE):
+def draw_spaced_points(count, dim, rng, min_dist):
     """Draw `count` points uniformly in the box, rejecting any placement
     closer than `min_dist` to an earlier point.
 

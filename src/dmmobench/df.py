@@ -11,7 +11,7 @@ dominate the local peaks.
 
 import numpy as np
 
-from .core import MIN_PEAK_DISTANCE, coordinate_sum, draw_spaced_points
+from .core import coordinate_sum, draw_spaced_points
 
 GLOBAL_PEAK_HEIGHT = 75.0
 
@@ -48,8 +48,7 @@ class DFLandscape:
 
     kind = "df"
 
-    def __init__(self, family, dim, heights, widths, positions, n_global):
-        self.family = family
+    def __init__(self, dim, heights, widths, positions, n_global):
         self.dim = dim
         self.heights = heights
         self.widths = widths
@@ -99,7 +98,7 @@ class DFLandscape:
         return positions, values
 
 
-def init_df(family, dim, rng, min_dist=MIN_PEAK_DISTANCE):
+def init_df(family, dim, rng, min_dist):
     """Build the initial landscape for one of F1-F4.
 
     F1 draws everything: a local-peak count in 0..4, spaced positions,
@@ -117,8 +116,7 @@ def init_df(family, dim, rng, min_dist=MIN_PEAK_DISTANCE):
         if n_local:
             heights[GLOBAL_PEAK_COUNT:] = rng.uniform_vector(
                 LOCAL_HEIGHT_LOW, LOCAL_HEIGHT_HIGH, n_local)
-        return DFLandscape(family, dim, heights, widths, positions,
-                           GLOBAL_PEAK_COUNT)
+        return DFLandscape(dim, heights, widths, positions, GLOBAL_PEAK_COUNT)
 
     try:
         diagonal, width = _FIXED_LAYOUTS[family]
@@ -127,5 +125,4 @@ def init_df(family, dim, rng, min_dist=MIN_PEAK_DISTANCE):
     positions = np.array([np.full(dim, value) for value in diagonal])
     widths = np.full(GLOBAL_PEAK_COUNT, width)
     heights = np.full(GLOBAL_PEAK_COUNT, GLOBAL_PEAK_HEIGHT)
-    return DFLandscape(family, dim, heights, widths, positions,
-                       GLOBAL_PEAK_COUNT)
+    return DFLandscape(dim, heights, widths, positions, GLOBAL_PEAK_COUNT)

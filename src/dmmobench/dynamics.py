@@ -19,13 +19,12 @@ Under C7/C8 every other parameter keeps changing in small steps.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import BenchmarkSettings
-from .core import (DOMAIN_HIGH, DOMAIN_LOW, MIN_PEAK_DISTANCE, PlacementError,
-                   reflect_into_domain)
+from .core import DOMAIN_HIGH, DOMAIN_LOW, PlacementError, reflect_into_domain
 from .df import LOCAL_HEIGHT_HIGH, LOCAL_HEIGHT_LOW, WIDTH_HIGH, WIDTH_LOW
 
 #: Total single moves allowed while repairing optimum spacing after one
@@ -48,7 +47,7 @@ class ScalarChangeParams:
     e_max: float
     severity: float
     phase: float = 0.0
-    settings: BenchmarkSettings = field(default_factory=BenchmarkSettings)
+    settings: BenchmarkSettings = BenchmarkSettings()
 
     @property
     def e_range(self):
@@ -132,7 +131,7 @@ def random_rotation(dim, rng):
     return rotation_from_pairs(dim, pairs, angles)
 
 
-def enforce_min_distance(positions, rng, min_dist=MIN_PEAK_DISTANCE):
+def enforce_min_distance(positions, rng, min_dist):
     """Repair a point set until every pairwise distance reaches `min_dist`.
 
     A violating point is nudged by exactly `min_dist` in a uniformly
@@ -266,14 +265,13 @@ def _angle_params(mode, settings, phase):
                               settings)
 
 
-def advance_environment(landscape, state, rng, settings=None):
+def advance_environment(landscape, state, rng, settings):
     """Mutate the landscape and state into the next environment.
 
     Draw order is part of the reproducibility contract: the
     active-count update (C7/C8 only), then scalars in storage order,
     then each rotated parameter, with spacing repair last.
     """
-    settings = settings if settings is not None else BenchmarkSettings()
     if state.mode in ("C7", "C8"):
         update_active_count(state.mode, state, rng)
     if landscape.kind == "df":

@@ -17,7 +17,7 @@ class AccuracyLevel:
     """Thresholds deciding whether an individual has found an optimum."""
 
     fitness_accuracy: float
-    distance_accuracy: float = 0.05
+    distance_accuracy: float
 
     def __post_init__(self):
         if self.fitness_accuracy <= 0 or self.distance_accuracy <= 0:
@@ -27,10 +27,6 @@ class AccuracyLevel:
     def key(self):
         """Stable identifier used in file headers, e.g. 1e-03."""
         return format(self.fitness_accuracy, ".0e")
-
-
-#: The three fitness tolerances scored by default.
-DEFAULT_LEVELS = tuple(AccuracyLevel(value) for value in (1e-3, 1e-4, 1e-5))
 
 
 def count_npf(snapshot, optima, level):
@@ -97,7 +93,7 @@ def best_worst(record):
     return float(ratios.max()), float(ratios.min())
 
 
-def score_run(snapshots, ground_truth, levels=DEFAULT_LEVELS):
+def score_run(snapshots, ground_truth, levels):
     """Score one run's snapshots at several accuracy levels in one pass.
 
     `ground_truth(env)` gives environment `env`'s (positions, values).

@@ -10,6 +10,7 @@ Artifacts per output directory:
 """
 
 import os
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -93,43 +94,46 @@ class BenchmarkReport:
     failures: list
 
 
-def execute_run(problem, seed, optimizer="baseline", settings=None,
-                optimizer_config=None, levels=None, keep_snapshots=False):
+def execute_run(problem, seed, optimizer="baseline",
+                settings=BenchmarkSettings(), optimizer_config=None,
+                keep_snapshots=False):
     """One full run: build the instance, optimize until frozen, score."""
-    settings = settings if settings is not None else BenchmarkSettings()
-    levels = levels if levels is not None else accuracy_levels(settings)
     instance = create_problem(problem, seed, settings)
     engine = make_optimizer(optimizer, optimizer_config)
     engine.optimize(instance, make_rng(seed, OPTIMIZER_STREAM))
     peaks, counts = score_run(instance.snapshots, instance.ground_truth,
-                              levels)
+                              accuracy_levels(settings))
     return RunResult(problem, seed, peaks, counts,
                      instance.snapshots if keep_snapshots else None)
 
 
-def run_benchmark(problems, seeds, optimizer="baseline", settings=None,
-                  optimizer_config=None, out_dir=None, jobs=1,
-                  save_snapshots=False):
+def run_benchmark(problems, seeds, optimizer="baseline",
+                  settings=BenchmarkSettings(), optimizer_config=None,
+                  out_dir=None, jobs=1, save_snapshots=False):
     """Run every (problem, seed) pair, aggregate, and write artifacts.
 
     A failing run aborts only itself; its absence is reported in the
     returned failures list and it contributes nothing to the table.
     Runs are independent, so `jobs` > 1 parallelizes across pairs
-    without changing any result; the pool starts the costliest runs
-    first, and results are still collected in task order.
+    without changing any result; the pool, of at most one worker per
+    run, starts the costliest runs first, and results are still
+    collected in task order.
     """
-    settings = settings if settings is not None else BenchmarkSettings()
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     levels = accuracy_levels(settings)
     problems = list(problems)
     seeds = list(seeds)
-    tasks = [(p, s, optimizer, settings, optimizer_config, levels,
-              save_snapshots) for p in problems for s in seeds]
+    tasks = [(p, s, optimizer, settings, optimizer_config, save_snapshots)
+             for p in problems for s in seeds]
 
     outcomes = {}
     failures = []
+    # a fork pool starts every worker at its first submit
+    workers = min(jobs, len(tasks))
     with ExitStack() as stack:
-        if jobs > 1 and len(tasks) > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+        if workers > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(workers))
             futures = {i: pool.submit(execute_run, *tasks[i])
                        for i in sorted(range(len(tasks)),
                                        key=lambda i: _cost_rank(tasks[i][0]))}
@@ -228,71 +232,86 @@ def render_snapshots(problem, seed, snapshots, environments):
     return "\n".join(lines) + "\n"
 
 
-def parse_snapshots(text, dim):
-    """Inverse of render_snapshots.
+#: The header lines of a snapshot file, each once before the first `env`.
+_SNAPSHOT_HEADER = ("problem", "seed", "environments")
 
-    Raises ValueError naming the line for a `problem`, `seed` or `env`
-    line without exactly one value, for an `individual` line that is
-    not `dim` coordinates followed by `fitness` and one value or that
-    comes before any `env` line, and for a value that does not parse.
+
+def parse_snapshots(text, environments):
+    """Inverse of render_snapshots, checked against the run length.
+
+    Returns (problem, seed, snapshots).  The header lines `problem`,
+    `seed` and `environments` each come once before the first `env`
+    line, and `problem` gives the dimension D.  Raises ValueError naming
+    the line for a header line missing, repeated or late; a declared run
+    length other than `environments`; an `env` line outside
+    1..environments or seen before; an `individual` line before any
+    `env` or not D coordinates, `fitness` and one value; a line with a
+    wrong value count or a value that does not parse.  Raises
+    ValueError too for a file without any `env` line.
     """
-    problem = None
-    seed = None
-    snapshots = []
-    current = None
-    rows = []
-    values = []
-
-    def close():
-        if current is not None:
-            individuals = (np.array(rows) if rows
-                           else np.empty((0, dim)))
-            snapshots.append(PopulationSnapshot(
-                current, individuals, np.array(values)))
-
+    header, blocks, dim = {}, {}, None
     for number, line in enumerate(text.splitlines(), start=1):
-        parts = line.split()
-        if not parts:
-            continue
-        key, fields = parts[0], parts[1:]
+        key, *fields = line.split() or [None]
         if key == "individual":
-            if (current is None or len(fields) != dim + 2
+            if (dim is None or len(fields) != dim + 2
                     or fields[dim] != "fitness"):
                 raise _malformed(number, line)
-        elif key in ("problem", "seed", "env"):
+            point = _numbers(float, fields[:dim] + fields[-1:], number, line)
+            values.append(point.pop())
+            rows.fromlist(point)
+        elif key in _SNAPSHOT_HEADER:
+            if len(fields) != 1 or dim is not None or key in header:
+                raise _malformed(number, line)
+            header[key] = (fields[0] if key == "problem"
+                           else _numbers(int, fields, number, line)[0])
+        elif key == "env":
             if len(fields) != 1:
                 raise _malformed(number, line)
-        else:
-            continue
-        try:
-            if key == "individual":
-                rows.append([float(c) for c in fields[:dim]])
-                values.append(float(fields[-1]))
-            elif key == "env":
-                close()
-                current = int(fields[0])
-                rows, values = [], []
-            elif key == "seed":
-                seed = int(fields[0])
-            else:
-                problem = fields[0]
-        except ValueError:
-            raise _malformed(number, line) from None
-    close()
-    return problem, seed, snapshots
+            env, = _numbers(int, fields, number, line)
+            if dim is None:
+                missing = [k for k in _SNAPSHOT_HEADER if k not in header]
+                if missing:
+                    raise ValueError(
+                        f"line {number}: env before the {missing[0]} line")
+                if header["environments"] != environments:
+                    raise ValueError(
+                        f"line {number}: recorded under environments "
+                        f"{header['environments']}, not {environments}")
+                dim = problem_spec(header["problem"]).dimension
+            if not 1 <= env <= environments:
+                raise ValueError(
+                    f"line {number}: env {env} outside 1..{environments}")
+            if env in blocks:
+                raise ValueError(f"line {number}: env {env} recorded twice")
+            # packed doubles: a quarter of the memory of a list of floats
+            rows, values = blocks[env] = array("d"), array("d")
+    if not blocks:
+        raise ValueError("no environments recorded")
+    snapshots = [PopulationSnapshot(
+        env, np.frombuffer(points).reshape(-1, dim), np.frombuffer(fitness))
+        for env, (points, fitness) in blocks.items()]
+    return header["problem"], header["seed"], snapshots
+
+
+def _numbers(kind, fields, number, line):
+    """`fields` converted by `kind`; a field that does not convert makes
+    the line malformed."""
+    try:
+        return [kind(field) for field in fields]
+    except ValueError:
+        raise _malformed(number, line) from None
 
 
 def _malformed(number, line):
     return ValueError(f"line {number}: malformed line {line.strip()!r}")
 
 
-def rescore_snapshots(out_dir, settings=None):
+def rescore_snapshots(out_dir, settings=BenchmarkSettings()):
     """Re-score stored snapshot files against replayed ground truth.
 
     The configuration must match the one the snapshots were produced
     under, otherwise the replayed optima describe a different problem.
     """
-    settings = settings if settings is not None else BenchmarkSettings()
     levels = accuracy_levels(settings)
     names = sorted(name for name in os.listdir(out_dir)
                    if name.startswith("snapshots_") and name.endswith(".txt"))
@@ -305,7 +324,7 @@ def rescore_snapshots(out_dir, settings=None):
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
         try:
-            problem, seed, snapshots = _load_snapshots(
+            problem, seed, snapshots = parse_snapshots(
                 text, settings.environments)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
@@ -322,39 +341,8 @@ def rescore_snapshots(out_dir, settings=None):
     return BenchmarkReport(table, records, [])
 
 
-def _load_snapshots(text, environments):
-    """Parse one snapshot file and check it against the run length.
-
-    Raises ValueError unless the file declares `environments` and holds
-    at least one env block, each in 1..environments and none twice.
-    """
-    header = {}
-    for line in text.splitlines():
-        key, _, value = line.partition(" ")
-        if key == "env":
-            break
-        header[key] = value.strip()
-    problem, seed, snapshots = parse_snapshots(
-        text, problem_spec(header.get("problem")).dimension)
-    if not snapshots:
-        raise ValueError("no environments recorded")
-    declared = header.get("environments")
-    if declared != str(environments):
-        raise ValueError(f"recorded under environments {declared}, "
-                         f"not {environments}")
-    seen = set()
-    for snapshot in snapshots:
-        env = snapshot.environment
-        if not 1 <= env <= environments:
-            raise ValueError(f"env {env} outside 1..{environments}")
-        if env in seen:
-            raise ValueError(f"env {env} recorded twice")
-        seen.add(env)
-    return problem, seed, snapshots
-
-
 def export_landscape_grid(problem, seed, env=1, resolution=101,
-                          settings=None, dim_override=None):
+                          settings=BenchmarkSettings(), dim_override=None):
     """Fitness samples over a 2-D slice of one environment, as text.
 
     Row i, column j sample the point (axis[i], axis[j], 0, ..., 0);
@@ -362,7 +350,6 @@ def export_landscape_grid(problem, seed, env=1, resolution=101,
     zero.  `dim_override` rebuilds the problem at another dimension
     (2 is the useful one, for direct visualisation), at least 2.
     """
-    settings = settings if settings is not None else BenchmarkSettings()
     if dim_override is not None and dim_override < 2:
         raise ValueError(f"dimension must be at least 2, got {dim_override}")
     if not 1 <= env <= settings.environments:

@@ -177,7 +177,7 @@ def _brute_force_npf(individuals, fitness, positions, values, level):
 
 
 def test_criterion_07_npf_oracle_equivalence():
-    level = AccuracyLevel(1e-3)
+    level = AccuracyLevel(1e-3, BenchmarkSettings().distance_accuracy)
     rng = np.random.default_rng(77)
     for case in range(1000):
         dim = int(rng.integers(1, 6))

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from dmmobench.cli import main, parse_accuracy, parse_problems, parse_seeds
+from dmmobench.cli import main, parse_problems, parse_seeds
 
 
 CONFIG = """\
@@ -37,14 +37,6 @@ def test_parse_seeds_forms():
         parse_seeds("-2")
     with pytest.raises(ValueError):
         parse_seeds("two")
-
-
-def test_parse_accuracy_forms():
-    assert parse_accuracy("1e-3,1e-4") == (1e-3, 1e-4)
-    with pytest.raises(ValueError):
-        parse_accuracy("0")
-    with pytest.raises(ValueError):
-        parse_accuracy("")
 
 
 def run_cli(args):
@@ -203,3 +195,47 @@ def test_score_rejects_a_malformed_line(tmp_path, config_path, capsys):
     assert "snapshots_P1_seed1.txt" in err
     assert "line 5: malformed line 'env'" in err
     assert "Traceback" not in err
+
+
+def test_score_accuracy_overrides_the_scored_levels(tmp_path, config_path,
+                                                    capsys):
+    out = tmp_path / "runout"
+    assert run_cli(["run", "--problems", "P2", "--seeds", "1",
+                    "--config", config_path, "--out-dir", out,
+                    "--save-snapshots"]) == 0
+    capsys.readouterr()
+    assert run_cli(["score", "--config", config_path, "--out-dir", out,
+                    "--accuracy", "1e-3,1e-4"]) == 0
+    header = capsys.readouterr().out.splitlines()[0].split()
+    assert [h for h in header if h.startswith("pr_")] == [
+        "pr_1e-03", "pr_1e-04"]
+
+
+#: Arguments every verb must refuse before doing any work, with a word
+#: the message must contain.
+BAD_ARGUMENTS = [
+    (["run", "--problems", "P1", "--seeds", "1", "--jobs", "0"], "jobs"),
+    (["run", "--problems", "P1", "--seeds", "1", "--accuracy", "0"],
+     "accuracy"),
+    (["run", "--problems", "P1", "--seeds", "1", "--accuracy", ""],
+     "accuracy"),
+    (["score", "--accuracy", "1e-3,x"], "accuracy"),
+    (["dump", "--problems", "P1", "--seeds", "5-1"], "5-1"),
+    (["dump", "--problems", "P0", "--seeds", "1"], "P0"),
+    (["grid", "--problems", "P1", "--seeds", "1", "--env", "0"],
+     "environment 0"),
+    (["grid", "--problems", "P1", "--seeds", "1", "--resolution", "1"],
+     "resolution"),
+]
+
+
+@pytest.mark.parametrize("args, word", BAD_ARGUMENTS,
+                         ids=[" ".join(args) for args, _ in BAD_ARGUMENTS])
+def test_bad_arguments_exit_2(tmp_path, config_path, capsys, args, word):
+    out = tmp_path / "out"
+    code = run_cli(args + ["--config", config_path, "--out-dir", out])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and word in err
+    assert "Traceback" not in err
+    assert not out.exists() or os.listdir(out) == []

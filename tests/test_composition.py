@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from dmmobench.composition import BASIC_FUNCTIONS, init_composition
+from dmmobench.config import BenchmarkSettings
 from dmmobench.core import make_rng
 from helpers import min_pairwise_distance
+
+#: The spacing the default settings enforce between optima.
+SPACING = BenchmarkSettings().min_peak_distance
 
 
 EXPECTED_RECIPES = {
@@ -23,7 +27,7 @@ EXPECTED_RECIPES = {
 
 @pytest.mark.parametrize("family,kinds", sorted(EXPECTED_RECIPES.items()))
 def test_component_recipes(family, kinds):
-    landscape = init_composition(family, 5, make_rng(1))
+    landscape = init_composition(family, 5, make_rng(1), SPACING)
     assert list(landscape.kinds) == kinds
     assert landscape.n_components == len(kinds)
 
@@ -70,7 +74,7 @@ def test_expanded_griewank_rosenbrock_hand_value():
 
 @pytest.mark.parametrize("family", ["F5", "F6", "F7", "F8"])
 def test_shifts_are_global_optima_at_zero(family):
-    landscape = init_composition(family, 5, make_rng(2))
+    landscape = init_composition(family, 5, make_rng(2), SPACING)
     positions, values = landscape.global_optima()
     assert (values == 0.0).all()
     for point in positions:
@@ -79,31 +83,31 @@ def test_shifts_are_global_optima_at_zero(family):
 
 
 def test_no_point_exceeds_zero():
-    landscape = init_composition("F6", 5, make_rng(4))
+    landscape = init_composition("F6", 5, make_rng(4), SPACING)
     xs = np.random.default_rng(1).uniform(-5, 5, (5000, 5))
     assert landscape.evaluate_many(xs).max() <= 1e-9
 
 
 def test_shift_spacing_and_domain():
-    landscape = init_composition("F8", 10, make_rng(5))
+    landscape = init_composition("F8", 10, make_rng(5), SPACING)
     assert min_pairwise_distance(landscape.shifts) >= 0.1
     assert (np.abs(landscape.shifts) <= 5.0).all()
 
 
 def test_rotations_are_orthogonal():
-    landscape = init_composition("F7", 5, make_rng(6))
+    landscape = init_composition("F7", 5, make_rng(6), SPACING)
     for matrix in landscape.rotations:
         gap = np.abs(matrix @ matrix.T - np.eye(5)).max()
         assert gap <= 1e-12
 
 
 def test_normalization_magnitudes_positive():
-    landscape = init_composition("F5", 5, make_rng(7))
+    landscape = init_composition("F5", 5, make_rng(7), SPACING)
     assert (landscape.peak_magnitudes > 0).all()
 
 
 def test_evaluate_matches_evaluate_many():
-    landscape = init_composition("F8", 5, make_rng(8))
+    landscape = init_composition("F8", 5, make_rng(8), SPACING)
     xs = make_rng(9).uniform_vector(-5, 5, (40, 5))
     batch = landscape.evaluate_many(xs)
     single = np.array([landscape.evaluate_many([x])[0] for x in xs])
@@ -111,7 +115,7 @@ def test_evaluate_matches_evaluate_many():
 
 
 def test_deactivated_component_sinks_to_minus_one():
-    landscape = init_composition("F5", 5, make_rng(10))
+    landscape = init_composition("F5", 5, make_rng(10), SPACING)
     landscape.set_active_count(4)
     positions, _ = landscape.global_optima()
     assert len(positions) == 4
@@ -125,17 +129,17 @@ def test_deactivated_component_sinks_to_minus_one():
 
 
 def test_far_outside_point_still_evaluable():
-    landscape = init_composition("F5", 5, make_rng(11))
+    landscape = init_composition("F5", 5, make_rng(11), SPACING)
     value = landscape.evaluate_many([np.full(5, 1e6)])[0]
     assert np.isfinite(value)
 
 
 def test_dimension_mismatch_rejected():
-    landscape = init_composition("F5", 5, make_rng(12))
+    landscape = init_composition("F5", 5, make_rng(12), SPACING)
     with pytest.raises(ValueError):
         landscape.evaluate_many([np.zeros(4)])
 
 
 def test_unknown_family_rejected():
     with pytest.raises(ValueError):
-        init_composition("F1", 5, make_rng(1))
+        init_composition("F1", 5, make_rng(1), SPACING)

@@ -1,6 +1,10 @@
+import math
+from dataclasses import FrozenInstanceError, replace
+
 import pytest
 
-from dmmobench.config import ConfigError, parse_config_text
+from dmmobench.config import (BenchmarkSettings, ConfigError, OptimizerConfig,
+                              parse_config_text)
 
 
 @pytest.mark.parametrize("line", [
@@ -25,3 +29,17 @@ from dmmobench.config import ConfigError, parse_config_text
 def test_meaningless_settings_are_rejected(line):
     with pytest.raises(ConfigError):
         parse_config_text(line)
+
+
+@pytest.mark.parametrize("kind, name, value", [
+    (BenchmarkSettings, "environments", 0),
+    (BenchmarkSettings, "alpha", math.nan),
+    (OptimizerConfig, "subpopulation_size", 2),
+])
+def test_invalid_settings_cannot_be_built(kind, name, value):
+    with pytest.raises(ConfigError):
+        kind(**{name: value})
+    with pytest.raises(ConfigError):
+        replace(kind(), **{name: value})
+    with pytest.raises(FrozenInstanceError):
+        setattr(kind(), name, value)

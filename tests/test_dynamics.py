@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dmmobench.composition import init_composition
+from dmmobench.config import BenchmarkSettings
 from dmmobench.core import PlacementError, make_rng
 from dmmobench.df import init_df
 from dmmobench.dynamics import (
@@ -19,6 +20,10 @@ from dmmobench.dynamics import (
     update_active_count,
 )
 from helpers import min_pairwise_distance
+
+#: The default settings, and the spacing they enforce between optima.
+SETTINGS = BenchmarkSettings()
+SPACING = SETTINGS.min_peak_distance
 
 
 class StubRng:
@@ -169,13 +174,13 @@ def test_pairing_is_disjoint():
 
 def test_spacing_repair_leaves_good_sets_alone():
     points = np.array([[0.0, 0.0], [1.0, 1.0], [-2.0, 3.0]])
-    repaired = enforce_min_distance(points, make_rng(1))
+    repaired = enforce_min_distance(points, make_rng(1), SPACING)
     assert np.array_equal(repaired, points)
 
 
 def test_spacing_repair_moves_by_exactly_min_dist():
     points = [[0.0, 0.0], [0.01, 0.0]]
-    repaired = enforce_min_distance(points, StubRng(vectors=[[3.0, 4.0]]))
+    repaired = enforce_min_distance(points, StubRng(vectors=[[3.0, 4.0]]), SPACING)
     assert np.allclose(repaired[1], [0.07, 0.08], atol=1e-15)
     assert min_pairwise_distance(repaired) >= 0.1
 
@@ -183,7 +188,7 @@ def test_spacing_repair_moves_by_exactly_min_dist():
 def test_spacing_repair_fixes_random_clusters():
     rng = make_rng(5)
     points = make_rng(6).uniform_vector(-0.05, 0.05, (8, 3))
-    repaired = enforce_min_distance(points, rng)
+    repaired = enforce_min_distance(points, rng, SPACING)
     assert min_pairwise_distance(repaired) >= 0.1 - 1e-12
     assert (np.abs(repaired) <= 5.0).all()
 
@@ -193,7 +198,7 @@ def test_spacing_repair_gives_up_eventually():
     # pair can never separate
     stub = StubRng(vectors=[[0.0, 1.0]] * 20000)
     with pytest.raises(PlacementError):
-        enforce_min_distance([[5.0, 5.0], [5.0, 4.95]], stub)
+        enforce_min_distance([[5.0, 5.0], [5.0, 4.95]], stub, SPACING)
 
 
 def _count_state(mode, g, direction, g_max=8):
@@ -241,7 +246,7 @@ def test_count_update_rejects_other_modes():
 
 
 def test_initial_state_draws_do_not_depend_on_mode():
-    landscapes = [init_df("F1", 5, make_rng(3)) for _ in range(2)]
+    landscapes = [init_df("F1", 5, make_rng(3), SPACING) for _ in range(2)]
     state_a = init_change_state(landscapes[0], "C1", make_rng(4))
     state_b = init_change_state(landscapes[1], "C8", make_rng(4))
     assert np.array_equal(state_a.pairings["positions"],
@@ -254,9 +259,9 @@ def test_initial_state_draws_do_not_depend_on_mode():
 
 def test_one_change_keeps_cone_invariants():
     rng = make_rng(21)
-    landscape = init_df("F2", 5, rng)
+    landscape = init_df("F2", 5, rng, SPACING)
     state = init_change_state(landscape, "C1", rng)
-    advance_environment(landscape, state, rng)
+    advance_environment(landscape, state, rng, SETTINGS)
     assert state.t == 2
     assert (landscape.heights[:4] == 75.0).all()
     assert ((landscape.widths >= 1.0) & (landscape.widths <= 12.0)).all()
@@ -266,10 +271,10 @@ def test_one_change_keeps_cone_invariants():
 
 def test_sixty_changes_keep_rotations_orthogonal():
     rng = make_rng(22)
-    landscape = init_composition("F5", 5, rng)
+    landscape = init_composition("F5", 5, rng, SPACING)
     state = init_change_state(landscape, "C1", rng)
     for _ in range(59):
-        advance_environment(landscape, state, rng)
+        advance_environment(landscape, state, rng, SETTINGS)
     for matrix in landscape.rotations:
         assert np.abs(matrix @ matrix.T - np.eye(5)).max() <= 1e-9
     assert min_pairwise_distance(landscape.shifts) >= 0.1 - 1e-12
@@ -277,11 +282,11 @@ def test_sixty_changes_keep_rotations_orthogonal():
 
 def test_recurrent_shifts_revisit_exactly():
     rng = make_rng(23)
-    landscape = init_composition("F8", 5, rng)
+    landscape = init_composition("F8", 5, rng, SPACING)
     state = init_change_state(landscape, "C5", rng)
     trail = {}
     for _ in range(30):
-        advance_environment(landscape, state, rng)
+        advance_environment(landscape, state, rng, SETTINGS)
         trail[state.t] = landscape.shifts.copy()
     for t in range(2, 19):
         assert np.abs(trail[t] - trail[t + 12]).max() <= 1e-9
@@ -289,9 +294,9 @@ def test_recurrent_shifts_revisit_exactly():
 
 def test_count_sweep_drives_active_optima():
     rng = make_rng(24)
-    landscape = init_df("F2", 5, rng)
+    landscape = init_df("F2", 5, rng, SPACING)
     state = init_change_state(landscape, "C7", rng)
-    advance_environment(landscape, state, rng)
+    advance_environment(landscape, state, rng, SETTINGS)
     positions, values = landscape.global_optima()
     assert state.g == 3
     assert len(positions) == 3

@@ -6,7 +6,6 @@ import pytest
 from dmmobench.config import BenchmarkSettings
 from dmmobench.controller import PopulationSnapshot, create_problem
 from dmmobench.metrics import (
-    DEFAULT_LEVELS,
     AccuracyLevel,
     RunRecord,
     best_worst,
@@ -14,6 +13,11 @@ from dmmobench.metrics import (
     peak_ratio,
     score_run,
 )
+from dmmobench.reporting import accuracy_levels
+
+#: The default settings' position tolerance and accuracy levels.
+DISTANCE = BenchmarkSettings().distance_accuracy
+LEVELS = accuracy_levels(BenchmarkSettings())
 
 
 def snap(individuals, fitness):
@@ -39,7 +43,7 @@ def brute_force_npf(individuals, fitness, positions, values, level):
     return len(found)
 
 
-LEVEL = AccuracyLevel(1e-3)
+LEVEL = AccuracyLevel(1e-3, DISTANCE)
 OPTIMA = (np.array([[0.0, 0.0], [1.0, 1.0], [-2.0, 3.0]]),
           np.array([75.0, 75.0, 75.0]))
 
@@ -143,17 +147,17 @@ def test_tighter_accuracy_never_finds_more():
     fitness = values[rng.integers(0, 6, 30)] + rng.normal(0, 5e-4, 30)
     population = snap(individuals, fitness)
     counts = [count_npf(population, (positions, values), level)
-              for level in DEFAULT_LEVELS]
+              for level in LEVELS]
     assert counts[0] >= counts[1] >= counts[2]
 
 
 def test_accuracy_level_validation_and_key():
     with pytest.raises(ValueError):
-        AccuracyLevel(0.0)
+        AccuracyLevel(0.0, DISTANCE)
     with pytest.raises(ValueError):
         AccuracyLevel(1e-3, -1.0)
-    assert AccuracyLevel(1e-3).key == "1e-03"
-    assert AccuracyLevel(1e-5).key == "1e-05"
+    assert AccuracyLevel(1e-3, DISTANCE).key == "1e-03"
+    assert AccuracyLevel(1e-5, DISTANCE).key == "1e-05"
 
 
 def test_run_record_validation():
@@ -194,7 +198,7 @@ def test_score_run_on_a_perfect_player():
         positions, _ = inst.ground_truth(env)
         inst.report_population(positions)
         inst.evaluate_many(np.zeros((20, 5)))
-    peaks, counts = score_run(inst.snapshots, inst.ground_truth)
+    peaks, counts = score_run(inst.snapshots, inst.ground_truth, LEVELS)
     assert peaks == [4, 4]
-    for level in DEFAULT_LEVELS:
+    for level in LEVELS:
         assert counts[level] == [4, 4]

@@ -1,4 +1,5 @@
 import os
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -6,10 +7,11 @@ import pytest
 from dmmobench.config import BenchmarkSettings
 from dmmobench.controller import PopulationSnapshot
 from dmmobench.core import PROBLEM_INDICES
-from dmmobench.metrics import AccuracyLevel
+from dmmobench import reporting
 from dmmobench.reporting import (
     ResultsTable,
     _cost_rank,
+    accuracy_levels,
     execute_run,
     parse_snapshots,
     render_snapshots,
@@ -18,7 +20,7 @@ from dmmobench.reporting import (
 )
 
 
-LEVELS = (AccuracyLevel(1e-3), AccuracyLevel(1e-4))
+LEVELS = accuracy_levels(BenchmarkSettings())[:2]
 
 
 def cells(pr, best, worst):
@@ -47,12 +49,12 @@ def test_table_renders_six_decimals():
 def test_snapshot_text_round_trip():
     rng = np.random.default_rng(2)
     snapshots = [
-        PopulationSnapshot(1, rng.uniform(-5, 5, (3, 4)), rng.uniform(0, 75, 3)),
-        PopulationSnapshot(2, np.empty((0, 4)), np.empty(0)),
-        PopulationSnapshot(3, rng.uniform(-5, 5, (1, 4)), rng.uniform(0, 75, 1)),
+        PopulationSnapshot(1, rng.uniform(-5, 5, (3, 5)), rng.uniform(0, 75, 3)),
+        PopulationSnapshot(2, np.empty((0, 5)), np.empty(0)),
+        PopulationSnapshot(3, rng.uniform(-5, 5, (1, 5)), rng.uniform(0, 75, 1)),
     ]
     text = render_snapshots("P9", 12, snapshots, 3)
-    problem, seed, parsed = parse_snapshots(text, 4)
+    problem, seed, parsed = parse_snapshots(text, 3)
     assert (problem, seed) == ("P9", 12)
     assert [s.environment for s in parsed] == [1, 2, 3]
     for a, b in zip(snapshots, parsed):
@@ -108,6 +110,35 @@ def test_pool_output_and_failures_match_serial(tmp_path):
             == (tmp_path / "2" / name).read_bytes()
 
 
+def test_pool_has_at_most_one_worker_per_run(monkeypatch):
+    worker_counts = []
+
+    class InlinePool:
+        """Records the worker count asked for and runs each task at
+        submit, in this process."""
+
+        def __init__(self, max_workers):
+            worker_counts.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(reporting, "ProcessPoolExecutor", InlinePool)
+    settings = BenchmarkSettings(evals_per_dim=20, environments=2)
+    report = run_benchmark(["P1"], [1, 2], settings=settings, jobs=5000)
+    assert worker_counts == [2]
+    assert report.failures == []
+    assert report.records["P1"][LEVELS[0]].npf.shape == (2, 2)
+
+
 def test_cost_rank_puts_composition_and_higher_dimensions_first():
     ranked = sorted(PROBLEM_INDICES, key=_cost_rank)
     assert ranked[:4] == ["P21", "P22", "P23", "P24"]
@@ -159,6 +190,9 @@ MALFORMED_LINES = [
     "individual 0 0 0 0 0 0",
     "individual 0 0 0 0 0 score 0",
     "individual 0 0 0 0 x fitness 0",
+    "problem P2",
+    "seed 9",
+    "environments 3",
 ]
 
 
