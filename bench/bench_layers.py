@@ -13,9 +13,10 @@ whose names do not start with `test_`.
 import numpy as np
 import pytest
 
-from dmmobench import BenchmarkSettings, create_problem, problem_spec
+from dmmobench import (BenchmarkSettings, create_problem,
+                       dump_environments_text, problem_spec)
 from dmmobench.config import OptimizerConfig
-from dmmobench.core import DOMAIN_HIGH, DOMAIN_LOW, RngStream
+from dmmobench.core import DOMAIN_HIGH, DOMAIN_LOW, RngStream, format_rows
 from dmmobench.optimizers import CrowdingDE
 
 #: Problems with cone landscapes at the two table dimensions.
@@ -105,3 +106,23 @@ def test_composition_weights(benchmark, family, dim):
     diff = points[:, None, :] - landscape.shifts[None, :, :]
     weights = benchmark(landscape._weights, diff)
     assert weights.shape == (len(points), landscape.n_components)
+
+
+@pytest.mark.benchmark(group="format_rows")
+@pytest.mark.parametrize("shape", [(1, 5), (201, 201)],
+                         ids=["row of 5", "grid 201x201"])
+def test_format_rows(benchmark, shape):
+    """The artifact formatter on one snapshot-sized row and on the rows
+    of a `grid --resolution 201` file, fitness-like values."""
+    values = np.random.default_rng(1).uniform(0.0, 75.0, shape)
+    rows = benchmark(format_rows, values, [shape[1]] * shape[0])
+    assert len(rows) == shape[0]
+
+
+@pytest.mark.benchmark(group="dump_environments_text")
+def test_dump_environments_text(benchmark):
+    """The full 60-environment parameter dump of P24, the largest: the
+    dynamics and the formatting of every environment."""
+    text = benchmark.pedantic(dump_environments_text, ("P24", 1),
+                              rounds=5, warmup_rounds=1)
+    assert text.count("\nenv ") == BenchmarkSettings().environments

@@ -144,12 +144,13 @@ def _cmd_dump(args):
 
 def _cmd_grid(args):
     settings, _ = _load(args)
-    os.makedirs(args.out_dir, exist_ok=True)
     for problem in parse_problems(args.problems):
         for seed in parse_seeds(args.seeds):
             text = export_landscape_grid(
                 problem, seed, env=args.env, resolution=args.resolution,
                 settings=settings, dim_override=args.dim)
+            # created once the grid's own checks have passed
+            os.makedirs(args.out_dir, exist_ok=True)
             path = os.path.join(
                 args.out_dir, f"grid_{problem}_seed{seed}_env{args.env}.txt")
             with open(path, "w", encoding="utf-8") as handle:

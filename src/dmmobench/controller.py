@@ -12,7 +12,7 @@ import numpy as np
 from .composition import init_composition
 from .config import BenchmarkSettings
 from .core import (CONE_FAMILIES, DOMAIN_HIGH, DOMAIN_LOW, ProblemSpec,
-                   RunFrozenError, format_floats, make_rng, problem_spec)
+                   RunFrozenError, format_rows, make_rng, problem_spec)
 from .df import init_df
 from .dynamics import advance_environment, init_change_state
 
@@ -211,43 +211,48 @@ def iterate_environments(index, seed, settings=BenchmarkSettings(),
         yield instance.t, instance.landscape, instance.state
 
 
-def _row_line(label, index, row):
-    return f"{label} {index} {format_floats(row)}"
-
-
 def format_environment(env, landscape, state):
-    """Serialize one environment's full parameter set as text lines.
+    """One environment's full parameter set, laid out as the dump prints
+    it: returns (labels, widths, values).
+
+    Line i is `labels[i]` followed by the next `widths[i]` of `values`,
+    the floats in line order, copied so the landscape may change
+    afterwards.  The first line is blank, to separate environments.
+    """
+    labels = ["", f"env {env}", f"g {state.g}"]
+    labels += [f"angle {name}" for name in state.angles]
+    widths = [0, 0, 0] + [1] * len(state.angles)
+    values = [list(state.angles.values())]
+    dim = landscape.dim
+    if landscape.kind == "df":
+        count = landscape.n_peaks
+        labels += [f"peak {i} " + ("global" if i < landscape.n_global
+                                   else "local") for i in range(count)]
+        labels += [f"position {i}" for i in range(count)]
+        widths += [2] * count + [dim] * count
+        values += [np.column_stack((landscape.heights, landscape.widths)),
+                   landscape.positions]
+    else:
+        count = landscape.n_components
+        labels += [f"component {i} {kind}"
+                   for i, kind in enumerate(landscape.kinds)]
+        labels += [f"shift {i}" for i in range(count)]
+        labels += [f"rotation {i}" for i in range(count)]
+        widths += [3] * count + [dim] * count + [dim * dim] * count
+        values += [np.column_stack((landscape.stretches, landscape.spreads,
+                                    landscape.peak_magnitudes)),
+                   landscape.shifts, landscape.rotations]
+    return labels, widths, np.concatenate([np.ravel(v) for v in values])
+
+
+def dump_environments_text(index, seed, settings=BenchmarkSettings()):
+    """The full parameter dump for one (problem, seed) run.
 
     Every float is printed with 17 significant digits, so the dump is a
     bit-stable golden record of the run's dynamics.
     """
-    lines = [f"env {env}", f"g {state.g}"]
-    for name, angle in state.angles.items():
-        lines.append(f"angle {name} {format_floats(angle)}")
-    if landscape.kind == "df":
-        for i in range(landscape.n_peaks):
-            label = "global" if i < landscape.n_global else "local"
-            lines.append(f"peak {i} {label} " + format_floats(
-                (landscape.heights[i], landscape.widths[i])))
-        for i, row in enumerate(landscape.positions):
-            lines.append(_row_line("position", i, row))
-    else:
-        for i in range(landscape.n_components):
-            lines.append(f"component {i} {landscape.kinds[i]} "
-                         + format_floats((landscape.stretches[i],
-                                          landscape.spreads[i],
-                                          landscape.peak_magnitudes[i])))
-        for i, row in enumerate(landscape.shifts):
-            lines.append(_row_line("shift", i, row))
-        for i, matrix in enumerate(landscape.rotations):
-            lines.append(_row_line("rotation", i, matrix))
-    return lines
-
-
-def dump_environments_text(index, seed, settings=BenchmarkSettings()):
-    """The full parameter dump for one (problem, seed) run."""
     spec = problem_spec(index)
-    lines = [
+    labels = [
         f"problem {index}",
         f"seed {seed}",
         f"family {spec.family}",
@@ -255,7 +260,14 @@ def dump_environments_text(index, seed, settings=BenchmarkSettings()):
         f"dim {spec.dimension}",
         f"environments {settings.environments}",
     ]
+    widths = [0] * len(labels)
+    values = []
     for env, landscape, state in iterate_environments(index, seed, settings):
-        lines.append("")
-        lines.extend(format_environment(env, landscape, state))
-    return "\n".join(lines) + "\n"
+        env_labels, env_widths, env_values = format_environment(
+            env, landscape, state)
+        labels += env_labels
+        widths += env_widths
+        values.append(env_values)
+    rows = format_rows(np.concatenate(values), widths)
+    return "".join(f"{label} {row}\n" if row else f"{label}\n"
+                   for label, row in zip(labels, rows))

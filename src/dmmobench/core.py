@@ -99,15 +99,128 @@ def make_rng(seed, stream=0):
     return RngStream(seed, stream)
 
 
-def format_floats(values):
-    """Every value of an array-like, in C order, as space-separated text.
+#: Exact powers of ten, 10**0 .. 10**22 (5**22 < 2**53), the scales
+#: that bring a value of the fast range to 17 integer digits.
+_POW10 = 10.0 ** np.arange(23)
+#: Values per pass of the formatter, which bounds its temporaries.
+_FORMAT_CHUNK = 8192
 
-    This is the one float format of every text artifact: 17 significant
-    digits, so each value reads back bit for bit.  The bytes are those
-    of `format(v, ".16e")`, including signed zeros, infinities and NaN.
+
+def _veltkamp_split(a):
+    """`a` as hi + lo exactly, each with at most 26 significant bits, so
+    that products of the halves are exact."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _veltkamp_split(_POW10)
+
+
+def _words(text):
+    """ASCII text as little-endian 32-bit words of four characters."""
+    return np.frombuffer(text.encode("ascii"), "<u4")
+
+
+#: Each of 0000-9999 as four ASCII digits in one word.
+_DIGIT_WORDS = np.ascontiguousarray(np.moveaxis(
+    np.indices((10,) * 4, np.uint8) + 48, 0, -1)).view("<u4").ravel()
+#: [0, sign, lead digit, "."] indexed by lead + 11 * sign; a lead of 10
+#: comes only from values the range checks refuse.
+_HEAD_WORDS = _words("".join(f"\0{sign}{chr(48 + lead)}."
+                             for sign in "\0-" for lead in range(11)))
+#: "e+16" .. "e-06": the exponent 16 - k of a value scaled by 10**k.
+_EXPONENT_WORDS = _words("".join(f"e{16 - k:+03d}" for k in range(23)))
+#: Words of a value's record: [0, sign, lead, "."], four groups of four
+#: digits, exponent, [separator, 0, 0, 0].  Zero bytes are dropped.
+_RECORD_WORDS = 7
+
+
+def format_rows(values, widths):
+    """Rows of floats as text, each value printed as `"%.16e" % v`.
+
+    `values` is read in C order; row i holds the next `widths[i]` of
+    them, joined by single spaces.  Returns one str per row.  This is
+    the one float format of every text artifact: 17 significant digits,
+    so each value reads back bit for bit, with the bytes of `"%.16e"`
+    including signed zeros, infinities and NaN.
+
+    Zeros, and values with 1e-5 <= |v| < 1e15, are formatted in numpy
+    with `+ - *` only (see `_format_chunk`), so the bytes are the same
+    on every IEEE-754 machine.  A row holding any other value, or one
+    the exact range check refuses, is formatted with `"%.16e"` whole.
     """
-    return " ".join(map("%.16e".__mod__,
-                        np.asarray(values, float).ravel().tolist()))
+    values = np.asarray(values, float).ravel()
+    widths = np.asarray(widths, np.intp)
+    ends = np.cumsum(widths)
+    if widths.sum() != len(values):
+        raise ValueError(
+            f"rows of {widths.sum()} values in all, given {len(values)}")
+    last = np.zeros(len(values), bool)
+    last[ends[widths > 0] - 1] = True
+    exact = np.empty(len(values), bool)
+    # chunks bound the temporaries; a row may straddle two of them
+    rows, tail = [], ""
+    for start in range(0, len(values), _FORMAT_CHUNK):
+        chunk = slice(start, start + _FORMAT_CHUNK)
+        text, exact[chunk] = _format_chunk(values[chunk], last[chunk])
+        *done, tail = (tail + text).split("\n")
+        rows += done
+    if not widths.all():
+        filled = iter(rows)
+        rows = [next(filled) if width else "" for width in widths.tolist()]
+    if not exact.all():
+        inexact = np.concatenate(([0], np.cumsum(~exact)))
+        starts = ends - widths
+        for i in np.flatnonzero(inexact[ends] > inexact[starts]).tolist():
+            rows[i] = " ".join(map("%.16e".__mod__,
+                                   values[starts[i]:ends[i]].tolist()))
+    return rows
+
+
+def _format_chunk(values, last):
+    """The values as text, each followed by a line break where `last`
+    is set and by a space elsewhere, and which of them are exact.
+
+    A value v with 1e-5 <= |v| < 1e15 has a decimal exponent e =
+    floor(log10 |v|) in -6..15, so 10**k with k = 16 - e is exact, and
+    x = |v| * 10**k = hi + lo exactly by Dekker's product.  hi is an
+    integer (it is at least 2**53), and lo is a multiple of 2**-52 with
+    |lo| <= 8, so its floor and fraction are exact: the 17 digits are
+    hi + floor(lo), rounded half to even on the fraction.  They are the
+    right ones only if 10**16 <= x < 10**17; `log10` may miss e by one
+    near a power of ten, and then the range checks mark v inexact, so
+    its rounding never changes a byte.
+    """
+    magnitude = np.abs(values)
+    exact = (magnitude >= 1e-5) & (magnitude < 1e15)
+    magnitude = np.where(exact, magnitude, 1.0)
+    # k is in 1..22, and hi, within a decade of 1e16, fits in int64
+    k = 16 - np.floor(np.log10(magnitude)).astype(np.intp)
+    hi = magnitude * _POW10[k]
+    a_hi, a_lo = _veltkamp_split(magnitude)
+    b_hi, b_lo = _POW10_HI[k], _POW10_LO[k]
+    lo = ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    exact &= (hi > 1e16) | ((hi == 1e16) & (lo >= 0))
+    floor = np.floor(lo)
+    fraction = lo - floor
+    digits = hi.astype(np.int64) + floor.astype(np.int64)
+    digits += (fraction > 0.5) | ((fraction == 0.5) & (digits % 2 == 1))
+    exact &= digits < 10 ** 17
+    zero = values == 0
+    digits[zero] = 0
+    k[zero] = 16
+    records = np.empty((len(values), _RECORD_WORDS), "<u4")
+    lead, rest = np.divmod(digits, 10 ** 16)
+    records[:, 0] = _HEAD_WORDS[lead + 11 * np.signbit(values)]
+    for word, scale in enumerate((10 ** 12, 10 ** 8, 10 ** 4), start=1):
+        group, rest = np.divmod(rest, scale)
+        records[:, word] = _DIGIT_WORDS[group]
+    records[:, 4] = _DIGIT_WORDS[rest]
+    records[:, 5] = _EXPONENT_WORDS[k]
+    records[:, 6] = np.where(last, ord("\n"), ord(" "))
+    text = records.tobytes().translate(None, b"\0").decode("ascii")
+    return text, exact | zero
 
 
 #: Length up to which numpy's pairwise summation runs one unrolled block.

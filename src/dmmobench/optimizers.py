@@ -61,8 +61,8 @@ class CrowdingDE:
 
     name = "baseline"
 
-    def __init__(self, config=None):
-        self.config = config if config is not None else OptimizerConfig()
+    def __init__(self, config=OptimizerConfig()):
+        self.config = config
         subs = self.config.subpopulations
         size = self.config.subpopulation_size
         # Index constants of the generation step, fixed by the config.
@@ -206,8 +206,7 @@ class RandomSearch:
     #: even under sharply reduced budgets.
     batch_size = 1000
 
-    def __init__(self, config=None):
-        config = config if config is not None else OptimizerConfig()
+    def __init__(self, config=OptimizerConfig()):
         self.pool_size = config.subpopulations * config.subpopulation_size
 
     def optimize(self, instance, rng):
@@ -244,7 +243,7 @@ OPTIMIZERS = {
 }
 
 
-def make_optimizer(name, config=None):
+def make_optimizer(name, config=OptimizerConfig()):
     """Look up a bundled optimizer by its registry name."""
     try:
         cls = OPTIMIZERS[name]

@@ -18,10 +18,10 @@ from functools import partial
 
 import numpy as np
 
-from .config import BenchmarkSettings
+from .config import BenchmarkSettings, OptimizerConfig
 from .controller import (PopulationSnapshot, create_problem,
                          dump_environments_text, iterate_environments)
-from .core import (CONE_FAMILIES, DOMAIN_HIGH, DOMAIN_LOW, format_floats,
+from .core import (CONE_FAMILIES, DOMAIN_HIGH, DOMAIN_LOW, format_rows,
                    make_rng, problem_spec)
 # count_npf is unused here, but the benchmark's tracer patches it by name.
 from .metrics import (AccuracyLevel, RunRecord, best_worst,  # noqa: F401
@@ -95,8 +95,8 @@ class BenchmarkReport:
 
 
 def execute_run(problem, seed, optimizer="baseline",
-                settings=BenchmarkSettings(), optimizer_config=None,
-                keep_snapshots=False):
+                settings=BenchmarkSettings(),
+                optimizer_config=OptimizerConfig(), keep_snapshots=False):
     """One full run: build the instance, optimize until frozen, score."""
     instance = create_problem(problem, seed, settings)
     engine = make_optimizer(optimizer, optimizer_config)
@@ -108,8 +108,9 @@ def execute_run(problem, seed, optimizer="baseline",
 
 
 def run_benchmark(problems, seeds, optimizer="baseline",
-                  settings=BenchmarkSettings(), optimizer_config=None,
-                  out_dir=None, jobs=1, save_snapshots=False):
+                  settings=BenchmarkSettings(),
+                  optimizer_config=OptimizerConfig(), out_dir=None, jobs=1,
+                  save_snapshots=False):
     """Run every (problem, seed) pair, aggregate, and write artifacts.
 
     A failing run aborts only itself; its absence is reported in the
@@ -222,14 +223,18 @@ def render_records_csv(problem, seeds, outcomes, levels):
 
 def render_snapshots(problem, seed, snapshots, environments):
     """Reported populations of one run, full precision, re-scorable."""
-    lines = [f"problem {problem}", f"seed {seed}",
-             f"environments {environments}"]
+    blocks = [f"problem {problem}\nseed {seed}\n"
+              f"environments {environments}\n"]
     for snapshot in snapshots:
-        lines.append(f"env {snapshot.environment}")
-        for point, value in zip(snapshot.individuals, snapshot.fitness):
-            lines.append(f"individual {format_floats(point)} "
-                         f"fitness {format_floats(value)}")
-    return "\n".join(lines) + "\n"
+        count, dim = snapshot.individuals.shape
+        # one block per environment bounds the formatter's temporaries
+        rows = iter(format_rows(
+            np.column_stack((snapshot.individuals, snapshot.fitness)),
+            [dim, 1] * count))
+        blocks.append(f"env {snapshot.environment}\n" + "".join(
+            f"individual {point} fitness {value}\n"
+            for point, value in zip(rows, rows)))
+    return "".join(blocks)
 
 
 #: The header lines of a snapshot file, each once before the first `env`.
@@ -311,6 +316,7 @@ def rescore_snapshots(out_dir, settings=BenchmarkSettings()):
 
     The configuration must match the one the snapshots were produced
     under, otherwise the replayed optima describe a different problem.
+    Raises ValueError for two files that record the same run.
     """
     levels = accuracy_levels(settings)
     names = sorted(name for name in os.listdir(out_dir)
@@ -318,7 +324,7 @@ def rescore_snapshots(out_dir, settings=BenchmarkSettings()):
     if not names:
         raise ValueError(f"no snapshot files in {out_dir}")
 
-    outcomes = {}
+    outcomes, paths = {}, {}
     for name in names:
         path = os.path.join(out_dir, name)
         with open(path, encoding="utf-8") as handle:
@@ -328,6 +334,10 @@ def rescore_snapshots(out_dir, settings=BenchmarkSettings()):
                 text, settings.environments)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
+        first = paths.setdefault((problem, seed), path)
+        if first != path:
+            raise ValueError(
+                f"{path}: {problem} seed {seed} is also recorded in {first}")
         truths = {env: landscape.global_optima()
                   for env, landscape, _ in iterate_environments(
                       problem, seed, settings,
@@ -363,19 +373,25 @@ def export_landscape_grid(problem, seed, env=1, resolution=101,
         pass  # the landscape left is that of environment `env`
 
     axis = np.linspace(DOMAIN_LOW, DOMAIN_HIGH, resolution)
-    lines = [f"problem {problem}", f"seed {seed}", f"env {env}",
-             f"dim {landscape.dim}", f"resolution {resolution}",
-             f"axis {format_floats(axis)}"]
+    samples = np.empty((resolution, resolution))
     points = np.zeros((resolution, landscape.dim))
     for i in range(resolution):
         points[:, 0] = axis[i]
         points[:, 1] = axis
-        values = landscape.evaluate_many(points)
-        lines.append(f"row {i} {format_floats(values)}")
+        samples[i] = landscape.evaluate_many(points)
     positions, values = landscape.global_optima()
-    for k, (point, value) in enumerate(zip(positions, values)):
-        lines.append(f"optimum {k} {format_floats(point)} "
-                     f"value {format_floats(value)}")
+    rows = format_rows(
+        np.concatenate((axis, samples.ravel(),
+                        np.column_stack((positions, values)).ravel())),
+        [resolution] * (resolution + 1) + [landscape.dim, 1] * len(values))
+    optima = iter(rows[resolution + 1:])
+    lines = [f"problem {problem}", f"seed {seed}", f"env {env}",
+             f"dim {landscape.dim}", f"resolution {resolution}",
+             f"axis {rows[0]}"]
+    lines += [f"row {i} {row}"
+              for i, row in enumerate(rows[1:resolution + 1])]
+    lines += [f"optimum {k} {point} value {value}"
+              for k, (point, value) in enumerate(zip(optima, optima))]
     return "\n".join(lines) + "\n"
 
 

@@ -197,6 +197,20 @@ def test_score_rejects_a_malformed_line(tmp_path, config_path, capsys):
     assert "Traceback" not in err
 
 
+def test_score_refuses_two_files_for_one_run(tmp_path, config_path, capsys):
+    out = tmp_path / "snaps"
+    os.makedirs(out)
+    header = "problem P2\nseed 1\nenvironments 4\nenv 1\n"
+    (out / "snapshots_P2_seed1.txt").write_text(header)
+    (out / "snapshots_P2_seed1_rerun.txt").write_text(header)
+    code = run_cli(["score", "--config", config_path, "--out-dir", out])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "snapshots_P2_seed1.txt" in err
+    assert "snapshots_P2_seed1_rerun.txt" in err
+    assert "Traceback" not in err
+
+
 def test_score_accuracy_overrides_the_scored_levels(tmp_path, config_path,
                                                     capsys):
     out = tmp_path / "runout"
@@ -238,4 +252,4 @@ def test_bad_arguments_exit_2(tmp_path, config_path, capsys, args, word):
     err = capsys.readouterr().err
     assert "error:" in err and word in err
     assert "Traceback" not in err
-    assert not out.exists() or os.listdir(out) == []
+    assert not out.exists()

@@ -9,7 +9,7 @@ from dmmobench.core import (
     PlacementError,
     coordinate_sum,
     draw_spaced_points,
-    format_floats,
+    format_rows,
     make_rng,
     problem_spec,
     reflect_into_domain,
@@ -120,18 +120,75 @@ def test_unknown_problem_index():
         problem_spec("P25")
 
 
+def _e16(values, widths):
+    """The reference: each value through `"%.16e"`, one at a time."""
+    flat = np.ravel(values).tolist()
+    ends = np.cumsum(widths, dtype=int).tolist()
+    return [" ".join(map("%.16e".__mod__, flat[end - width:end]))
+            for width, end in zip(widths, ends)]
+
+
+def _ties():
+    """Values m * 2**-k with exactly 18 significant digits, the last a 5
+    (m is odd and m * 2**-k == m * 5**k / 10**k): halfway between two
+    17-digit numbers, so only round half to even gets them right."""
+    rng = np.random.default_rng(5)
+    ties = []
+    for k in range(2, 26):
+        low = max(-(-10**17 // 5**k), 1)
+        high = min(10**18 // 5**k, 2**53)
+        for m in rng.integers(low, high, 40).tolist():
+            m |= 1
+            if len(str(m * 5**k)) == 18:
+                ties.append(m * 2.0 ** -k)
+    return ties
+
+
+#: Neighbours of each power of ten, where `log10` may miss the decimal
+#: exponent by one.
+DECADE_EDGES = [float(edge) for n in range(-7, 17)
+                for edge in (np.nextafter(10.0 ** n, 0), 10.0 ** n,
+                             np.nextafter(10.0 ** n, np.inf))]
+#: The doubles below 10**n nearest to it, whose 17 digits round up to
+#: 1.0000000000000000e+n, and the eight doubles below each power of ten
+#: of the fast range, whose digits carry through the run of nines.
+ROUNDING_UP = [1e-305, 1e-243, 1e-176, 1e-175, 1e-174, 1e-79, 1e-78,
+               1e-73, 1e-70, 1e-14, 1e98, 1e129, 1e153, 1e220] + [
+    v for n in range(-5, 16)
+    for v in (np.float64(10.0 ** n).view(np.int64)
+              - np.arange(1, 9)).view(float).tolist()]
+
+
 def test_format_floats_matches_format_e16():
     special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310,
                np.finfo(float).max, -np.finfo(float).max,
                np.finfo(float).tiny, 1.0, -75.0]
     drawn = np.random.default_rng(3).standard_normal(5000) \
         * 10.0 ** np.random.default_rng(4).integers(-300, 300, 5000)
-    for values in (special, drawn, np.reshape(special, (3, 4))):
-        expected = " ".join(format(v, ".16e")
-                            for v in np.ravel(values).tolist())
-        assert format_floats(values) == expected
-    assert format_floats(np.float64(-0.0)) == "-0.0000000000000000e+00"
-    assert format_floats([]) == ""
+    sweep = np.geomspace(1e-6, 1e16, 22 * 500)
+    ties = _ties()
+    assert len(ties) > 500
+    for values in (special, drawn, ties, DECADE_EDGES, ROUNDING_UP,
+                   np.concatenate((sweep, -sweep)),
+                   np.reshape(special, (3, 4))):
+        for signed in (values, np.negative(values)):
+            assert format_rows(signed, [np.size(signed)]) \
+                == _e16(signed, [np.size(signed)])
+            assert format_rows(signed, [1] * np.size(signed)) \
+                == _e16(signed, [1] * np.size(signed))
+    # rows mixing values of the fast path and the fallback, and empty rows
+    mixed = [1.5, np.nan, 2.5, 1e-300, 3.0, np.inf, 0.5, -0.0, 1e20,
+             -7.25, 1e15, 99999.5, 2.0 ** -25]
+    widths = [0, 3, 2, 1, 0, 0, 3, 2, 2, 0]
+    assert format_rows(mixed, widths) == _e16(mixed, widths)
+    ragged = np.random.default_rng(6).integers(0, 4, 300)
+    assert format_rows(drawn[:ragged.sum()], ragged) \
+        == _e16(drawn[:ragged.sum()], ragged)
+    assert format_rows(np.float64(-0.0), [1]) == ["-0.0000000000000000e+00"]
+    assert format_rows([], [0]) == [""]
+    assert format_rows([], []) == []
+    with pytest.raises(ValueError):
+        format_rows([1.0, 2.0], [1])
 
 
 #: Leading shapes for the coordinate sum: one point, a batch, the DE's

@@ -1,7 +1,7 @@
 import numpy as np
 from hypothesis import given, strategies as st
 
-from dmmobench.core import reflect_into_domain
+from dmmobench.core import format_rows, reflect_into_domain
 from dmmobench.dynamics import ScalarChangeParams, apply_scalar_change
 
 
@@ -43,3 +43,14 @@ def test_scalar_changes_respect_their_bounds(mode, value, t, draw, noise):
     rng = OneShotRng(draw, noise)
     out = apply_scalar_change(mode, value, t, params, rng)
     assert params.e_min <= out <= params.e_max
+
+
+#: Any float64, or one from the range the formatter handles in numpy.
+any_float = st.floats() | st.floats(min_value=-1e15, max_value=1e15)
+
+
+@given(st.lists(st.lists(any_float, max_size=6), max_size=6))
+def test_format_rows_prints_each_value_as_format_e16(rows):
+    flat = [value for row in rows for value in row]
+    assert format_rows(flat, [len(row) for row in rows]) == [
+        " ".join(map("%.16e".__mod__, row)) for row in rows]
