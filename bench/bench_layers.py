@@ -1,5 +1,6 @@
 """Layered micro-benchmarks of the hot paths, at the batch shapes the
-bundled DE baseline uses (10 subpopulations of 10, D in {5, 10}).
+bundled DE baseline uses (10 subpopulations of 10, D in {5, 10}), and of
+the environment changes and peak counting that every run replays.
 
 Run from the root of a checkout:
 
@@ -13,10 +14,15 @@ whose names do not start with `test_`.
 import numpy as np
 import pytest
 
-from dmmobench import (BenchmarkSettings, create_problem,
-                       dump_environments_text, problem_spec)
+from dmmobench import (AccuracyLevel, BenchmarkSettings, PopulationSnapshot,
+                       count_npf, create_problem, dump_environments_text,
+                       make_rng, problem_spec)
+from dmmobench.composition import init_composition
 from dmmobench.config import OptimizerConfig
-from dmmobench.core import DOMAIN_HIGH, DOMAIN_LOW, RngStream, format_rows
+from dmmobench.core import (CONE_FAMILIES, DOMAIN_HIGH, DOMAIN_LOW, RngStream,
+                            format_rows)
+from dmmobench.df import init_df
+from dmmobench.dynamics import advance_environment, init_change_state
 from dmmobench.optimizers import CrowdingDE
 
 #: Problems with cone landscapes at the two table dimensions.
@@ -126,3 +132,58 @@ def test_dump_environments_text(benchmark):
     text = benchmark.pedantic(dump_environments_text, ("P24", 1),
                               rounds=5, warmup_rounds=1)
     assert text.count("\nenv ") == BenchmarkSettings().environments
+
+
+def changing_run(problem, settings, seed=1):
+    """A fresh first environment of one run: (landscape, state, rng)."""
+    spec = problem_spec(problem)
+    rng = make_rng(seed)
+    init = init_df if spec.family in CONE_FAMILIES else init_composition
+    landscape = init(spec.family, spec.dimension, rng,
+                     settings.min_peak_distance)
+    return landscape, init_change_state(landscape, spec.mode, rng), rng
+
+
+@pytest.mark.benchmark(group="advance_environment")
+@pytest.mark.parametrize("problem", ["P1", "P9"])
+def test_advance_environment(benchmark, problem):
+    """60 environment changes of one run: F1 (heights, widths and
+    positions) and F8 (shifts, rotations and normalisation)."""
+    settings = BenchmarkSettings()
+
+    def advance_60(landscape, state, rng):
+        for _ in range(60):
+            advance_environment(landscape, state, rng, settings)
+        return state.t
+
+    t = benchmark.pedantic(
+        advance_60, setup=lambda: (changing_run(problem, settings), {}),
+        rounds=20, warmup_rounds=2)
+    assert t == 61
+
+
+@pytest.mark.benchmark(group="composition.refresh_normalization")
+@pytest.mark.parametrize("dim", [5, 10])
+@pytest.mark.parametrize("family", ["F5", "F6", "F7", "F8"])
+def test_refresh_normalization(benchmark, family, dim):
+    landscape = create_problem(
+        COMPOSITION_PROBLEMS[family, dim], 1, UNCHANGING).landscape
+    magnitudes = landscape.peak_magnitudes.copy()
+    benchmark(landscape.refresh_normalization)
+    assert np.array_equal(landscape.peak_magnitudes, magnitudes)
+
+
+@pytest.mark.benchmark(group="count_npf")
+@pytest.mark.parametrize("dim", [5, 10])
+def test_count_npf(benchmark, dim):
+    """One environment's count at one level: 100 individuals, the first
+    of them on the cone problem's optima."""
+    instance = create_problem(CONE_PROBLEMS[dim], 1, UNCHANGING)
+    positions, values = instance.ground_truth(1)
+    individuals = population(dim).reshape(-1, dim)
+    individuals[:len(positions)] = positions
+    snapshot = PopulationSnapshot(
+        1, individuals, instance.landscape.evaluate_many(individuals))
+    found = benchmark(count_npf, snapshot, (positions, values),
+                      AccuracyLevel(1e-3, 0.05))
+    assert found == len(positions)

@@ -16,7 +16,7 @@ import sys
 from dataclasses import replace
 
 from .config import load_config, parse_value
-from .core import PROBLEM_INDICES, problem_spec
+from .core import PROBLEM_INDICES, PlacementError, problem_spec
 from .reporting import (dump_environments, export_landscape_grid,
                         rescore_snapshots, run_benchmark)
 
@@ -179,7 +179,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ValueError as exc:  # ConfigError included
+    except (ValueError, PlacementError) as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,6 +7,8 @@ component contributes one global optimum of fitness 0 at its shift, and
 no point evaluates above 0.
 """
 
+from functools import cache
+
 import numpy as np
 
 from .core import coordinate_sum, draw_spaced_points
@@ -32,9 +34,16 @@ def _sphere(z):
     return (z * z).sum(-1)
 
 
+@cache
+def _griewank_divisors(dim):
+    divisors = np.sqrt(np.arange(1, dim + 1, dtype=float))
+    divisors.flags.writeable = False
+    return divisors
+
+
 def _griewank(z):
-    denom = np.sqrt(np.arange(1, z.shape[-1] + 1, dtype=float))
-    return 1.0 + (z * z).sum(-1) / 4000.0 - np.cos(z / denom).prod(-1)
+    divisors = _griewank_divisors(z.shape[-1])
+    return 1.0 + (z * z).sum(-1) / 4000.0 - np.cos(z / divisors).prod(-1)
 
 
 def _rastrigin(z):
@@ -50,7 +59,7 @@ def _expanded_griewank_rosenbrock(z):
     # Evaluated at z+1 so the Rosenbrock chain bottoms out at the origin;
     # wraps around so every coordinate appears in two links.
     a = z + 1.0
-    b = np.roll(a, -1, axis=-1)
+    b = np.concatenate((a[..., 1:], a[..., :1]), axis=-1)
     link = 100.0 * (a * a - b) ** 2 + (a - 1.0) ** 2
     return (link * link / 4000.0 - np.cos(link) + 1.0).sum(-1)
 
@@ -108,6 +117,10 @@ class CompositionLandscape:
         self.peak_magnitudes = peak_magnitudes
         self.active = np.ones(len(kinds), dtype=bool)
         self._penalty = np.zeros(len(kinds))
+        # the domain's far corner, stretched by each component
+        self._corners = np.full(dim, 5.0) / stretches[:, None]
+        self._kind_rows = {kind: np.flatnonzero([k == kind for k in kinds])
+                           for kind in dict.fromkeys(kinds)}
 
     @property
     def n_components(self):
@@ -128,11 +141,10 @@ class CompositionLandscape:
         the component's own stretch and rotation, so magnitudes must be
         refreshed whenever rotations change.
         """
-        corner = np.full(self.dim, 5.0)
-        for i, kind in enumerate(self.kinds):
-            raw = BASIC_FUNCTIONS[kind](
-                (corner / self.stretches[i]) @ self.rotations[i])
-            self.peak_magnitudes[i] = abs(float(raw))
+        corners = np.matmul(self._corners[:, None, :], self.rotations)[:, 0]
+        for kind, rows in self._kind_rows.items():
+            self.peak_magnitudes[rows] = np.abs(
+                BASIC_FUNCTIONS[kind](corners[rows]))
 
     def evaluate_many(self, xs):
         xs = np.asarray(xs, dtype=float)

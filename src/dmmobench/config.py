@@ -96,6 +96,8 @@ class OptimizerConfig:
                 "partners besides the target)")
         if self.subpopulations < 1:
             raise ConfigError("subpopulations must be >= 1")
+        if not math.isfinite(self.scale_factor):
+            raise ConfigError("scale_factor must be finite")
         if not 0.0 <= self.crossover_rate <= 1.0:
             raise ConfigError("crossover_rate must lie in [0, 1]")
         if not 0.0 <= self.reinit_fraction <= 1.0:

@@ -40,8 +40,8 @@ FULL_ANGLE_RANGE = (-math.pi, math.pi)
 
 @dataclass
 class ScalarChangeParams:
-    """Bounds, severity and phase of one changing scalar; the mode
-    constants come from `settings`."""
+    """Bounds, severity and phase of one changing scalar, or of a run of
+    them with one phase each; the mode constants come from `settings`."""
 
     e_min: float
     e_max: float
@@ -54,47 +54,56 @@ class ScalarChangeParams:
         return self.e_max - self.e_min
 
 
-def _recurrent_level(t, params):
+def _recurrent_level(t, params, shape):
     # reducing t first makes recurrence bit-exact: t and t + period
     # produce the same sine argument, not two arguments 2*pi apart
     period = params.settings.period
-    wave = math.sin(2.0 * math.pi * (t % period) / period + params.phase)
+    start = 2.0 * math.pi * (t % period) / period
+    phases = np.broadcast_to(params.phase, shape)
+    # math.sin per value: np.sin is not known to round as it does
+    wave = np.array([math.sin(start + phase)
+                     for phase in phases.ravel().tolist()]).reshape(shape)
     return params.e_min + params.e_range * (wave + 1.0) / 2.0
 
 
 def apply_scalar_change(mode, value, t, params, rng):
-    """One scalar update under the given change mode, clamped to bounds.
+    """One update of a scalar, or of each scalar of an array, under the
+    given change mode, clamped to bounds.
 
-    `t` is the index of the environment being left.  The recurrent
-    modes depend only on t (not on the current value), so they revisit
-    the same level every `period` changes exactly.
+    `params.phase` is one phase or one per value.  The values draw in
+    one vector call what as many scalar draws would, in order.  `t` is
+    the index of the environment being left.  The recurrent modes
+    depend only on t (not on the current value), so they revisit the
+    same level every `period` changes exactly.
     """
     settings = params.settings
     alpha = settings.alpha
+    value = np.asarray(value, dtype=float)
+    shape = value.shape
     if mode in ("C7", "C8"):
         mode = "C1"
     if mode == "C1":
-        shift = rng.uniform(-1.0, 1.0)
+        shift = rng.uniform_vector(-1.0, 1.0, shape)
         value = value + alpha * params.e_range * shift * params.severity
     elif mode == "C2":
-        shift = rng.uniform(-1.0, 1.0)
-        step = (alpha * float(np.sign(shift))
+        shift = rng.uniform_vector(-1.0, 1.0, shape)
+        step = (alpha * np.sign(shift)
                 + (settings.alpha_max - alpha) * shift)
         value = value + params.e_range * step * params.severity
     elif mode == "C3":
-        value = value + params.severity * rng.normal()
+        value = value + params.severity * rng.normal_vector(shape)
     elif mode == "C4":
         offset = value - params.e_min
         value = (params.e_min + settings.chaos_factor * offset
                  * (1.0 - offset / params.e_range))
     elif mode == "C5":
-        value = _recurrent_level(t, params)
+        value = _recurrent_level(t, params, shape)
     elif mode == "C6":
-        value = (_recurrent_level(t, params)
-                 + settings.noise_severity * rng.normal())
+        value = (_recurrent_level(t, params, shape)
+                 + settings.noise_severity * rng.normal_vector(shape))
     else:
         raise ValueError(f"unknown change mode {mode!r}")
-    return min(max(value, params.e_min), params.e_max)
+    return np.minimum(np.maximum(value, params.e_min), params.e_max)
 
 
 def random_pairing(dim, rng):
@@ -110,15 +119,24 @@ def rotation_from_pairs(dim, pairs, angles):
     `angles` is one shared angle or one angle per pair.  Axes that
     appear in no pair are left fixed.
     """
+    return _rotation(dim, _pair_entries(dim, pairs), angles)
+
+
+def _pair_entries(dim, pairs):
+    """Flat indices, in a dim x dim matrix, of the entries (a, a),
+    (a, b), (b, a) and (b, b) of each pair (a, b): one row per kind."""
+    a, b = np.reshape(np.asarray(pairs, dtype=np.intp), (-1, 2)).T
+    return np.stack((a * (dim + 1), a * dim + b, b * dim + a, b * (dim + 1)))
+
+
+def _rotation(dim, entries, angles):
+    """`rotation_from_pairs` from the pairs' `_pair_entries`; a shared
+    angle costs one cosine and one sine."""
+    angles = np.ravel(angles).tolist()
+    cos = np.array([math.cos(angle) for angle in angles])
+    sin = np.array([math.sin(angle) for angle in angles])
     rotation = np.eye(dim)
-    angles = np.broadcast_to(np.asarray(angles, dtype=float), (len(pairs),))
-    for (a, b), angle in zip(pairs, angles):
-        c = math.cos(angle)
-        s = math.sin(angle)
-        rotation[a, a] = c
-        rotation[a, b] = s
-        rotation[b, a] = -s
-        rotation[b, b] = c
+    rotation.reshape(-1)[entries] = (cos, sin, -sin, cos)
     return rotation
 
 
@@ -159,11 +177,18 @@ def enforce_min_distance(positions, rng, min_dist):
 
 
 def _first_violation(points, min_dist):
-    for j in range(1, len(points)):
-        gaps = np.sqrt(((points[:j] - points[j]) ** 2).sum(1))
-        if gaps.min() < min_dist:
-            return j
-    return None
+    """Index of the first point closer than `min_dist` to an earlier
+    one, or None."""
+    # each gap sums its squares as numpy sums the row of one point pair
+    diff = points[:, None, :] - points[None, :, :]
+    gaps = np.sqrt((diff * diff).sum(-1))
+    # a gap of -inf makes each point close to itself under any spacing,
+    # so a row's first close point comes before it exactly when the point
+    # is too close to an earlier one
+    np.fill_diagonal(gaps, -np.inf)
+    first_close = (gaps < min_dist).argmax(1)
+    late = np.flatnonzero(first_close < np.arange(len(points)))
+    return int(late[0]) if len(late) else None
 
 
 class ChangeState:
@@ -171,7 +196,8 @@ class ChangeState:
 
     Each rotated parameter ("positions" for cone landscapes, "shifts"
     and "rotations" for compositions) keeps its frozen initial value in
-    `bases`, a frozen dimension pairing, a phase, and the current angle.
+    `bases`, a frozen dimension pairing (held as the `_pair_entries` of
+    its rotation matrices), a phase, and the current angle.
     `t` is the index of the current environment, starting at 1.
     """
 
@@ -202,7 +228,8 @@ def init_change_state(landscape, mode, rng):
     else:
         rotated = ("shifts", "rotations")
     for name in rotated:
-        state.pairings[name] = random_pairing(landscape.dim, rng)
+        state.pairings[name] = _pair_entries(
+            landscape.dim, random_pairing(landscape.dim, rng))
         state.angle_phases[name] = rng.uniform(0.0, 2.0 * math.pi)
         state.angles[name] = 0.0
     if landscape.kind == "df":
@@ -250,10 +277,10 @@ def apply_matrix_change(mode, name, state, params, rng):
     domain center, rather than a cumulative product of sixty
     slightly-off incremental rotations.
     """
-    state.angles[name] = apply_scalar_change(
-        mode, state.angles[name], state.t, params, rng)
+    state.angles[name] = float(apply_scalar_change(
+        mode, state.angles[name], state.t, params, rng))
     base = state.bases[name]
-    rotation = rotation_from_pairs(
+    rotation = _rotation(
         base.shape[-1], state.pairings[name], state.angles[name])
     return base @ rotation
 
@@ -285,21 +312,17 @@ def advance_environment(landscape, state, rng, settings):
 def _advance_df(landscape, state, rng, settings):
     mode = state.mode
     t = state.t
-    first_local = landscape.n_global
-    height_phases = state.scalar_phases["heights"]
-    for k in range(landscape.n_local):
-        params = ScalarChangeParams(LOCAL_HEIGHT_LOW, LOCAL_HEIGHT_HIGH,
-                                    settings.height_severity,
-                                    height_phases[k], settings)
-        landscape.heights[first_local + k] = apply_scalar_change(
-            mode, landscape.heights[first_local + k], t, params, rng)
-    width_phases = state.scalar_phases["widths"]
-    for k in range(landscape.n_peaks):
-        params = ScalarChangeParams(WIDTH_LOW, WIDTH_HIGH,
-                                    settings.width_severity, width_phases[k],
-                                    settings)
-        landscape.widths[k] = apply_scalar_change(
-            mode, landscape.widths[k], t, params, rng)
+    local = slice(landscape.n_global, None)
+    heights = ScalarChangeParams(LOCAL_HEIGHT_LOW, LOCAL_HEIGHT_HIGH,
+                                 settings.height_severity,
+                                 state.scalar_phases["heights"], settings)
+    landscape.heights[local] = apply_scalar_change(
+        mode, landscape.heights[local], t, heights, rng)
+    widths = ScalarChangeParams(WIDTH_LOW, WIDTH_HIGH,
+                                settings.width_severity,
+                                state.scalar_phases["widths"], settings)
+    landscape.widths[:] = apply_scalar_change(
+        mode, landscape.widths, t, widths, rng)
     angle = _angle_params(mode, settings, state.angle_phases["positions"])
     moved = apply_matrix_change(mode, "positions", state, angle, rng)
     moved = reflect_into_domain(moved)

@@ -48,14 +48,13 @@ def count_npf(snapshot, optima, level):
     diff = individuals[:, None, :] - np.asarray(positions, dtype=float)[None]
     distances = np.sqrt((diff * diff).sum(-1))
     nearest = distances.argmin(1)
-    found = set()
-    for i, j in enumerate(nearest):
-        if j in found:
-            continue
-        if (abs(fitness[i] - values[j]) < level.fitness_accuracy
-                and distances[i, j] < level.distance_accuracy):
-            found.add(int(j))
-    return len(found)
+    hit = ((np.abs(fitness - np.asarray(values, dtype=float)[nearest])
+            < level.fitness_accuracy)
+           & (distances[np.arange(len(nearest)), nearest]
+              < level.distance_accuracy))
+    found = np.zeros(len(positions), dtype=bool)
+    found[nearest[hit]] = True
+    return int(np.count_nonzero(found))
 
 
 class RunRecord:

@@ -251,11 +251,16 @@ def parse_snapshots(text, environments):
     length other than `environments`; an `env` line outside
     1..environments or seen before; an `individual` line before any
     `env` or not D coordinates, `fitness` and one value; a line with a
-    wrong value count or a value that does not parse.  Raises
-    ValueError too for a file without any `env` line.
+    wrong value count or a value that does not parse; an individual
+    that `report_population` would refuse (a coordinate that is not a
+    finite number in the domain) or whose fitness is not finite.
+    Raises ValueError too for a file without any `env` line.
     """
-    header, blocks, dim = {}, {}, None
-    for number, line in enumerate(text.splitlines(), start=1):
+    header, firsts, dim = {}, {}, None
+    # packed doubles: a quarter of the memory of a list of floats
+    coords, values = array("d"), array("d")
+    lines = text.splitlines()
+    for number, line in enumerate(lines, start=1):
         key, *fields = line.split() or [None]
         if key == "individual":
             if (dim is None or len(fields) != dim + 2
@@ -263,7 +268,7 @@ def parse_snapshots(text, environments):
                 raise _malformed(number, line)
             point = _numbers(float, fields[:dim] + fields[-1:], number, line)
             values.append(point.pop())
-            rows.fromlist(point)
+            coords.fromlist(point)
         elif key in _SNAPSHOT_HEADER:
             if len(fields) != 1 or dim is not None or key in header:
                 raise _malformed(number, line)
@@ -286,16 +291,34 @@ def parse_snapshots(text, environments):
             if not 1 <= env <= environments:
                 raise ValueError(
                     f"line {number}: env {env} outside 1..{environments}")
-            if env in blocks:
+            if env in firsts:
                 raise ValueError(f"line {number}: env {env} recorded twice")
-            # packed doubles: a quarter of the memory of a list of floats
-            rows, values = blocks[env] = array("d"), array("d")
-    if not blocks:
+            firsts[env] = len(values)
+    if not firsts:
         raise ValueError("no environments recorded")
-    snapshots = [PopulationSnapshot(
-        env, np.frombuffer(points).reshape(-1, dim), np.frombuffer(fitness))
-        for env, (points, fitness) in blocks.items()]
+    # every individual of the file in file order, checked in one pass;
+    # NaN passes through abs and max and fails the comparison
+    individuals = np.frombuffer(coords).reshape(-1, dim)
+    fitness = np.frombuffer(values)
+    bad = np.flatnonzero(~(
+        (np.abs(individuals).max(1, initial=0.0) <= DOMAIN_HIGH)
+        & np.isfinite(fitness)))
+    if len(bad):
+        raise _malformed(*_individual_line(lines, int(bad[0])))
+    bounds = [*firsts.values(), len(fitness)]
+    snapshots = [
+        PopulationSnapshot(env, individuals[first:end], fitness[first:end])
+        for env, first, end in zip(firsts, bounds, bounds[1:])]
     return header["problem"], header["seed"], snapshots
+
+
+def _individual_line(lines, index):
+    """Number, from 1, and text of the individual line `index`, from 0."""
+    for number, line in enumerate(lines, start=1):
+        if line.split()[:1] == ["individual"]:
+            if index == 0:
+                return number, line
+            index -= 1
 
 
 def _numbers(kind, fields, number, line):

@@ -1,5 +1,7 @@
 """Oracles shared by several test modules."""
 
+import math
+
 import numpy as np
 
 
@@ -12,3 +14,44 @@ def min_pairwise_distance(points):
     diff = points[:, None, :] - points[None, :, :]
     dist = np.sqrt((diff * diff).sum(-1))
     return float(dist[np.triu_indices(n, k=1)].min())
+
+
+def first_violation(points, min_dist):
+    """Index of the first point closer than `min_dist` to an earlier one,
+    or None: one point at a time, as the spacing check once ran."""
+    for j in range(1, len(points)):
+        gaps = np.sqrt(((points[:j] - points[j]) ** 2).sum(1))
+        if gaps.min() < min_dist:
+            return j
+    return None
+
+
+def rotation_from_pairs(dim, pairs, angles):
+    """The plane rotation of each pair, written one pair at a time."""
+    rotation = np.eye(dim)
+    angles = np.broadcast_to(np.asarray(angles, dtype=float), (len(pairs),))
+    for (a, b), angle in zip(pairs, angles):
+        c = math.cos(angle)
+        s = math.sin(angle)
+        rotation[a, a] = c
+        rotation[a, b] = s
+        rotation[b, a] = -s
+        rotation[b, b] = c
+    return rotation
+
+
+def count_npf(snapshot, optima, level):
+    """Distinct optima found, one individual at a time: each matched
+    only to its nearest optimum, the lowest index on a tie."""
+    positions, values = optima
+    individuals = np.asarray(snapshot.individuals, dtype=float)
+    if len(individuals) == 0 or len(positions) == 0:
+        return 0
+    diff = individuals[:, None, :] - np.asarray(positions, dtype=float)[None]
+    distances = np.sqrt((diff * diff).sum(-1))
+    found = set()
+    for i, j in enumerate(distances.argmin(1)):
+        if (abs(snapshot.fitness[i] - values[j]) < level.fitness_accuracy
+                and distances[i, j] < level.distance_accuracy):
+            found.add(int(j))
+    return len(found)

@@ -225,8 +225,11 @@ def test_score_accuracy_overrides_the_scored_levels(tmp_path, config_path,
         "pr_1e-03", "pr_1e-04"]
 
 
+#: A spacing that no layout of four or more optima in the 5-D box keeps.
+UNPLACEABLE = "min_peak_distance = 20\n"
+
 #: Arguments every verb must refuse before doing any work, with a word
-#: the message must contain.
+#: the message must contain and, for some, lines added to the config.
 BAD_ARGUMENTS = [
     (["run", "--problems", "P1", "--seeds", "1", "--jobs", "0"], "jobs"),
     (["run", "--problems", "P1", "--seeds", "1", "--accuracy", "0"],
@@ -240,12 +243,19 @@ BAD_ARGUMENTS = [
      "environment 0"),
     (["grid", "--problems", "P1", "--seeds", "1", "--resolution", "1"],
      "resolution"),
+    (["dump", "--problems", "P1", "--seeds", "1"], "spacing 20",
+     UNPLACEABLE),
+    (["grid", "--problems", "P5", "--seeds", "1"], "spacing 20",
+     UNPLACEABLE),
 ]
 
 
-@pytest.mark.parametrize("args, word", BAD_ARGUMENTS,
-                         ids=[" ".join(args) for args, _ in BAD_ARGUMENTS])
-def test_bad_arguments_exit_2(tmp_path, config_path, capsys, args, word):
+@pytest.mark.parametrize("case", BAD_ARGUMENTS,
+                         ids=[" ".join(case[0]) for case in BAD_ARGUMENTS])
+def test_bad_arguments_exit_2(tmp_path, config_path, capsys, case):
+    args, word, *config = case
+    with open(config_path, "a", encoding="utf-8") as handle:
+        handle.writelines(config)
     out = tmp_path / "out"
     code = run_cli(args + ["--config", config_path, "--out-dir", out])
     assert code == 2

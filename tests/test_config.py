@@ -35,6 +35,8 @@ def test_meaningless_settings_are_rejected(line):
     (BenchmarkSettings, "environments", 0),
     (BenchmarkSettings, "alpha", math.nan),
     (OptimizerConfig, "subpopulation_size", 2),
+    (OptimizerConfig, "scale_factor", math.nan),
+    (OptimizerConfig, "scale_factor", math.inf),
 ])
 def test_invalid_settings_cannot_be_built(kind, name, value):
     with pytest.raises(ConfigError):

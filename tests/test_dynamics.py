@@ -27,21 +27,18 @@ SPACING = SETTINGS.min_peak_distance
 
 
 class StubRng:
-    """Plays back scripted draws so change formulas can be hand-checked."""
+    """Plays back scripted draws so change formulas can be hand-checked;
+    each scripted value, a scalar or a vector, answers one draw call."""
 
-    def __init__(self, uniforms=(), normals=(), vectors=()):
+    def __init__(self, uniforms=(), normals=()):
         self.uniforms = list(uniforms)
         self.normals = list(normals)
-        self.vectors = [np.asarray(v, dtype=float) for v in vectors]
 
-    def uniform(self, low, high):
-        return self.uniforms.pop(0)
-
-    def normal(self):
-        return self.normals.pop(0)
+    def uniform_vector(self, low, high, size):
+        return np.broadcast_to(self.uniforms.pop(0), size)
 
     def normal_vector(self, size):
-        return self.vectors.pop(0)
+        return np.broadcast_to(self.normals.pop(0), size)
 
 
 HEIGHT_PARAMS = ScalarChangeParams(30.0, 70.0, 7.0)
@@ -180,7 +177,7 @@ def test_spacing_repair_leaves_good_sets_alone():
 
 def test_spacing_repair_moves_by_exactly_min_dist():
     points = [[0.0, 0.0], [0.01, 0.0]]
-    repaired = enforce_min_distance(points, StubRng(vectors=[[3.0, 4.0]]), SPACING)
+    repaired = enforce_min_distance(points, StubRng(normals=[[3.0, 4.0]]), SPACING)
     assert np.allclose(repaired[1], [0.07, 0.08], atol=1e-15)
     assert min_pairwise_distance(repaired) >= 0.1
 
@@ -196,7 +193,7 @@ def test_spacing_repair_fixes_random_clusters():
 def test_spacing_repair_gives_up_eventually():
     # the scripted direction keeps pushing into the box wall, so the
     # pair can never separate
-    stub = StubRng(vectors=[[0.0, 1.0]] * 20000)
+    stub = StubRng(normals=[[0.0, 1.0]] * 20000)
     with pytest.raises(PlacementError):
         enforce_min_distance([[5.0, 5.0], [5.0, 4.95]], stub, SPACING)
 

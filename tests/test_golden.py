@@ -14,9 +14,13 @@ import os
 import numpy as np
 import pytest
 
+from dmmobench.composition import init_composition
 from dmmobench.config import BenchmarkSettings
-from dmmobench.controller import dump_environments_text
-from dmmobench.core import DOMAIN_HIGH, DOMAIN_LOW, PROBLEM_INDICES
+from dmmobench.controller import dump_environments_text, format_environment
+from dmmobench.core import (CHANGE_MODES, CONE_FAMILIES, DOMAIN_HIGH,
+                            DOMAIN_LOW, PROBLEM_INDICES, make_rng)
+from dmmobench.df import init_df
+from dmmobench.dynamics import advance_environment, init_change_state
 from dmmobench.optimizers import OPTIMIZERS
 from dmmobench.reporting import (export_landscape_grid, rescore_snapshots,
                                  run_benchmark)
@@ -325,6 +329,45 @@ def test_dumps_under_changed_settings_match_stored_hashes():
                    problem, 1, CHANGED_SETTINGS))
                for problem in CHANGED_DUMPS}
     assert digests == CHANGED_DUMPS
+
+
+# -- every change mode on both landscape kinds ---------------------------------
+
+#: The large-step cap and the logistic coefficient away from their
+#: defaults, so that C2 and C4 take other steps than C1 and the table.
+TRAJECTORY_SETTINGS = BenchmarkSettings(alpha_max=0.1, chaos_factor=3.9)
+
+#: sha256 over the 60-environment parameter trajectories, seed 7, of F1,
+#: F5 and F8 under each change mode at D = 2, 5 and 10.  The table runs
+#: cone landscapes only under C1, so only this pins their height and
+#: width steps under C2-C8.
+TRAJECTORIES = "0b82f34755dcef540568c1767394459b24c153c8ff51ddf66f48c204deabdd63"
+
+
+def _trajectory(family, mode, dim, seed=7):
+    """The labels and values of every environment of one run, as
+    `format_environment` lays them out."""
+    settings = TRAJECTORY_SETTINGS
+    rng = make_rng(seed)
+    init = init_df if family in CONE_FAMILIES else init_composition
+    landscape = init(family, dim, rng, settings.min_peak_distance)
+    state = init_change_state(landscape, mode, rng)
+    for env in range(1, settings.environments + 1):
+        if env > 1:
+            advance_environment(landscape, state, rng, settings)
+        labels, _, values = format_environment(env, landscape, state)
+        yield "\n".join(labels).encode("utf-8")
+        yield values.tobytes()
+
+
+def test_every_change_mode_matches_stored_hash():
+    digest = hashlib.sha256()
+    for family in ("F1", "F5", "F8"):
+        for mode in CHANGE_MODES:
+            for dim in (2, 5, 10):
+                for chunk in _trajectory(family, mode, dim):
+                    digest.update(chunk)
+    assert digest.hexdigest() == TRAJECTORIES
 
 
 # -- random search with a pruned pool ------------------------------------------

@@ -1,8 +1,12 @@
 import numpy as np
 from hypothesis import given, strategies as st
 
+import helpers
+from dmmobench.controller import PopulationSnapshot
 from dmmobench.core import format_rows, reflect_into_domain
-from dmmobench.dynamics import ScalarChangeParams, apply_scalar_change
+from dmmobench.dynamics import (ScalarChangeParams, _first_violation,
+                                apply_scalar_change, rotation_from_pairs)
+from dmmobench.metrics import AccuracyLevel, count_npf
 
 
 class OneShotRng:
@@ -10,11 +14,11 @@ class OneShotRng:
         self.draw = draw
         self.noise = noise
 
-    def uniform(self, low, high):
-        return self.draw
+    def uniform_vector(self, low, high, size):
+        return np.full(size, self.draw)
 
-    def normal(self):
-        return self.noise
+    def normal_vector(self, size):
+        return np.full(size, self.noise)
 
     def randint(self, low, high):
         return low
@@ -54,3 +58,77 @@ def test_format_rows_prints_each_value_as_format_e16(rows):
     flat = [value for row in rows for value in row]
     assert format_rows(flat, [len(row) for row in rows]) == [
         " ".join(map("%.16e".__mod__, row)) for row in rows]
+
+
+def lattice(step, reach):
+    """Multiples of `step` (a power of two) up to `reach` steps from 0:
+    exact values, whose gaps repeat exactly."""
+    return st.integers(-reach, reach).map(lambda k: k * step)
+
+
+@st.composite
+def spacings(draw):
+    """A point set, mostly on a half-unit lattice, and a spacing that is
+    often exactly one of the set's gaps, or 0."""
+    dim = draw(st.integers(1, 6))
+    count = draw(st.integers(1, 9))
+    coords = draw(st.lists(lattice(0.5, 6) | st.floats(-5.0, 5.0),
+                           min_size=count * dim, max_size=count * dim))
+    points = np.reshape(coords, (count, dim))
+    gaps = [np.sqrt(((points[i] - points[j]) ** 2).sum())
+            for j in range(count) for i in range(j)]
+    min_dist = draw(st.sampled_from([0.0] + gaps) | st.floats(0.01, 10.0))
+    return points, min_dist
+
+
+@given(spacings())
+def test_first_violation_matches_the_point_by_point_check(spacing):
+    assert _first_violation(*spacing) == helpers.first_violation(*spacing)
+
+
+angles = st.floats(-4.0, 4.0)
+
+
+@given(st.data())
+def test_rotation_from_pairs_matches_the_pair_by_pair_build(data):
+    dim = data.draw(st.integers(1, 10))
+    order = data.draw(st.permutations(range(dim)))
+    pairs = np.reshape(order[:dim // 2 * 2], (-1, 2))
+    shared = data.draw(angles)
+    per_pair = data.draw(st.lists(angles, min_size=len(pairs),
+                                  max_size=len(pairs)))
+    for angle in (shared, per_pair):
+        assert (rotation_from_pairs(dim, pairs, angle).tobytes()
+                == helpers.rotation_from_pairs(dim, pairs, angle).tobytes())
+
+
+@st.composite
+def scorings(draw):
+    """Optima on a quarter-unit lattice and individuals on an
+    eighth-unit one, so that an individual is often equally near two
+    optima; some individuals are repeated, and fitness values sit on,
+    near or beyond the fitness thresholds."""
+    dim = draw(st.integers(1, 3))
+    point = st.lists(lattice(0.25, 4), min_size=dim, max_size=dim)
+    positions = draw(st.lists(point, max_size=5))
+    values = draw(st.lists(st.sampled_from([0.0, 70.5, 75.0]),
+                           min_size=len(positions), max_size=len(positions)))
+    individuals = draw(st.lists(
+        st.lists(lattice(0.125, 8), min_size=dim, max_size=dim),
+        max_size=8))
+    if individuals:
+        individuals += [individuals[i] for i in draw(st.lists(
+            st.integers(0, len(individuals) - 1), max_size=3))]
+    near = st.sampled_from(values or [0.0])
+    offset = st.sampled_from([0.0, 5e-5, -5e-4, 1e-3, -2e-3, 1.0])
+    fitness = [draw(near) + draw(offset) for _ in individuals]
+    level = AccuracyLevel(draw(st.sampled_from([1e-3, 1e-4])),
+                          draw(st.sampled_from([0.125, 0.3, 1.0])))
+    snapshot = PopulationSnapshot(
+        1, np.reshape(individuals, (-1, dim)), np.array(fitness))
+    return snapshot, (np.reshape(positions, (-1, dim)), values), level
+
+
+@given(scorings())
+def test_count_npf_matches_the_individual_by_individual_count(scoring):
+    assert count_npf(*scoring) == helpers.count_npf(*scoring)

@@ -190,6 +190,7 @@ MALFORMED_LINES = [
     "individual 0 0 0 0 0 0",
     "individual 0 0 0 0 0 score 0",
     "individual 0 0 0 0 x fitness 0",
+    "individual nan 99 0 0 0 fitness inf",
     "problem P2",
     "seed 9",
     "environments 3",
@@ -210,3 +211,25 @@ def test_parse_rejects_an_individual_before_any_environment():
     text = "problem P1\nseed 1\nindividual 0 0 0 0 0 fitness 0\nenv 1\n"
     with pytest.raises(ValueError, match="line 3"):
         parse_snapshots(text, 5)
+
+
+#: Individuals that `report_population` refuses, or with a fitness that
+#: is not finite.
+IMPOSSIBLE_INDIVIDUALS = [
+    "individual 0 0 5.000000000000001 0 0 fitness 0",
+    "individual 0 0 0 0 -inf fitness 0",
+    "individual 0 nan 0 0 0 fitness 0",
+    "individual 0 0 0 0 0 fitness nan",
+    "individual 0 0 0 0 0 fitness -inf",
+]
+
+
+@pytest.mark.parametrize("line", IMPOSSIBLE_INDIVIDUALS)
+def test_parse_names_an_impossible_individual(line):
+    good = "individual 5 -5 0 0 0 fitness 75"
+    text = "\n".join(["problem P1", "seed 1", "environments 3", "env 2",
+                      good, "env 1", good, "", good, line, good]) + "\n"
+    with pytest.raises(ValueError, match=f"line 10: malformed line {line!r}"):
+        parse_snapshots(text, 3)
+    _, _, snapshots = parse_snapshots(text.replace(line, good), 3)
+    assert [len(s) for s in snapshots] == [1, 4]
