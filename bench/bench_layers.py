@@ -20,10 +20,10 @@ from dmmobench import (AccuracyLevel, BenchmarkSettings, PopulationSnapshot,
 from dmmobench.composition import init_composition
 from dmmobench.config import OptimizerConfig
 from dmmobench.core import (CONE_FAMILIES, DOMAIN_HIGH, DOMAIN_LOW, RngStream,
-                            format_rows)
+                            coordinate_sum, format_rows)
 from dmmobench.df import init_df
 from dmmobench.dynamics import advance_environment, init_change_state
-from dmmobench.optimizers import CrowdingDE
+from dmmobench.optimizers import ChangeDetector, CrowdingDE
 
 #: Problems with cone landscapes at the two table dimensions.
 CONE_PROBLEMS = {5: "P1", 10: "P17"}
@@ -71,6 +71,49 @@ def test_crowding_replace(benchmark, dim):
 
     benchmark.pedantic(CrowdingDE._crowding_replace, setup=fresh,
                        rounds=2000, warmup_rounds=50)
+
+
+@pytest.mark.benchmark(group="de.generation")
+@pytest.mark.parametrize("dim", [5, 10])
+def test_de_generation(benchmark, dim):
+    """One whole generation of the baseline through `ProblemInstance`,
+    as `CrowdingDE.optimize` runs it between changes: report, trials,
+    their evaluation, crowding replacement and the change check."""
+    instance = create_problem(CONE_PROBLEMS[dim], 1, UNCHANGING)
+    optimizer, rng = CrowdingDE(), RngStream(1, stream=1)
+    detector = ChangeDetector(instance)
+    pop = population(dim)
+    fitness = detector.evaluate_many(pop.reshape(-1, dim)).reshape(
+        pop.shape[:2])
+    detector.changed()
+
+    def generation():
+        instance.report_population(pop.reshape(-1, dim))
+        trials = optimizer._make_trials(pop, rng)
+        trial_fitness = detector.evaluate_many(
+            trials.reshape(-1, dim)).reshape(pop.shape[:2])
+        optimizer._crowding_replace(pop, fitness, trials, trial_fitness)
+        return detector.changed()
+
+    assert not benchmark(generation)
+    assert instance.t == 1
+
+
+#: The three layouts `coordinate_sum` is called on, (D, ...) with the
+#: baseline's batch of 100 points: the cone kernel's (D, peak, point)
+#: with F1's most peaks, the blend weights' (D, point, component) with
+#: the most components, and crowding's (D, subpopulation, trial, member).
+SUM_SITES = {"df": (8, 100), "weights": (100, 8), "crowding": (10, 10, 10)}
+
+
+@pytest.mark.benchmark(group="coordinate_sum")
+@pytest.mark.parametrize("dim", [5, 10])
+@pytest.mark.parametrize("site", list(SUM_SITES))
+def test_coordinate_sum(benchmark, site, dim):
+    terms = np.random.default_rng(1).uniform(
+        0.0, 100.0, (dim,) + SUM_SITES[site])
+    total = benchmark(coordinate_sum, terms)
+    assert total.shape == SUM_SITES[site]
 
 
 @pytest.mark.benchmark(group="evaluate_many")

@@ -13,9 +13,9 @@ from .core import (DOMAIN_HIGH, DOMAIN_LOW, PROBLEM_INDICES, PROBLEM_TABLE,
 from .metrics import (AccuracyLevel, RunRecord, best_worst, count_npf,
                       peak_ratio, score_run)
 from .optimizers import OPTIMIZERS, CrowdingDE, RandomSearch, make_optimizer
-from .reporting import (BenchmarkReport, ResultsTable, dump_environments,
-                        execute_run, export_landscape_grid,
-                        rescore_snapshots, run_benchmark)
+from .reporting import (BenchmarkReport, ResultsTable, execute_run,
+                        export_landscape_grid, rescore_snapshots,
+                        run_benchmark, write_artifact)
 
 __version__ = "1.0.0"
 
@@ -43,7 +43,6 @@ __all__ = [
     "best_worst",
     "count_npf",
     "create_problem",
-    "dump_environments",
     "dump_environments_text",
     "execute_run",
     "export_landscape_grid",
@@ -56,4 +55,5 @@ __all__ = [
     "rescore_snapshots",
     "run_benchmark",
     "score_run",
+    "write_artifact",
 ]

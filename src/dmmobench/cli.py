@@ -11,14 +11,14 @@ the word `all`.  Seeds accept the same list syntax (e.g. 1-30).
 """
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 
+from . import reporting
 from .config import load_config, parse_value
 from .core import PROBLEM_INDICES, PlacementError, problem_spec
-from .reporting import (dump_environments, export_landscape_grid,
-                        rescore_snapshots, run_benchmark)
+from .reporting import (export_landscape_grid, rescore_snapshots,
+                        run_benchmark, write_artifact)
 
 
 def _expand(text, what, number):
@@ -137,8 +137,10 @@ def _cmd_dump(args):
     settings, _ = _load(args)
     for problem in parse_problems(args.problems):
         for seed in parse_seeds(args.seeds):
-            path = dump_environments(problem, seed, settings, args.out_dir)
-            print(path)
+            # looked up on `reporting` at each call (see its import there)
+            text = reporting.dump_environments_text(problem, seed, settings)
+            print(write_artifact(
+                args.out_dir, f"dump_{problem}_seed{seed}.txt", text))
     return 0
 
 
@@ -149,13 +151,10 @@ def _cmd_grid(args):
             text = export_landscape_grid(
                 problem, seed, env=args.env, resolution=args.resolution,
                 settings=settings, dim_override=args.dim)
-            # created once the grid's own checks have passed
-            os.makedirs(args.out_dir, exist_ok=True)
-            path = os.path.join(
-                args.out_dir, f"grid_{problem}_seed{seed}_env{args.env}.txt")
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(text)
-            print(path)
+            # the directory is created once the grid's own checks passed
+            print(write_artifact(
+                args.out_dir, f"grid_{problem}_seed{seed}_env{args.env}.txt",
+                text))
     return 0
 
 

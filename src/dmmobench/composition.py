@@ -51,6 +51,9 @@ def _rastrigin(z):
 
 
 def _weierstrass(z):
+    # The BLAS product `@ _W_AMP` must see the rows in (point,
+    # coordinate, term) order: laid out (coordinate, point, term), the
+    # same rows give other bits at D = 10.
     per_dim = np.cos((z + 0.5)[..., None] * _W_FREQ) @ _W_AMP
     return per_dim.sum(-1) - z.shape[-1] * _W_OFFSET
 
@@ -115,8 +118,7 @@ class CompositionLandscape:
         self.spreads = spreads
         #: |raw value| at the domain's far corner, used for normalization.
         self.peak_magnitudes = peak_magnitudes
-        self.active = np.ones(len(kinds), dtype=bool)
-        self._penalty = np.zeros(len(kinds))
+        self.set_active_count(len(kinds))
         # the domain's far corner, stretched by each component
         self._corners = np.full(dim, 5.0) / stretches[:, None]
         self._kind_rows = {kind: np.flatnonzero([k == kind for k in kinds])
@@ -129,9 +131,6 @@ class CompositionLandscape:
     def set_active_count(self, count):
         """Keep the first `count` components active, deactivate the rest."""
         self.active = np.arange(self.n_components) < count
-        self.refresh()
-
-    def refresh(self):
         self._penalty = np.where(self.active, 0.0, DEACTIVATION_PENALTY)
 
     def refresh_normalization(self):

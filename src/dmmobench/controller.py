@@ -55,7 +55,7 @@ class ProblemInstance:
         self.evaluations_used_in_env = 0
         self.frozen = False
         self.snapshots = []
-        self._pending_report = None
+        self._pending_report = np.empty((0, spec.dimension))
         self._ground_truth = []
         self._archive_ground_truth()
 
@@ -146,16 +146,10 @@ class ProblemInstance:
         self._ground_truth.append(self.landscape.global_optima())
 
     def _seal_environment(self):
-        if self._pending_report is None:
-            individuals = np.empty((0, self.spec.dimension))
-        else:
-            individuals = self._pending_report
-        if len(individuals):
-            fitness = self.landscape.evaluate_many(individuals)
-        else:
-            fitness = np.empty(0)
-        self.snapshots.append(PopulationSnapshot(self.t, individuals, fitness))
-        self._pending_report = None
+        individuals = self._pending_report
+        self.snapshots.append(PopulationSnapshot(
+            self.t, individuals, self.landscape.evaluate_many(individuals)))
+        self._pending_report = np.empty((0, self.spec.dimension))
         if self.t == self.settings.environments:
             self.frozen = True
         else:

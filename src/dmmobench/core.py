@@ -240,17 +240,13 @@ def coordinate_sum(terms):
     combined pairwise, and the tail is added in order; longer runs are
     split at half their length rounded down to a multiple of 8 and the
     two halves summed the same way.  The one difference: numpy starts
-    from +0.0, so a sum of negative zeros only is +0.0 there and -0.0
-    here.  A sum of squares holds no negative zero.
+    from +0.0, so from 8 terms on a sum of negative zeros only is +0.0
+    there and -0.0 here.  A sum of squares holds no negative zero.
     """
     n = len(terms)
-    if n == 1:
-        return terms[0].copy()
     if n < 8:
-        total = terms[0] + terms[1]
-        for term in terms[2:]:
-            total += term
-        return total
+        # in order, from +0.0, whichever axis numpy iterates innermost
+        return np.add.reduce(terms, axis=0)
     if n <= _PAIRWISE_BLOCK:
         blocked = n - n % 8
         acc = terms[:8]
@@ -323,11 +319,6 @@ class ProblemSpec:
     def __repr__(self):
         return (f"ProblemSpec({self.index}: {self.family}, "
                 f"{self.mode}, D={self.dimension})")
-
-    def __eq__(self, other):
-        return (isinstance(other, ProblemSpec)
-                and (self.index, self.family, self.mode, self.dimension)
-                == (other.index, other.family, other.mode, other.dimension))
 
 
 def _build_problem_table():

@@ -55,7 +55,7 @@ class DFLandscape:
         self.positions = positions
         self.n_global = n_global
         self.active = np.ones(len(heights), dtype=bool)
-        self._eval_heights = heights.copy()
+        self.set_active_count(n_global)
 
     @property
     def n_peaks(self):
@@ -66,15 +66,12 @@ class DFLandscape:
         return self.n_peaks - self.n_global
 
     def set_active_count(self, count):
-        """Keep the first `count` global peaks active, deactivate the rest."""
+        """Keep the first `count` global peaks active, deactivate the
+        rest, and recompute the evaluation heights from the current
+        ones."""
         self.active[:self.n_global] = np.arange(self.n_global) < count
-        self.refresh()
-
-    def refresh(self):
-        """Recompute the evaluation heights after a parameter change."""
-        self._eval_heights = self.heights.copy()
-        inactive = ~self.active[:self.n_global]
-        self._eval_heights[:self.n_global][inactive] = DEACTIVATED_HEIGHT
+        self._eval_heights = np.where(self.active, self.heights,
+                                      DEACTIVATED_HEIGHT)
 
     def evaluate_many(self, xs):
         """Fitness for a batch of points, one row each."""

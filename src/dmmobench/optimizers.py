@@ -175,19 +175,16 @@ class CrowdingDE:
     def _respond_to_change(self, detector, pop, fitness, memory, rng):
         cfg = self.config
         subs, size, dim = pop.shape
-        best = fitness.argmax(1)
-        for s in range(subs):
-            memory.append(pop[s, best[s]].copy())
+        rows = self._rows
+        memory.extend(pop[rows[:, 0], fitness.argmax(1)])
         redraw = int(round(cfg.reinit_fraction * size))
         order = np.argsort(fitness, axis=1, kind="stable")
-        if redraw:
-            for s in range(subs):
-                worst = order[s, :redraw]
-                pop[s, worst] = rng.uniform_vector(
-                    DOMAIN_LOW, DOMAIN_HIGH, (redraw, dim))
-        seeds = list(memory)[::-1][:subs]
-        for s, point in enumerate(seeds):
-            pop[s, order[s, 0]] = point
+        # one draw in the order of one draw per subpopulation
+        pop[rows, order[:, :redraw]] = rng.uniform_vector(
+            DOMAIN_LOW, DOMAIN_HIGH, (subs, redraw, dim))
+        # the newest entries, newest first, reseed the first subpopulations
+        seeds = np.reshape(memory, (-1, dim))[::-1][:subs]
+        pop[rows[:len(seeds), 0], order[:len(seeds), 0]] = seeds
         fitness[:] = detector.evaluate_many(
             pop.reshape(-1, dim)).reshape(subs, size)
 

@@ -19,6 +19,8 @@ from functools import partial
 import numpy as np
 
 from .config import BenchmarkSettings, OptimizerConfig
+# the CLI calls dump_environments_text through this module, where the
+# benchmark's tracer wraps it
 from .controller import (PopulationSnapshot, create_problem,
                          dump_environments_text, iterate_environments)
 from .core import (CONE_FAMILIES, DOMAIN_HIGH, DOMAIN_LOW, format_rows,
@@ -185,24 +187,22 @@ def _tabulate(problems, seeds, outcomes, levels):
 
 def _write_artifacts(out_dir, table, records, outcomes, problems, seeds,
                      levels, settings, save_snapshots):
-    os.makedirs(out_dir, exist_ok=True)
-    _write_text(os.path.join(out_dir, "results.txt"), table.render())
-    _write_text(os.path.join(out_dir, "results.csv"), table.to_csv())
+    write_artifact(out_dir, "results.txt", table.render())
+    write_artifact(out_dir, "results.csv", table.to_csv())
     for problem in problems:
         if problem not in records:
             continue
-        path = os.path.join(out_dir, f"records_{problem}.csv")
-        _write_text(path, render_records_csv(
+        write_artifact(out_dir, f"records_{problem}.csv", render_records_csv(
             problem, seeds, outcomes, levels))
         if save_snapshots:
             for seed in seeds:
                 result = outcomes.get((problem, seed))
                 if result is None or result.snapshots is None:
                     continue
-                path = os.path.join(out_dir,
-                                    f"snapshots_{problem}_seed{seed}.txt")
-                _write_text(path, render_snapshots(
-                    problem, seed, result.snapshots, settings.environments))
+                write_artifact(
+                    out_dir, f"snapshots_{problem}_seed{seed}.txt",
+                    render_snapshots(problem, seed, result.snapshots,
+                                     settings.environments))
 
 
 def render_records_csv(problem, seeds, outcomes, levels):
@@ -247,14 +247,15 @@ def parse_snapshots(text, environments):
     Returns (problem, seed, snapshots).  The header lines `problem`,
     `seed` and `environments` each come once before the first `env`
     line, and `problem` gives the dimension D.  Raises ValueError naming
-    the line for a header line missing, repeated or late; a declared run
-    length other than `environments`; an `env` line outside
-    1..environments or seen before; an `individual` line before any
-    `env` or not D coordinates, `fitness` and one value; a line with a
-    wrong value count or a value that does not parse; an individual
-    that `report_population` would refuse (a coordinate that is not a
-    finite number in the domain) or whose fitness is not finite.
-    Raises ValueError too for a file without any `env` line.
+    the line for a line that is neither blank nor starts with a header
+    word, `env` or `individual`; a header line missing, repeated or
+    late; a declared run length other than `environments`; an `env`
+    line outside 1..environments or seen before; an `individual` line
+    before any `env` or not D coordinates, `fitness` and one value; a
+    line with a wrong value count or a value that does not parse; an
+    individual that `report_population` would refuse (a coordinate that
+    is not a finite number in the domain) or whose fitness is not
+    finite.  Raises ValueError too for a file without any `env` line.
     """
     header, firsts, dim = {}, {}, None
     # packed doubles: a quarter of the memory of a list of floats
@@ -294,6 +295,8 @@ def parse_snapshots(text, environments):
             if env in firsts:
                 raise ValueError(f"line {number}: env {env} recorded twice")
             firsts[env] = len(values)
+        elif key is not None:
+            raise _malformed(number, line)
     if not firsts:
         raise ValueError("no environments recorded")
     # every individual of the file in file order, checked in one pass;
@@ -418,15 +421,11 @@ def export_landscape_grid(problem, seed, env=1, resolution=101,
     return "\n".join(lines) + "\n"
 
 
-def dump_environments(problem, seed, settings, out_dir):
-    """Write the golden parameter dump for one run; return its path."""
-    text = dump_environments_text(problem, seed, settings)
+def write_artifact(out_dir, name, text):
+    """Write `text` to the file `name` in `out_dir`, creating the
+    directory if need be; return the file's path."""
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"dump_{problem}_seed{seed}.txt")
-    _write_text(path, text)
-    return path
-
-
-def _write_text(path, text):
+    path = os.path.join(out_dir, name)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
+    return path

@@ -134,6 +134,15 @@ def test_far_outside_point_still_evaluable():
     assert np.isfinite(value)
 
 
+@pytest.mark.parametrize("family", sorted(EXPECTED_RECIPES))
+@pytest.mark.parametrize("dim", [5, 10])
+def test_empty_batch_evaluates_to_no_values(family, dim):
+    # a seal with no report in force evaluates an empty batch
+    landscape = init_composition(family, dim, make_rng(13), SPACING)
+    values = landscape.evaluate_many(np.empty((0, dim)))
+    assert values.shape == (0,) and values.dtype == np.float64
+
+
 def test_dimension_mismatch_rejected():
     landscape = init_composition("F5", 5, make_rng(12), SPACING)
     with pytest.raises(ValueError):

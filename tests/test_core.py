@@ -211,3 +211,20 @@ def test_coordinate_sum_adds_in_numpys_order(shape):
         assert got.shape == expected.shape
         assert got.tobytes() == expected.tobytes(), dim
 
+
+
+@pytest.mark.parametrize("shape", SUM_SHAPES)
+def test_coordinate_sum_of_few_terms_matches_sum_in_either_layout(shape):
+    # Fewer than 8 terms: signed values at many scales, so the order of
+    # addition shows, and some outputs summing negative zeros only.
+    rng = np.random.default_rng(shape[-1])
+    for dim in range(1, 8):
+        t = rng.standard_normal(shape + (dim,)) * 10.0 ** rng.uniform(
+            -8, 8, shape + (dim,))
+        t[..., :1, :] = -0.0
+        expected = t.sum(-1)
+        strided = np.moveaxis(t, -1, 0)
+        for terms in (strided, np.ascontiguousarray(strided)):
+            got = coordinate_sum(terms)
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes(), dim

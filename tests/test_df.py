@@ -78,6 +78,15 @@ def test_evaluate_many_matches_scalar_path():
     assert np.array_equal(batch, single)
 
 
+@pytest.mark.parametrize("family", ["F1", "F2"])
+@pytest.mark.parametrize("dim", [5, 10])
+def test_empty_batch_evaluates_to_no_values(family, dim):
+    # a seal with no report in force evaluates an empty batch
+    landscape = init_df(family, dim, make_rng(4), SPACING)
+    values = landscape.evaluate_many(np.empty((0, dim)))
+    assert values.shape == (0,) and values.dtype == np.float64
+
+
 def test_dimension_mismatch_rejected():
     landscape = init_df("F2", 5, make_rng(1), SPACING)
     with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -108,6 +110,24 @@ def reference_crowding_replace(pop, fitness, trials, trial_fitness):
                 fitness[s, m] = trial_fitness[s, i]
 
 
+def reference_respond_to_change(cfg, detector, pop, fitness, memory, rng):
+    subs, size, dim = pop.shape
+    best = fitness.argmax(1)
+    for s in range(subs):
+        memory.append(pop[s, best[s]].copy())
+    redraw = int(round(cfg.reinit_fraction * size))
+    order = np.argsort(fitness, axis=1, kind="stable")
+    if redraw:
+        for s in range(subs):
+            pop[s, order[s, :redraw]] = rng.uniform_vector(
+                DOMAIN_LOW, DOMAIN_HIGH, (redraw, dim))
+    seeds = list(memory)[::-1][:subs]
+    for s, point in enumerate(seeds):
+        pop[s, order[s, 0]] = point
+    fitness[:] = detector.evaluate_many(
+        pop.reshape(-1, dim)).reshape(subs, size)
+
+
 def rng_state(rng):
     return rng._gen.bit_generator.state
 
@@ -189,6 +209,46 @@ def test_crowding_replace_matches_the_loop_reference_on_continuous_points(
     reference_crowding_replace(ref_pop, ref_fitness, trials, trial_fitness)
     assert same_bits(pop, ref_pop)
     assert same_bits(fitness, ref_fitness)
+
+
+class SumDetector:
+    """Stands in for a ChangeDetector: the fitness of a point is the sum
+    of its coordinates."""
+
+    @staticmethod
+    def evaluate_many(xs):
+        return xs.sum(1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=SHAPES, seed=st.integers(0, 2**32 - 1),
+       memory_size=st.sampled_from([0, 1, 3, 20]),
+       reinit=st.sampled_from([0.0, 0.2, 0.5, 1.0]) | st.floats(0.0, 1.0),
+       stored=st.integers(0, 25), data=st.data())
+def test_respond_to_change_matches_the_loop_reference(
+        shape, seed, memory_size, reinit, stored, data):
+    subs, size, dim = shape
+    cfg = OptimizerConfig(subpopulations=subs, subpopulation_size=size,
+                          memory_size=memory_size, reinit_fraction=reinit)
+    source = np.random.default_rng(seed)
+    pop = source.uniform(DOMAIN_LOW, DOMAIN_HIGH, shape)
+    # few distinct values make ties for the best and in the sort
+    fitness = data.draw(hnp.arrays(np.float64, (subs, size),
+                                   elements=st.sampled_from([0.0, 1.0, 2.5])))
+    # entries left by earlier changes
+    memory = deque(source.uniform(DOMAIN_LOW, DOMAIN_HIGH, (stored, dim)),
+                   maxlen=memory_size)
+    ref_pop, ref_fitness = pop.copy(), fitness.copy()
+    ref_memory = deque(memory, maxlen=memory_size)
+    rng, ref_rng = RngStream(seed, 1), RngStream(seed, 1)
+    CrowdingDE(cfg)._respond_to_change(SumDetector, pop, fitness, memory,
+                                       rng)
+    reference_respond_to_change(cfg, SumDetector, ref_pop, ref_fitness,
+                                ref_memory, ref_rng)
+    assert same_bits(pop, ref_pop)
+    assert same_bits(fitness, ref_fitness)
+    assert [m.tobytes() for m in memory] == [m.tobytes() for m in ref_memory]
+    assert rng_state(rng) == rng_state(ref_rng)
 
 
 def snapshots_under(name, evals_per_dim, expose):

@@ -1,8 +1,11 @@
+from functools import cache
+
 import numpy as np
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import helpers
-from dmmobench.controller import PopulationSnapshot
+from dmmobench.config import BenchmarkSettings
+from dmmobench.controller import PopulationSnapshot, create_problem
 from dmmobench.core import format_rows, reflect_into_domain
 from dmmobench.dynamics import (ScalarChangeParams, _first_violation,
                                 apply_scalar_change, rotation_from_pairs)
@@ -132,3 +135,76 @@ def scorings(draw):
 @given(scorings())
 def test_count_npf_matches_the_individual_by_individual_count(scoring):
     assert count_npf(*scoring) == helpers.count_npf(*scoring)
+
+
+#: Cone and composition problems of both dimensions, every kind of
+#: basic function among them.
+BATCH_PROBLEMS = ["P1", "P5", "P8", "P17", "P21", "P24"]
+#: Environments short enough that a few fit in one small run.
+SHORT = BenchmarkSettings(evals_per_dim=3, environments=3)
+
+
+@cache
+def first_landscape(problem, seed):
+    return create_problem(problem, seed, SHORT).landscape
+
+
+@st.composite
+def chunks(draw, count, avoid=None):
+    """[start, stop) bounds of consecutive chunks covering 0..count,
+    some of them empty; no cut falls on a multiple of `avoid`."""
+    cuts = draw(st.lists(st.integers(0, count), max_size=6))
+    cuts = sorted(c for c in cuts if avoid is None or c % avoid)
+    return list(zip([0, *cuts], [*cuts, count]))
+
+
+@st.composite
+def uniform_points(draw, count, dim):
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.random.default_rng(seed).uniform(-5.0, 5.0, (count, dim))
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=st.sampled_from(BATCH_PROBLEMS), seed=st.integers(1, 3),
+       data=st.data())
+def test_landscape_evaluation_is_batch_invariant(problem, seed, data):
+    landscape = first_landscape(problem, seed)
+    xs = data.draw(uniform_points(data.draw(st.integers(1, 30)),
+                                  landscape.dim))
+    if data.draw(st.booleans()):
+        # optima exactly, each at distance 0 from its own peak or shift
+        xs = np.concatenate((xs, landscape.global_optima()[0]))
+    whole = landscape.evaluate_many(xs)
+    one_by_one = np.concatenate([landscape.evaluate_many(x[None])
+                                 for x in xs])
+    in_chunks = np.concatenate([landscape.evaluate_many(xs[a:b])
+                                for a, b in data.draw(chunks(len(xs)))])
+    assert whole.tobytes() == one_by_one.tobytes() == in_chunks.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(problem=st.sampled_from(BATCH_PROBLEMS), data=st.data())
+def test_batches_that_straddle_changes_score_as_single_evaluations(
+        problem, data):
+    single, chunked, whole = (create_problem(problem, 1, SHORT)
+                              for _ in range(3))
+    budget, dim = single.budget, single.spec.dimension
+    xs = data.draw(uniform_points(SHORT.environments * budget, dim))
+    # sealed with environment 1; environments 2 and 3 seal no report
+    report = xs[:data.draw(st.integers(0, budget))]
+    for instance in (single, chunked, whole):
+        instance.report_population(report)
+    one_by_one = np.array([single.evaluate(x) for x in xs])
+    # every change falls inside a chunk
+    in_chunks = np.concatenate([chunked.evaluate_many(xs[a:b]) for a, b
+                                in data.draw(chunks(len(xs), budget))])
+    at_once = whole.evaluate_many(xs)
+    assert one_by_one.tobytes() == in_chunks.tobytes() == at_once.tobytes()
+    assert single.frozen and chunked.frozen and whole.frozen
+    assert single.snapshots[0].fitness.tobytes() \
+        == one_by_one[:len(report)].tobytes()
+    for snapshots in zip(single.snapshots, chunked.snapshots,
+                         whole.snapshots):
+        assert len({s.individuals.tobytes() for s in snapshots}) == 1
+        assert len({s.fitness.tobytes() for s in snapshots}) == 1
+    assert [len(s) for s in single.snapshots] == [len(report), 0, 0]

@@ -194,6 +194,11 @@ MALFORMED_LINES = [
     "problem P2",
     "seed 9",
     "environments 3",
+    # lines whose first word the format does not know
+    "individul 0 0 0 0 0 fitness 75",
+    "Individual 0 0 0 0 0 fitness 0",
+    "fitness 0",
+    "foo",
 ]
 
 
