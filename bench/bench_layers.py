@@ -17,13 +17,13 @@ import pytest
 from dmmobench import (AccuracyLevel, BenchmarkSettings, PopulationSnapshot,
                        count_npf, create_problem, dump_environments_text,
                        make_rng, problem_spec)
-from dmmobench.composition import init_composition
+from dmmobench.composition import BASIC_FUNCTIONS, init_composition
 from dmmobench.config import OptimizerConfig
 from dmmobench.core import (CONE_FAMILIES, DOMAIN_HIGH, DOMAIN_LOW, RngStream,
                             coordinate_sum, format_rows)
 from dmmobench.df import init_df
 from dmmobench.dynamics import advance_environment, init_change_state
-from dmmobench.optimizers import ChangeDetector, CrowdingDE
+from dmmobench.optimizers import CrowdingDE
 
 #: Problems with cone landscapes at the two table dimensions.
 CONE_PROBLEMS = {5: "P1", 10: "P17"}
@@ -81,19 +81,18 @@ def test_de_generation(benchmark, dim):
     their evaluation, crowding replacement and the change check."""
     instance = create_problem(CONE_PROBLEMS[dim], 1, UNCHANGING)
     optimizer, rng = CrowdingDE(), RngStream(1, stream=1)
-    detector = ChangeDetector(instance)
     pop = population(dim)
-    fitness = detector.evaluate_many(pop.reshape(-1, dim)).reshape(
+    fitness = instance.evaluate_many(pop.reshape(-1, dim)).reshape(
         pop.shape[:2])
-    detector.changed()
+    env = instance.t
 
     def generation():
         instance.report_population(pop.reshape(-1, dim))
         trials = optimizer._make_trials(pop, rng)
-        trial_fitness = detector.evaluate_many(
+        trial_fitness = instance.evaluate_many(
             trials.reshape(-1, dim)).reshape(pop.shape[:2])
         optimizer._crowding_replace(pop, fitness, trials, trial_fitness)
-        return detector.changed()
+        return instance.t != env
 
     assert not benchmark(generation)
     assert instance.t == 1
@@ -140,6 +139,17 @@ def test_composition_evaluate_many(benchmark, family, dim):
     landscape = create_problem(problem, 1, UNCHANGING).landscape
     points = population(dim).reshape(-1, dim)
     values = benchmark(landscape.evaluate_many, points)
+    assert values.shape == (len(points),)
+
+
+@pytest.mark.benchmark(group="composition.basic_function")
+@pytest.mark.parametrize("dim", [5, 10])
+@pytest.mark.parametrize("kind", list(BASIC_FUNCTIONS))
+def test_basic_function(benchmark, kind, dim):
+    """One basic function on 100 points drawn in the domain, the rows
+    one component of `CompositionLandscape.evaluate_many` passes it."""
+    points = population(dim).reshape(-1, dim)
+    values = benchmark(BASIC_FUNCTIONS[kind], points)
     assert values.shape == (len(points),)
 
 

@@ -44,9 +44,6 @@ class BenchmarkSettings:
     #: tolerance levels scored in one pass.
     distance_accuracy: float = 0.05
     fitness_accuracy_levels: tuple = (1e-3, 1e-4, 1e-5)
-    #: Whether optimizers may read the current environment index (the
-    #: cheap change-detection channel).
-    expose_environment_index: bool = True
 
     def __post_init__(self):
         self.validate()
@@ -112,13 +109,6 @@ def parse_value(key, raw, default):
     list is comma-separated and may be empty."""
     kind = type(default)
     try:
-        if kind is bool:
-            lowered = raw.lower()
-            if lowered in ("true", "yes", "on", "1"):
-                return True
-            if lowered in ("false", "no", "off", "0"):
-                return False
-            raise ValueError(raw)
         if kind is int:
             return int(raw)
         if kind is float:

@@ -61,19 +61,9 @@ class ProblemInstance:
 
     @property
     def t(self):
-        """Index of the current environment, 1-based."""
+        """Index of the current environment, 1-based; optimizers notice
+        a change by comparing it with an earlier reading."""
         return self.state.t
-
-    def current_environment(self):
-        """The environment index, when configuration exposes it.
-
-        This is the cheap change-detection channel for optimizers; with
-        expose_environment_index off they must infer changes themselves
-        (e.g. from the budget counter resetting).
-        """
-        if not self.settings.expose_environment_index:
-            raise RuntimeError("environment index hidden by configuration")
-        return self.t
 
     def remaining_budget(self):
         return self.budget - self.evaluations_used_in_env
@@ -117,19 +107,19 @@ class ProblemInstance:
         budget runs out is the one scored.  Individuals are re-evaluated
         against the sealed environment at that moment, free of budget,
         so scoring never distorts the protocol.  A single individual may
-        be given as a 1-D array.  Individuals are checked as `evaluate_many`
-        checks a batch: a wrong shape or a coordinate outside the domain
-        raises ValueError and leaves the report in force unchanged.
+        be given as a 1-D array, and an empty report as `[]` or a (0, D)
+        batch.  Individuals are checked as `evaluate_many` checks a
+        batch: a wrong shape or a coordinate outside the domain raises
+        ValueError and leaves the report in force unchanged.
         """
         if self.frozen:
             raise RunFrozenError("the run's full evaluation budget is spent")
+        dim = self.spec.dimension
         individuals = np.asarray(individuals, dtype=float)
-        if individuals.size == 0:
-            individuals = np.empty((0, self.spec.dimension))
-        else:
-            individuals = _checked_batch(
-                np.atleast_2d(individuals), self.spec.dimension).copy()
-        self._pending_report = individuals
+        if individuals.shape == (0,):
+            individuals = individuals.reshape(0, dim)
+        self._pending_report = _checked_batch(
+            np.atleast_2d(individuals), dim).copy()
 
     def ground_truth(self, env):
         """Archived (positions, fitness) of environment `env`'s optima.

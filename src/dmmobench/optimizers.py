@@ -16,47 +16,16 @@ from .config import OptimizerConfig
 from .core import DOMAIN_HIGH, DOMAIN_LOW, RunFrozenError, coordinate_sum
 
 
-class ChangeDetector:
-    """Notices environment transitions from inside an optimizer.
-
-    Every evaluation the optimizer makes goes through `evaluate_many`,
-    which counts it.  The environment then follows from that count and
-    the per-environment budget, as `current_environment()` reports it
-    until the run freezes, so detection needs no exposed index and
-    works the same way whether or not configuration hides it.  Create
-    the detector before the optimizer's first evaluation.
-    """
-
-    def __init__(self, instance):
-        self.instance = instance
-        self.budget = instance.settings.environment_budget(
-            instance.spec.dimension)
-        self.spent = 0
-        self.last_env = 1
-
-    def evaluate_many(self, xs):
-        """`instance.evaluate_many`, counting the evaluations charged."""
-        values = self.instance.evaluate_many(xs)
-        self.spent += len(values)
-        return values
-
-    def changed(self):
-        """Whether the environment moved since the previous call."""
-        now = 1 + self.spent // self.budget
-        moved = now != self.last_env
-        self.last_env = now
-        return moved
-
-
 class CrowdingDE:
     """DE/rand/1/bin with crowding replacement across subpopulations.
 
     Each generation reports the whole population, so whichever report
     is in force when an environment seals is at most one generation
-    old.  On a detected change: the stale best of every subpopulation
-    enters a bounded memory, the worst fraction of each subpopulation
-    is redrawn uniformly, one memory entry reseeds each subpopulation,
-    and everything is re-evaluated (on budget) under the new landscape.
+    old.  When `instance.t` shows a new environment after a generation,
+    the stale best of every subpopulation enters a bounded memory, the
+    worst fraction of each subpopulation is redrawn uniformly, one
+    memory entry reseeds each subpopulation, and everything is
+    re-evaluated (on budget) under the new landscape.
     """
 
     name = "baseline"
@@ -81,16 +50,15 @@ class CrowdingDE:
         cfg = self.config
         subs, size = cfg.subpopulations, cfg.subpopulation_size
         dim = instance.spec.dimension
-        detector = ChangeDetector(instance)
         pop = rng.uniform_vector(DOMAIN_LOW, DOMAIN_HIGH, (subs, size, dim))
         try:
-            fitness = detector.evaluate_many(
+            fitness = instance.evaluate_many(
                 pop.reshape(-1, dim)).reshape(subs, size)
         except RunFrozenError:
             return instance.snapshots
         # the population is fresh: a change while scoring it needs no
         # response
-        detector.changed()
+        env = instance.t
         memory = deque(maxlen=cfg.memory_size)
 
         while not instance.frozen:
@@ -98,13 +66,14 @@ class CrowdingDE:
             trials = self._make_trials(pop, rng)
             # a batch can outlive the run's final budget mid-generation
             try:
-                trial_fitness = detector.evaluate_many(
+                trial_fitness = instance.evaluate_many(
                     trials.reshape(-1, dim)).reshape(subs, size)
                 self._crowding_replace(pop, fitness, trials, trial_fitness)
                 if instance.frozen:
                     break
-                if detector.changed():
-                    self._respond_to_change(detector, pop, fitness, memory,
+                if instance.t != env:
+                    env = instance.t
+                    self._respond_to_change(instance, pop, fitness, memory,
                                             rng)
             except RunFrozenError:
                 break
@@ -172,7 +141,7 @@ class CrowdingDE:
         dim = pop.shape[-1]
         pop.reshape(-1, dim)[members] = trials.reshape(-1, dim)[winners[wins]]
 
-    def _respond_to_change(self, detector, pop, fitness, memory, rng):
+    def _respond_to_change(self, instance, pop, fitness, memory, rng):
         cfg = self.config
         subs, size, dim = pop.shape
         rows = self._rows
@@ -185,7 +154,7 @@ class CrowdingDE:
         # the newest entries, newest first, reseed the first subpopulations
         seeds = np.reshape(memory, (-1, dim))[::-1][:subs]
         pop[rows[:len(seeds), 0], order[:len(seeds), 0]] = seeds
-        fitness[:] = detector.evaluate_many(
+        fitness[:] = instance.evaluate_many(
             pop.reshape(-1, dim)).reshape(subs, size)
 
 
@@ -208,7 +177,7 @@ class RandomSearch:
 
     def optimize(self, instance, rng):
         dim = instance.spec.dimension
-        detector = ChangeDetector(instance)
+        env = instance.t
         points = np.empty((0, dim))
         values = np.empty(0)
         while not instance.frozen:
@@ -219,8 +188,9 @@ class RandomSearch:
                 # is in force before the environment seals
                 chunk = remaining // 2
             batch = rng.uniform_vector(DOMAIN_LOW, DOMAIN_HIGH, (chunk, dim))
-            batch_values = detector.evaluate_many(batch)
-            if instance.frozen or detector.changed():
+            batch_values = instance.evaluate_many(batch)
+            if instance.frozen or instance.t != env:
+                env = instance.t
                 points = np.empty((0, dim))
                 values = np.empty(0)
                 continue

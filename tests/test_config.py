@@ -25,6 +25,8 @@ from dmmobench.config import (BenchmarkSettings, ConfigError, OptimizerConfig,
     "height_severity = -7",
     "width_severity = inf",
     "rotation_severity = -1",
+    # older versions had this option; the index is now always public
+    "expose_environment_index = true",
 ])
 def test_meaningless_settings_are_rejected(line):
     with pytest.raises(ConfigError):

@@ -85,16 +85,24 @@ def test_unreported_environment_snapshots_empty():
 
 
 def test_explicit_empty_report():
-    inst = create_problem("P1", 1, tiny_settings())
-    inst.report_population([])
-    inst.evaluate_many(np.zeros((20, 5)))
-    assert len(inst.snapshots[0]) == 0
+    for empty in ([], np.empty((0, 5))):
+        inst = create_problem("P1", 1, tiny_settings())
+        inst.report_population(np.zeros((2, 5)))
+        inst.report_population(empty)
+        inst.evaluate_many(np.zeros((20, 5)))
+        assert inst.snapshots[0].individuals.shape == (0, 5)
 
 
 def test_report_shape_checked():
     inst = create_problem("P1", 1, tiny_settings())
-    with pytest.raises(ValueError):
-        inst.report_population(np.zeros((2, 4)))
+    kept = np.full((2, 5), 0.5)
+    inst.report_population(kept)
+    # an array with no elements is an empty report only as [] or (0, 5)
+    for shape in [(2, 4), (3, 0), (0, 7), (0, 0), (0, 5, 1)]:
+        with pytest.raises(ValueError):
+            inst.report_population(np.zeros(shape))
+    inst.evaluate_many(np.zeros((20, 5)))
+    assert np.array_equal(inst.snapshots[0].individuals, kept)
 
 
 
@@ -160,11 +168,18 @@ def test_ground_truth_archive():
 
 
 def test_environment_index_visibility():
-    shown = create_problem("P1", 1, tiny_settings())
-    assert shown.current_environment() == 1
-    hidden = create_problem("P1", 1, tiny_settings(expose_environment_index=False))
-    with pytest.raises(RuntimeError):
-        hidden.current_environment()
+    # the index is always public: while the run is live, `t` is
+    # 1 + evaluations charged // budget, which is what an optimizer
+    # counting its own evaluations would work out
+    inst = create_problem("P1", 1, tiny_settings())
+    charged = 0
+    for size in [7, 20, 13, 19]:
+        inst.evaluate_many(np.zeros((size, 5)))
+        charged += size
+        assert inst.t == 1 + charged // inst.budget
+    inst.evaluate(np.zeros(5))
+    assert inst.frozen
+    assert inst.t == inst.settings.environments
 
 
 def test_same_seed_same_dynamics():

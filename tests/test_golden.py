@@ -16,14 +16,15 @@ import pytest
 
 from dmmobench.composition import init_composition
 from dmmobench.config import BenchmarkSettings
-from dmmobench.controller import dump_environments_text, format_environment
+from dmmobench.controller import (create_problem, dump_environments_text,
+                                  format_environment)
 from dmmobench.core import (CHANGE_MODES, CONE_FAMILIES, DOMAIN_HIGH,
-                            DOMAIN_LOW, PROBLEM_INDICES, make_rng)
+                            DOMAIN_LOW, PROBLEM_INDICES, RngStream, make_rng)
 from dmmobench.df import init_df
 from dmmobench.dynamics import advance_environment, init_change_state
-from dmmobench.optimizers import OPTIMIZERS
-from dmmobench.reporting import (export_landscape_grid, rescore_snapshots,
-                                 run_benchmark)
+from dmmobench.optimizers import OPTIMIZERS, make_optimizer
+from dmmobench.reporting import (export_landscape_grid, render_snapshots,
+                                 rescore_snapshots, run_benchmark)
 
 #: F1 and F5 at D=5, F8 under C1 (P9), and F1 and F5 at D=10.
 PROBLEMS = ("P1", "P5", "P9", "P17", "P21")
@@ -389,3 +390,41 @@ def test_random_search_past_its_pool_matches_stored_hashes(tmp_path):
     digests = {name: digest for name, digest in _hashes(tmp_path).items()
                if name.startswith("snapshots_")}
     assert digests == PRUNED
+
+
+# -- change detection when one batch spans a whole environment ----------------
+
+#: sha256 of the snapshot file of P1, seed 2, six environments, per
+#: optimizer and `evals_per_dim`.  An environment's budget is then 50 to
+#: 300 evaluations, so the baseline's batches of 100 cover two whole
+#: environments (10), exactly one (20) or end inside a later one (30,
+#: 40, 60).  After a batch that spans a whole environment the remaining
+#: budget reads as before, so only the environment index shows that
+#: change.
+SPANNING = {
+    "baseline": {
+        10: "ac6f9ab9e239d7ffcaaa00447ea11015a76baf98075520a9fd84b178535a2dc2",
+        20: "e004ea07648026b56466008e8c47300e414d51111fe6be14a36c1649d61e6284",
+        30: "f75b065a486d80cd3a642254f0195b06e7cba7915ebc20ad6b80cc251d804bb9",
+        40: "fa4b34763273e064948666307fd49db831684f26b44c31892a962bee9a51c186",
+        60: "ee5a531e62551f4c0939a78fa0067702089d17b05862a86d7d6018b788d32901",
+    },
+    "random": {
+        10: "6e2bdacbaf5006861cffd66b58b69d46bb344c4f9a571e78a7fa88cc940864d8",
+        20: "9fc461b191e9129d97bd360b42097e845791b862b46ad2211d94cd1f1fe12aa9",
+        30: "65492525021d61757c4f6e14eb2b72f3c7314a6f4cd71ec8aba9d5d4e8067fb1",
+        40: "c0e0573f02f9f41d5813faff05bad6f642244279ee80aebc0263b1ab67407dfb",
+        60: "80366cd16324c40bfb6ffe5c37448ff10aa8fa4c9829c2128569058b9e199c5e",
+    },
+}
+
+
+@pytest.mark.parametrize("optimizer", sorted(SPANNING))
+@pytest.mark.parametrize("evals_per_dim", [10, 20, 30, 40, 60])
+def test_batches_spanning_environments_match_stored_hashes(optimizer,
+                                                           evals_per_dim):
+    settings = BenchmarkSettings(evals_per_dim=evals_per_dim, environments=6)
+    instance = create_problem("P1", 2, settings)
+    make_optimizer(optimizer).optimize(instance, RngStream(2, stream=1))
+    text = render_snapshots("P1", 2, instance.snapshots, settings.environments)
+    assert _sha(text) == SPANNING[optimizer][evals_per_dim]

@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from dmmobench.config import BenchmarkSettings, OptimizerConfig
 from dmmobench.controller import create_problem
 from dmmobench.core import DOMAIN_HIGH, DOMAIN_LOW, RngStream
-from dmmobench.optimizers import ChangeDetector, CrowdingDE, make_optimizer
+from dmmobench.optimizers import CrowdingDE, make_optimizer
 
 
 SETTINGS = BenchmarkSettings(evals_per_dim=60, environments=5)
@@ -110,7 +110,7 @@ def reference_crowding_replace(pop, fitness, trials, trial_fitness):
                 fitness[s, m] = trial_fitness[s, i]
 
 
-def reference_respond_to_change(cfg, detector, pop, fitness, memory, rng):
+def reference_respond_to_change(cfg, instance, pop, fitness, memory, rng):
     subs, size, dim = pop.shape
     best = fitness.argmax(1)
     for s in range(subs):
@@ -124,7 +124,7 @@ def reference_respond_to_change(cfg, detector, pop, fitness, memory, rng):
     seeds = list(memory)[::-1][:subs]
     for s, point in enumerate(seeds):
         pop[s, order[s, 0]] = point
-    fitness[:] = detector.evaluate_many(
+    fitness[:] = instance.evaluate_many(
         pop.reshape(-1, dim)).reshape(subs, size)
 
 
@@ -211,9 +211,9 @@ def test_crowding_replace_matches_the_loop_reference_on_continuous_points(
     assert same_bits(fitness, ref_fitness)
 
 
-class SumDetector:
-    """Stands in for a ChangeDetector: the fitness of a point is the sum
-    of its coordinates."""
+class SumInstance:
+    """Stands in for a ProblemInstance: the fitness of a point is the
+    sum of its coordinates."""
 
     @staticmethod
     def evaluate_many(xs):
@@ -241,9 +241,9 @@ def test_respond_to_change_matches_the_loop_reference(
     ref_pop, ref_fitness = pop.copy(), fitness.copy()
     ref_memory = deque(memory, maxlen=memory_size)
     rng, ref_rng = RngStream(seed, 1), RngStream(seed, 1)
-    CrowdingDE(cfg)._respond_to_change(SumDetector, pop, fitness, memory,
+    CrowdingDE(cfg)._respond_to_change(SumInstance, pop, fitness, memory,
                                        rng)
-    reference_respond_to_change(cfg, SumDetector, ref_pop, ref_fitness,
+    reference_respond_to_change(cfg, SumInstance, ref_pop, ref_fitness,
                                 ref_memory, ref_rng)
     assert same_bits(pop, ref_pop)
     assert same_bits(fitness, ref_fitness)
@@ -251,41 +251,21 @@ def test_respond_to_change_matches_the_loop_reference(
     assert rng_state(rng) == rng_state(ref_rng)
 
 
-def snapshots_under(name, evals_per_dim, expose):
-    settings = BenchmarkSettings(evals_per_dim=evals_per_dim, environments=6,
-                                 expose_environment_index=expose)
-    instance = create_problem("P1", 2, settings)
-    make_optimizer(name).optimize(instance, RngStream(2, stream=1))
-    return instance.snapshots
-
-
-@pytest.mark.parametrize("name", ["baseline", "random"])
-@pytest.mark.parametrize("evals_per_dim", [10, 20, 30, 40, 60])
-def test_hidden_index_changes_nothing(name, evals_per_dim):
-    # with batches of 100 and a budget of 100 per environment, one batch
-    # covers a whole environment, which a watch on the remaining budget
-    # cannot see
-    hidden = snapshots_under(name, evals_per_dim, expose=False)
-    exposed = snapshots_under(name, evals_per_dim, expose=True)
-    assert len(hidden) == len(exposed) == 6
-    for a, b in zip(hidden, exposed):
-        assert a.environment == b.environment
-        assert same_bits(a.individuals, b.individuals)
-        assert same_bits(a.fitness, b.fitness)
-
-
-@pytest.mark.parametrize("expose", [False, True])
-def test_detector_sees_every_change_of_a_whole_environment_batch(expose):
-    settings = BenchmarkSettings(evals_per_dim=20, environments=6,
-                                 expose_environment_index=expose)
+@pytest.mark.parametrize("aligned", [False, True])
+def test_detector_sees_every_change_of_a_whole_environment_batch(aligned):
+    # optimizers detect a change by comparing `instance.t` with an earlier
+    # reading; after a batch of exactly one environment's budget the
+    # remaining budget reads as before, so only the index shows the change,
+    # whether the batch starts on a boundary or straddles one
+    settings = BenchmarkSettings(evals_per_dim=20, environments=6)
     instance = create_problem("P1", 1, settings)
-    detector = ChangeDetector(instance)
-    points = np.zeros((instance.remaining_budget(), 5))
-    seen = []
-    for _ in range(5):
-        detector.evaluate_many(points)
-        seen.append(detector.changed())
-        if expose:
-            assert detector.last_env == instance.current_environment()
-    assert seen == [True] * 5
-    assert not detector.changed()
+    if not aligned:
+        instance.evaluate(np.zeros(5))
+    before = instance.remaining_budget()
+    points = np.zeros((instance.budget, 5))
+    for env in range(1, 6):
+        assert instance.t == env
+        instance.evaluate_many(points)
+        assert instance.remaining_budget() == before
+    assert instance.t == 6
+    assert not instance.frozen
