@@ -108,21 +108,21 @@ class CompositionLandscape:
 
     kind = "composition"
 
-    def __init__(self, dim, kinds, shifts, rotations, stretches, spreads,
-                 peak_magnitudes):
+    def __init__(self, dim, kinds, shifts, rotations, stretches, spreads):
         self.dim = dim
         self.kinds = kinds
         self.shifts = shifts
         self.rotations = rotations
         self.stretches = stretches
         self.spreads = spreads
-        #: |raw value| at the domain's far corner, used for normalization.
-        self.peak_magnitudes = peak_magnitudes
         self.set_active_count(len(kinds))
         # the domain's far corner, stretched by each component
         self._corners = np.full(dim, 5.0) / stretches[:, None]
         self._kind_rows = {kind: np.flatnonzero([k == kind for k in kinds])
                            for kind in dict.fromkeys(kinds)}
+        #: |raw value| at the domain's far corner, used for normalization.
+        self.peak_magnitudes = np.empty(len(kinds))
+        self.refresh_normalization()
 
     @property
     def n_components(self):
@@ -199,8 +199,5 @@ def init_composition(family, dim, rng, min_dist):
     count = len(kinds)
     shifts = draw_spaced_points(count, dim, rng, min_dist)
     rotations = np.stack([random_rotation(dim, rng) for _ in range(count)])
-    landscape = CompositionLandscape(
-        dim, kinds, shifts, rotations, np.asarray(stretches),
-        np.asarray(spreads), np.zeros(count))
-    landscape.refresh_normalization()
-    return landscape
+    return CompositionLandscape(dim, kinds, shifts, rotations,
+                                np.asarray(stretches), np.asarray(spreads))

@@ -47,15 +47,15 @@ class DFLandscape:
     """
 
     kind = "df"
+    n_global = GLOBAL_PEAK_COUNT
 
-    def __init__(self, dim, heights, widths, positions, n_global):
+    def __init__(self, dim, heights, widths, positions):
         self.dim = dim
         self.heights = heights
         self.widths = widths
         self.positions = positions
-        self.n_global = n_global
         self.active = np.ones(len(heights), dtype=bool)
-        self.set_active_count(n_global)
+        self.set_active_count(self.n_global)
 
     @property
     def n_peaks(self):
@@ -113,7 +113,7 @@ def init_df(family, dim, rng, min_dist):
         if n_local:
             heights[GLOBAL_PEAK_COUNT:] = rng.uniform_vector(
                 LOCAL_HEIGHT_LOW, LOCAL_HEIGHT_HIGH, n_local)
-        return DFLandscape(dim, heights, widths, positions, GLOBAL_PEAK_COUNT)
+        return DFLandscape(dim, heights, widths, positions)
 
     try:
         diagonal, width = _FIXED_LAYOUTS[family]
@@ -122,4 +122,4 @@ def init_df(family, dim, rng, min_dist):
     positions = np.array([np.full(dim, value) for value in diagonal])
     widths = np.full(GLOBAL_PEAK_COUNT, width)
     heights = np.full(GLOBAL_PEAK_COUNT, GLOBAL_PEAK_HEIGHT)
-    return DFLandscape(dim, heights, widths, positions, GLOBAL_PEAK_COUNT)
+    return DFLandscape(dim, heights, widths, positions)

@@ -59,10 +59,7 @@ def _recurrent_level(t, params, shape):
     # produce the same sine argument, not two arguments 2*pi apart
     period = params.settings.period
     start = 2.0 * math.pi * (t % period) / period
-    phases = np.broadcast_to(params.phase, shape)
-    # math.sin per value: np.sin is not known to round as it does
-    wave = np.array([math.sin(start + phase)
-                     for phase in phases.ravel().tolist()]).reshape(shape)
+    wave = np.sin(start + np.broadcast_to(params.phase, shape))
     return params.e_min + params.e_range * (wave + 1.0) / 2.0
 
 
@@ -132,9 +129,9 @@ def _pair_entries(dim, pairs):
 def _rotation(dim, entries, angles):
     """`rotation_from_pairs` from the pairs' `_pair_entries`; a shared
     angle costs one cosine and one sine."""
-    angles = np.ravel(angles).tolist()
-    cos = np.array([math.cos(angle) for angle in angles])
-    sin = np.array([math.sin(angle) for angle in angles])
+    angles = np.ravel(angles)
+    cos = np.cos(angles)
+    sin = np.sin(angles)
     rotation = np.eye(dim)
     rotation.reshape(-1)[entries] = (cos, sin, -sin, cos)
     return rotation
@@ -222,10 +219,11 @@ def init_change_state(landscape, mode, rng):
     perturbs it.  Order: per rotated parameter its pairing then its
     phase; then height phases; then width phases.
     """
-    state = ChangeState(mode, _count_capacity(landscape))
     if landscape.kind == "df":
+        state = ChangeState(mode, landscape.n_global)
         rotated = ("positions",)
     else:
+        state = ChangeState(mode, landscape.n_components)
         rotated = ("shifts", "rotations")
     for name in rotated:
         state.pairings[name] = _pair_entries(
@@ -244,52 +242,51 @@ def init_change_state(landscape, mode, rng):
     return state
 
 
-def _count_capacity(landscape):
-    if landscape.kind == "df":
-        return landscape.n_global
-    return landscape.n_components
-
-
-def update_active_count(mode, state, rng):
+def update_active_count(state, rng):
     """Step the active-optimum count for the two count-varying modes.
 
     The sweep mode reverses direction when it reaches either end before
     stepping, so from the ceiling it walks down to 2 and back up.
     """
-    if mode == "C7":
+    if state.mode == "C7":
         if state.g == state.g_max:
             state.direction = 1
         elif state.g == 2:
             state.direction = 2
         state.g += 1 if state.direction == 2 else -1
-    elif mode == "C8":
+    elif state.mode == "C8":
         state.g = rng.randint(2, state.g_max)
     else:
-        raise ValueError(f"mode {mode!r} does not vary the optimum count")
-    return state
+        raise ValueError(
+            f"mode {state.mode!r} does not vary the optimum count")
 
 
-def apply_matrix_change(mode, name, state, params, rng):
+def apply_matrix_change(name, state, rng, settings):
     """Advance the named rotated parameter and return its new value.
 
-    The stored angle steps like any scalar; the result is the frozen
-    initial parameter rotated by the whole current angle, about the
-    domain center, rather than a cumulative product of sixty
-    slightly-off incremental rotations.
+    The stored angle steps like any scalar, within the bounds of the
+    state's mode; the result is the frozen initial parameter rotated by
+    the whole current angle, about the domain center, rather than a
+    cumulative product of sixty slightly-off incremental rotations.
     """
+    low, high = (RECURRENT_ANGLE_RANGE if state.mode in ("C5", "C6")
+                 else FULL_ANGLE_RANGE)
+    params = ScalarChangeParams(low, high, settings.rotation_severity,
+                                state.angle_phases[name], settings)
     state.angles[name] = float(apply_scalar_change(
-        mode, state.angles[name], state.t, params, rng))
+        state.mode, state.angles[name], state.t, params, rng))
     base = state.bases[name]
     rotation = _rotation(
         base.shape[-1], state.pairings[name], state.angles[name])
     return base @ rotation
 
 
-def _angle_params(mode, settings, phase):
-    low, high = (RECURRENT_ANGLE_RANGE if mode in ("C5", "C6")
-                 else FULL_ANGLE_RANGE)
-    return ScalarChangeParams(low, high, settings.rotation_severity, phase,
-                              settings)
+def _move_optima(name, state, rng, settings):
+    """The named optimum set rotated, reflected into the domain and
+    repaired to the configured spacing."""
+    moved = apply_matrix_change(name, state, rng, settings)
+    return enforce_min_distance(reflect_into_domain(moved), rng,
+                                min_dist=settings.min_peak_distance)
 
 
 def advance_environment(landscape, state, rng, settings):
@@ -297,10 +294,11 @@ def advance_environment(landscape, state, rng, settings):
 
     Draw order is part of the reproducibility contract: the
     active-count update (C7/C8 only), then scalars in storage order,
-    then each rotated parameter, with spacing repair last.
+    then each rotated parameter, an optimum set's spacing repair right
+    after its rotation.
     """
     if state.mode in ("C7", "C8"):
-        update_active_count(state.mode, state, rng)
+        update_active_count(state, rng)
     if landscape.kind == "df":
         _advance_df(landscape, state, rng, settings)
     else:
@@ -310,34 +308,22 @@ def advance_environment(landscape, state, rng, settings):
 
 
 def _advance_df(landscape, state, rng, settings):
-    mode = state.mode
-    t = state.t
     local = slice(landscape.n_global, None)
     heights = ScalarChangeParams(LOCAL_HEIGHT_LOW, LOCAL_HEIGHT_HIGH,
                                  settings.height_severity,
                                  state.scalar_phases["heights"], settings)
     landscape.heights[local] = apply_scalar_change(
-        mode, landscape.heights[local], t, heights, rng)
+        state.mode, landscape.heights[local], state.t, heights, rng)
     widths = ScalarChangeParams(WIDTH_LOW, WIDTH_HIGH,
                                 settings.width_severity,
                                 state.scalar_phases["widths"], settings)
     landscape.widths[:] = apply_scalar_change(
-        mode, landscape.widths, t, widths, rng)
-    angle = _angle_params(mode, settings, state.angle_phases["positions"])
-    moved = apply_matrix_change(mode, "positions", state, angle, rng)
-    moved = reflect_into_domain(moved)
-    landscape.positions = enforce_min_distance(
-        moved, rng, min_dist=settings.min_peak_distance)
+        state.mode, landscape.widths, state.t, widths, rng)
+    landscape.positions = _move_optima("positions", state, rng, settings)
 
 
 def _advance_composition(landscape, state, rng, settings):
-    mode = state.mode
-    angle = _angle_params(mode, settings, state.angle_phases["shifts"])
-    moved = apply_matrix_change(mode, "shifts", state, angle, rng)
-    moved = reflect_into_domain(moved)
-    landscape.shifts = enforce_min_distance(
-        moved, rng, min_dist=settings.min_peak_distance)
-    angle = _angle_params(mode, settings, state.angle_phases["rotations"])
+    landscape.shifts = _move_optima("shifts", state, rng, settings)
     landscape.rotations = apply_matrix_change(
-        mode, "rotations", state, angle, rng)
+        "rotations", state, rng, settings)
     landscape.refresh_normalization()

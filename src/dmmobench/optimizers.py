@@ -51,32 +51,27 @@ class CrowdingDE:
         subs, size = cfg.subpopulations, cfg.subpopulation_size
         dim = instance.spec.dimension
         pop = rng.uniform_vector(DOMAIN_LOW, DOMAIN_HIGH, (subs, size, dim))
+        # a batch can outlive the run's final budget mid-generation
         try:
             fitness = instance.evaluate_many(
                 pop.reshape(-1, dim)).reshape(subs, size)
-        except RunFrozenError:
-            return instance.snapshots
-        # the population is fresh: a change while scoring it needs no
-        # response
-        env = instance.t
-        memory = deque(maxlen=cfg.memory_size)
+            # the population is fresh: a change while scoring it needs no
+            # response
+            env = instance.t
+            memory = deque(maxlen=cfg.memory_size)
 
-        while not instance.frozen:
-            instance.report_population(pop.reshape(-1, dim))
-            trials = self._make_trials(pop, rng)
-            # a batch can outlive the run's final budget mid-generation
-            try:
+            while not instance.frozen:
+                instance.report_population(pop.reshape(-1, dim))
+                trials = self._make_trials(pop, rng)
                 trial_fitness = instance.evaluate_many(
                     trials.reshape(-1, dim)).reshape(subs, size)
                 self._crowding_replace(pop, fitness, trials, trial_fitness)
-                if instance.frozen:
-                    break
-                if instance.t != env:
+                if not instance.frozen and instance.t != env:
                     env = instance.t
                     self._respond_to_change(instance, pop, fitness, memory,
                                             rng)
-            except RunFrozenError:
-                break
+        except RunFrozenError:
+            pass
         return instance.snapshots
 
     def _make_trials(self, pop, rng):

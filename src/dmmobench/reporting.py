@@ -99,10 +99,19 @@ class BenchmarkReport:
 def execute_run(problem, seed, optimizer="baseline",
                 settings=BenchmarkSettings(),
                 optimizer_config=OptimizerConfig(), keep_snapshots=False):
-    """One full run: build the instance, optimize until frozen, score."""
+    """One full run: build the instance, optimize until frozen, score.
+
+    Raises RuntimeError if the optimizer returns before the run froze:
+    a run scored on only the environments it sealed would read as
+    complete in the table.
+    """
     instance = create_problem(problem, seed, settings)
     engine = make_optimizer(optimizer, optimizer_config)
     engine.optimize(instance, make_rng(seed, OPTIMIZER_STREAM))
+    if not instance.frozen:
+        raise RuntimeError(
+            f"optimizer {optimizer!r} returned with {len(instance.snapshots)}"
+            f" of {settings.environments} environments sealed")
     peaks, counts = score_run(instance.snapshots, instance.ground_truth,
                               accuracy_levels(settings))
     return RunResult(problem, seed, peaks, counts,
@@ -255,7 +264,8 @@ def parse_snapshots(text, environments):
     line with a wrong value count or a value that does not parse; an
     individual that `report_population` would refuse (a coordinate that
     is not a finite number in the domain) or whose fitness is not
-    finite.  Raises ValueError too for a file without any `env` line.
+    finite.  Raises ValueError too for a file without any `env` line,
+    and for one that does not record every environment of the run.
     """
     header, firsts, dim = {}, {}, None
     # packed doubles: a quarter of the memory of a list of floats
@@ -308,6 +318,9 @@ def parse_snapshots(text, environments):
         & np.isfinite(fitness)))
     if len(bad):
         raise _malformed(*_individual_line(lines, int(bad[0])))
+    if len(firsts) != environments:
+        raise ValueError(
+            f"{len(firsts)} of {environments} environments recorded")
     bounds = [*firsts.values(), len(fitness)]
     snapshots = [
         PopulationSnapshot(env, individuals[first:end], fitness[first:end])
@@ -366,8 +379,7 @@ def rescore_snapshots(out_dir, settings=BenchmarkSettings()):
                 f"{path}: {problem} seed {seed} is also recorded in {first}")
         truths = {env: landscape.global_optima()
                   for env, landscape, _ in iterate_environments(
-                      problem, seed, settings,
-                      environments=max(s.environment for s in snapshots))}
+                      problem, seed, settings)}
         peaks, counts = score_run(snapshots, truths.__getitem__, levels)
         outcomes[(problem, seed)] = RunResult(problem, seed, peaks, counts)
 

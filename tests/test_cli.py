@@ -3,6 +3,7 @@ import os
 import pytest
 
 from dmmobench.cli import main, parse_problems, parse_seeds
+from dmmobench.optimizers import OPTIMIZERS
 
 
 CONFIG = """\
@@ -56,6 +57,30 @@ def test_run_writes_reproducible_outputs(tmp_path, config_path, capsys):
     for name in ("results.txt", "results.csv", "records_P1.csv"):
         assert (out_a / name).is_file()
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+class Idle:
+    """An optimizer that returns without evaluating anything."""
+
+    name = "idle"
+
+    def __init__(self, config):
+        pass
+
+    def optimize(self, instance, rng):
+        return instance.snapshots
+
+
+def test_run_exits_1_when_an_optimizer_returns_early(
+        tmp_path, config_path, capsys, monkeypatch):
+    monkeypatch.setitem(OPTIMIZERS, "idle", Idle)
+    code = run_cli(["run", "--problems", "P1", "--seeds", "1",
+                    "--optimizer", "idle", "--config", config_path,
+                    "--out-dir", tmp_path])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "run failed: P1 seed 1" in err
+    assert "0 of 4 environments sealed" in err
 
 
 def test_parallel_runs_match_serial(tmp_path, config_path):
@@ -200,9 +225,10 @@ def test_score_rejects_a_malformed_line(tmp_path, config_path, capsys):
 def test_score_refuses_two_files_for_one_run(tmp_path, config_path, capsys):
     out = tmp_path / "snaps"
     os.makedirs(out)
-    header = "problem P2\nseed 1\nenvironments 4\nenv 1\n"
-    (out / "snapshots_P2_seed1.txt").write_text(header)
-    (out / "snapshots_P2_seed1_rerun.txt").write_text(header)
+    text = "problem P2\nseed 1\nenvironments 4\n" + "".join(
+        f"env {env}\n" for env in range(1, 5))
+    (out / "snapshots_P2_seed1.txt").write_text(text)
+    (out / "snapshots_P2_seed1_rerun.txt").write_text(text)
     code = run_cli(["score", "--config", config_path, "--out-dir", out])
     assert code == 2
     err = capsys.readouterr().err

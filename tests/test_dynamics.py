@@ -207,13 +207,13 @@ def _count_state(mode, g, direction, g_max=8):
 
 def test_sweep_reverses_at_ceiling():
     state = _count_state("C7", 8, 2)
-    update_active_count("C7", state, StubRng())
+    update_active_count(state, StubRng())
     assert (state.g, state.direction) == (7, 1)
 
 
 def test_sweep_reverses_at_floor():
     state = _count_state("C7", 2, 1)
-    update_active_count("C7", state, StubRng())
+    update_active_count(state, StubRng())
     assert (state.g, state.direction) == (3, 2)
 
 
@@ -221,7 +221,7 @@ def test_sweep_walks_a_triangle_wave():
     state = ChangeState("C7", 8)
     seen = []
     for _ in range(13):
-        update_active_count("C7", state, StubRng())
+        update_active_count(state, StubRng())
         seen.append(state.g)
     assert seen == [7, 6, 5, 4, 3, 2, 3, 4, 5, 6, 7, 8, 7]
 
@@ -231,7 +231,7 @@ def test_random_count_covers_its_range():
     rng = make_rng(11)
     seen = set()
     for _ in range(10000):
-        update_active_count("C8", state, rng)
+        update_active_count(state, rng)
         assert 2 <= state.g <= 8
         seen.add(state.g)
     assert seen == {2, 3, 4, 5, 6, 7, 8}
@@ -239,7 +239,7 @@ def test_random_count_covers_its_range():
 
 def test_count_update_rejects_other_modes():
     with pytest.raises(ValueError):
-        update_active_count("C1", ChangeState("C1", 8), StubRng())
+        update_active_count(ChangeState("C1", 8), StubRng())
 
 
 def test_initial_state_draws_do_not_depend_on_mode():

@@ -1,3 +1,4 @@
+import math
 from functools import cache
 
 import numpy as np
@@ -103,6 +104,21 @@ def test_rotation_from_pairs_matches_the_pair_by_pair_build(data):
     for angle in (shared, per_pair):
         assert (rotation_from_pairs(dim, pairs, angle).tobytes()
                 == helpers.rotation_from_pairs(dim, pairs, angle).tobytes())
+
+
+@given(st.lists(st.floats(-4.0 * math.pi, 4.0 * math.pi), min_size=1,
+                max_size=16), st.booleans())
+def test_array_sine_and_cosine_round_as_math_does(values, strided):
+    # the dynamics take np.sin and np.cos of arrays; where they round
+    # otherwise than math.sin and math.cos, this fails before a golden
+    # hash moves
+    args = np.array(values)
+    if strided:
+        args = np.repeat(args, 3)[::3]
+    for array_fn, scalar_fn in ((np.sin, math.sin), (np.cos, math.cos)):
+        expected = np.array([scalar_fn(value) for value in values])
+        assert array_fn(args).tobytes() == expected.tobytes()
+        assert array_fn(args[0]).tobytes() == expected[0].tobytes()
 
 
 @st.composite

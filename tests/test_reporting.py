@@ -7,6 +7,7 @@ import pytest
 from dmmobench.config import BenchmarkSettings
 from dmmobench.controller import PopulationSnapshot
 from dmmobench.core import PROBLEM_INDICES
+from dmmobench.optimizers import OPTIMIZERS
 from dmmobench import reporting
 from dmmobench.reporting import (
     ResultsTable,
@@ -72,6 +73,38 @@ def test_execute_run_scores_every_environment():
     assert result.snapshots is None
     kept = execute_run("P3", 2, settings=settings, keep_snapshots=True)
     assert len(kept.snapshots) == 3
+
+
+class EarlyReturn:
+    """Reports each environment's exact optima, spends its budget, and
+    returns after the next of `sealed` environment counts, before the
+    run froze."""
+
+    name = "early"
+    sealed = iter([])
+
+    def __init__(self, config):
+        pass
+
+    def optimize(self, instance, rng):
+        for env in range(1, next(self.sealed) + 1):
+            instance.report_population(instance.ground_truth(env)[0])
+            instance.evaluate_many(np.zeros(
+                (instance.remaining_budget(), instance.spec.dimension)))
+        return instance.snapshots
+
+
+def test_a_run_that_returns_before_it_froze_fails(monkeypatch):
+    monkeypatch.setitem(OPTIMIZERS, "early", EarlyReturn)
+    monkeypatch.setattr(EarlyReturn, "sealed", iter([1, 1, 2]))
+    settings = BenchmarkSettings(evals_per_dim=10, environments=5)
+    with pytest.raises(RuntimeError, match="1 of 5 environments sealed"):
+        execute_run("P1", 1, "early", settings)
+    # seeds that sealed different numbers of environments
+    report = run_benchmark(["P1"], [1, 2], "early", settings)
+    assert [f[:2] for f in report.failures] == [("P1", 1), ("P1", 2)]
+    assert "2 of 5 environments sealed" in report.failures[1][2]
+    assert report.table.rows == [] and report.records == {}
 
 
 def test_failures_do_not_poison_the_table(tmp_path):
@@ -159,6 +192,7 @@ BAD_ENVIRONMENTS = [
     (3, [1, 5], "env 5 outside 1..3"),
     (3, [1, 2, 2], "env 2 recorded twice"),
     (4, [1, 2], "recorded under environments 4, not 3"),
+    (3, [1, 3], "2 of 3 environments recorded"),
 ]
 
 
@@ -170,13 +204,6 @@ def test_rescore_rejects_environments_the_run_never_had(
     with pytest.raises(ValueError, match="snapshots_P1_seed1.txt") as info:
         rescore_snapshots(str(tmp_path), settings)
     assert message in str(info.value)
-
-
-def test_rescore_accepts_a_subset_of_the_environments(tmp_path):
-    write_snapshot_file(tmp_path, 3, [1, 3])
-    settings = BenchmarkSettings(evals_per_dim=20, environments=3)
-    report = rescore_snapshots(str(tmp_path), settings)
-    assert len(report.table.rows) == 1
 
 
 #: Lines that break a P1 (D=5) snapshot file when written as its sixth
@@ -233,8 +260,9 @@ IMPOSSIBLE_INDIVIDUALS = [
 def test_parse_names_an_impossible_individual(line):
     good = "individual 5 -5 0 0 0 fitness 75"
     text = "\n".join(["problem P1", "seed 1", "environments 3", "env 2",
-                      good, "env 1", good, "", good, line, good]) + "\n"
+                      good, "env 1", good, "", good, line, good,
+                      "env 3"]) + "\n"
     with pytest.raises(ValueError, match=f"line 10: malformed line {line!r}"):
         parse_snapshots(text, 3)
     _, _, snapshots = parse_snapshots(text.replace(line, good), 3)
-    assert [len(s) for s in snapshots] == [1, 4]
+    assert [len(s) for s in snapshots] == [1, 4, 0]
