@@ -14,9 +14,9 @@ whose names do not start with `test_`.
 import numpy as np
 import pytest
 
-from dmmobench import (AccuracyLevel, BenchmarkSettings, PopulationSnapshot,
-                       count_npf, create_problem, dump_environments_text,
-                       make_rng, problem_spec)
+from dmmobench import (BenchmarkSettings, PopulationSnapshot, count_npf,
+                       create_problem, dump_environments_text, make_rng,
+                       problem_spec)
 from dmmobench.composition import BASIC_FUNCTIONS, init_composition
 from dmmobench.config import OptimizerConfig
 from dmmobench.core import (CONE_FAMILIES, DOMAIN_HIGH, DOMAIN_LOW, RngStream,
@@ -229,14 +229,16 @@ def test_refresh_normalization(benchmark, family, dim):
 @pytest.mark.benchmark(group="count_npf")
 @pytest.mark.parametrize("dim", [5, 10])
 def test_count_npf(benchmark, dim):
-    """One environment's count at one level: 100 individuals, the first
-    of them on the cone problem's optima."""
+    """One environment's counts at the three default levels in one call:
+    100 individuals, the first of them on the cone problem's optima."""
     instance = create_problem(CONE_PROBLEMS[dim], 1, UNCHANGING)
     positions, values = instance.ground_truth(1)
     individuals = population(dim).reshape(-1, dim)
     individuals[:len(positions)] = positions
     snapshot = PopulationSnapshot(
         1, individuals, instance.landscape.evaluate_many(individuals))
+    settings = BenchmarkSettings()
     found = benchmark(count_npf, snapshot, (positions, values),
-                      AccuracyLevel(1e-3, 0.05))
-    assert found == len(positions)
+                      settings.fitness_accuracy_levels,
+                      settings.distance_accuracy)
+    assert found.tolist() == [len(positions)] * 3

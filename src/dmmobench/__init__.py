@@ -10,8 +10,7 @@ from .controller import (PopulationSnapshot, ProblemInstance, create_problem,
 from .core import (DOMAIN_HIGH, DOMAIN_LOW, PROBLEM_INDICES, PROBLEM_TABLE,
                    PlacementError, ProblemSpec, RngStream, RunFrozenError,
                    make_rng, problem_spec)
-from .metrics import (AccuracyLevel, RunRecord, best_worst, count_npf,
-                      peak_ratio, score_run)
+from .metrics import RunRecord, best_worst, count_npf, peak_ratio, score_run
 from .optimizers import OPTIMIZERS, CrowdingDE, RandomSearch, make_optimizer
 from .reporting import (BenchmarkReport, ResultsTable, execute_run,
                         export_landscape_grid, rescore_snapshots,
@@ -20,7 +19,6 @@ from .reporting import (BenchmarkReport, ResultsTable, execute_run,
 __version__ = "1.0.0"
 
 __all__ = [
-    "AccuracyLevel",
     "BenchmarkReport",
     "BenchmarkSettings",
     "ConfigError",

@@ -59,6 +59,9 @@ class BenchmarkSettings:
             raise ConfigError("min_peak_distance must be positive and finite")
         if not self.fitness_accuracy_levels:
             raise ConfigError("fitness_accuracy_levels must not be empty")
+        if len(set(self.fitness_accuracy_levels)) != len(
+                self.fitness_accuracy_levels):
+            raise ConfigError("fitness_accuracy_levels repeats a value")
         if not all(0 < value < math.inf for value in (
                 self.distance_accuracy, *self.fitness_accuracy_levels)):
             raise ConfigError("accuracy thresholds must be positive and finite")

@@ -4,67 +4,52 @@ An optimum counts as found when some reported individual is close to it
 in both position and fitness; each individual is matched only against
 its nearest optimum, and duplicates of an already-found optimum do not
 count again.  The headline score is found peaks over total peaks,
-summed across every run and environment.
+summed across every run and environment.  Every fitness accuracy is
+scored in one pass: the accuracy levels are the leading axis of the
+found counts.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class AccuracyLevel:
-    """Thresholds deciding whether an individual has found an optimum."""
-
-    fitness_accuracy: float
-    distance_accuracy: float
-
-    def __post_init__(self):
-        if self.fitness_accuracy <= 0 or self.distance_accuracy <= 0:
-            raise ValueError("accuracy thresholds must be positive")
-
-    @property
-    def key(self):
-        """Stable identifier used in file headers, e.g. 1e-03."""
-        return format(self.fitness_accuracy, ".0e")
-
-
-def count_npf(snapshot, optima, level):
-    """Number of distinct optima found by a population snapshot.
+def count_npf(snapshot, optima, fitness_accuracies, distance_accuracy):
+    """Number of distinct optima found by a population snapshot, one
+    count per fitness accuracy.
 
     `optima` is a (positions, values) pair.  Each individual is
     assigned to its nearest optimum by Euclidean distance (ties go to
-    the lowest optimum index); the optimum is found when the fitness
-    gap is below the fitness accuracy and the distance below the
-    distance accuracy, both strictly.  An individual never counts
+    the lowest optimum index); the optimum is found at an accuracy when
+    the fitness gap is below it and the distance below
+    `distance_accuracy`, both strictly.  An individual never counts
     toward a farther optimum, even if it would satisfy both thresholds
     there.
     """
-    positions, values = optima
+    positions, values = (np.asarray(part, dtype=float) for part in optima)
     individuals = np.asarray(snapshot.individuals, dtype=float)
-    if len(individuals) == 0 or len(positions) == 0:
-        return 0
     fitness = np.asarray(snapshot.fitness, dtype=float)
-    diff = individuals[:, None, :] - np.asarray(positions, dtype=float)[None]
+    diff = individuals[:, None, :] - positions[None]
     distances = np.sqrt((diff * diff).sum(-1))
-    nearest = distances.argmin(1)
-    hit = ((np.abs(fitness - np.asarray(values, dtype=float)[nearest])
-            < level.fitness_accuracy)
-           & (distances[np.arange(len(nearest)), nearest]
-              < level.distance_accuracy))
-    found = np.zeros(len(positions), dtype=bool)
-    found[nearest[hit]] = True
-    return int(np.count_nonzero(found))
+    # (individual, optimum) pairs of each individual and its nearest
+    # optimum, the first of a tie; a row without optima has none
+    nearest = distances == distances.min(1, keepdims=True, initial=np.inf)
+    nearest &= nearest.cumsum(1) == 1
+    close = nearest & (distances < distance_accuracy)
+    gaps = np.abs(fitness[:, None] - values)
+    levels = np.asarray(fitness_accuracies, dtype=float)
+    hit = (gaps < levels[:, None, None]) & close
+    return np.count_nonzero(hit.any(1), axis=1)
 
 
 class RunRecord:
     """Found-peak and total-peak counts, one row per run, one column
-    per environment."""
+    per environment; the found counts may carry a leading axis of
+    accuracy levels."""
 
     def __init__(self, npf, peaks):
         npf = np.asarray(npf, dtype=int)
         peaks = np.asarray(peaks, dtype=int)
-        if npf.ndim != 2 or npf.shape != peaks.shape:
+        if (peaks.ndim != 2 or npf.ndim not in (2, 3)
+                or npf.shape[-2:] != peaks.shape):
             raise ValueError(
                 f"need matching run-by-environment tables, got {npf.shape} "
                 f"and {peaks.shape}")
@@ -76,34 +61,36 @@ class RunRecord:
 
 def peak_ratio(record):
     """Found peaks over total peaks, both summed over runs and
-    environments."""
+    environments; one ratio per level of a record with levels."""
     total = record.peaks.sum()
     if total == 0:
         raise ValueError("record has no peaks")
-    return float(record.npf.sum() / total)
+    return record.npf.sum((-2, -1)) / total
 
 
 def best_worst(record):
-    """Peak ratios of the best and the worst run."""
+    """Peak ratios of the best and the worst run, per level of a record
+    with levels."""
     per_run_total = record.peaks.sum(1)
     if (per_run_total == 0).any():
         raise ValueError("every run needs at least one peak")
-    ratios = record.npf.sum(1) / per_run_total
-    return float(ratios.max()), float(ratios.min())
+    ratios = record.npf.sum(-1) / per_run_total
+    return ratios.max(-1), ratios.min(-1)
 
 
-def score_run(snapshots, ground_truth, levels):
-    """Score one run's snapshots at several accuracy levels in one pass.
+def score_run(snapshots, ground_truth, settings):
+    """Score one run's snapshots at every accuracy level of `settings`.
 
     `ground_truth(env)` gives environment `env`'s (positions, values).
-    Returns (peaks, counts): the per-environment optimum counts and a
-    dict mapping each level to its per-environment found counts.
+    Returns (peaks, npf): the per-environment optimum counts and an
+    array with one row of found counts per environment, one column per
+    fitness accuracy.
     """
-    peaks = []
-    counts = {level: [] for level in levels}
+    peaks, npf = [], []
     for snapshot in snapshots:
         optima = ground_truth(snapshot.environment)
         peaks.append(len(optima[0]))
-        for level in levels:
-            counts[level].append(count_npf(snapshot, optima, level))
-    return peaks, counts
+        npf.append(count_npf(snapshot, optima,
+                             settings.fitness_accuracy_levels,
+                             settings.distance_accuracy))
+    return peaks, np.array(npf)

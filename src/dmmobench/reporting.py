@@ -26,8 +26,8 @@ from .controller import (PopulationSnapshot, create_problem,
 from .core import (CONE_FAMILIES, DOMAIN_HIGH, DOMAIN_LOW, format_rows,
                    make_rng, problem_spec)
 # count_npf is unused here, but the benchmark's tracer patches it by name.
-from .metrics import (AccuracyLevel, RunRecord, best_worst,  # noqa: F401
-                      count_npf, peak_ratio, score_run)
+from .metrics import (RunRecord, best_worst, count_npf,  # noqa: F401
+                      peak_ratio, score_run)
 from .optimizers import make_optimizer
 
 #: Stream number of the optimizer's random draws; the problem side owns
@@ -35,33 +35,28 @@ from .optimizers import make_optimizer
 OPTIMIZER_STREAM = 1
 
 
-def accuracy_levels(settings):
-    """The accuracy levels a configuration scores."""
-    return tuple(AccuracyLevel(value, settings.distance_accuracy)
-                 for value in settings.fitness_accuracy_levels)
-
-
 @dataclass
 class RunResult:
-    """Scored outcome of one (problem, seed) run."""
+    """Scored outcome of one run: optima per environment, found counts
+    per environment and accuracy level, and the snapshots if kept."""
 
-    problem: str
-    seed: int
     peaks: list
-    counts: dict
+    npf: np.ndarray
     snapshots: object = None
 
 
 class ResultsTable:
-    """The per-problem score table: PR, Best, Worst at each level."""
+    """The per-problem score table: PR, Best, Worst at each level,
+    under the levels' column keys."""
 
-    def __init__(self, levels):
-        self.levels = levels
+    def __init__(self, keys):
+        self.keys = keys
         self.rows = []
 
     def add_row(self, index, group, cells):
-        for level in self.levels:
-            pr, best, worst = cells[level]
+        """Add a row; `cells` lists (pr, best, worst) per level, in the
+        order of the keys."""
+        for pr, best, worst in cells:
             if not worst <= pr <= best:
                 raise ValueError(
                     f"{index}: scores must satisfy worst <= PR <= best")
@@ -70,11 +65,11 @@ class ResultsTable:
     def _lines(self):
         """The header line and one line per row, as lists of fields."""
         headers = ["problem", "group"] + [
-            f"{name}_{level.key}" for level in self.levels
+            f"{name}_{key}" for key in self.keys
             for name in ("pr", "best", "worst")]
         return [headers] + [
-            [index, group] + [format(value, ".6f") for level in self.levels
-                              for value in cells[level]]
+            [index, group] + [format(value, ".6f") for cell in cells
+                              for value in cell]
             for index, group, cells in self.rows]
 
     def render(self):
@@ -112,9 +107,8 @@ def execute_run(problem, seed, optimizer="baseline",
         raise RuntimeError(
             f"optimizer {optimizer!r} returned with {len(instance.snapshots)}"
             f" of {settings.environments} environments sealed")
-    peaks, counts = score_run(instance.snapshots, instance.ground_truth,
-                              accuracy_levels(settings))
-    return RunResult(problem, seed, peaks, counts,
+    return RunResult(*score_run(instance.snapshots, instance.ground_truth,
+                                settings),
                      instance.snapshots if keep_snapshots else None)
 
 
@@ -133,7 +127,6 @@ def run_benchmark(problems, seeds, optimizer="baseline",
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    levels = accuracy_levels(settings)
     problems = list(problems)
     seeds = list(seeds)
     tasks = [(p, s, optimizer, settings, optimizer_config, save_snapshots)
@@ -158,10 +151,10 @@ def run_benchmark(problems, seeds, optimizer="baseline",
             except Exception as exc:
                 failures.append((problem, seed, repr(exc)))
 
-    table, records = _tabulate(problems, seeds, outcomes, levels)
+    table, records = _tabulate(problems, seeds, outcomes, settings)
     if out_dir is not None:
         _write_artifacts(out_dir, table, records, outcomes, problems, seeds,
-                         levels, settings, save_snapshots)
+                         settings, save_snapshots)
     return BenchmarkReport(table, records, failures)
 
 
@@ -172,37 +165,39 @@ def _cost_rank(problem):
     return spec.family in CONE_FAMILIES, -spec.dimension
 
 
-def _tabulate(problems, seeds, outcomes, levels):
-    """The score table and per-level run records of the scored runs.
+def _tabulate(problems, seeds, outcomes, settings):
+    """The score table and the run record of each problem's scored runs,
+    found counts shaped (level, run, environment).
 
-    A problem with no scored run gets neither a row nor records.
+    A column is keyed by its fitness accuracy in the fewest digits that
+    name it exactly (1e-03, 1.2e-03).  A problem with no scored run gets
+    neither a row nor a record.
     """
-    table = ResultsTable(levels)
+    table = ResultsTable([
+        np.format_float_scientific(value, trim="-", exp_digits=2)
+        for value in settings.fitness_accuracy_levels])
     records = {}
     for problem in problems:
         rows = [outcomes[(problem, seed)] for seed in seeds
                 if (problem, seed) in outcomes]
         if not rows:
             continue
-        peaks = np.array([r.peaks for r in rows])
-        records[problem] = {
-            level: RunRecord(np.array([r.counts[level] for r in rows]), peaks)
-            for level in levels}
-        table.add_row(problem, problem_spec(problem).group, {
-            level: (peak_ratio(record), *best_worst(record))
-            for level, record in records[problem].items()})
+        record = records[problem] = RunRecord(
+            np.moveaxis([r.npf for r in rows], -1, 0), [r.peaks for r in rows])
+        table.add_row(problem, problem_spec(problem).group,
+                      list(zip(peak_ratio(record), *best_worst(record))))
     return table, records
 
 
 def _write_artifacts(out_dir, table, records, outcomes, problems, seeds,
-                     levels, settings, save_snapshots):
+                     settings, save_snapshots):
     write_artifact(out_dir, "results.txt", table.render())
     write_artifact(out_dir, "results.csv", table.to_csv())
     for problem in problems:
         if problem not in records:
             continue
         write_artifact(out_dir, f"records_{problem}.csv", render_records_csv(
-            problem, seeds, outcomes, levels))
+            problem, seeds, outcomes, table.keys))
         if save_snapshots:
             for seed in seeds:
                 result = outcomes.get((problem, seed))
@@ -214,19 +209,16 @@ def _write_artifacts(out_dir, table, records, outcomes, problems, seeds,
                                      settings.environments))
 
 
-def render_records_csv(problem, seeds, outcomes, levels):
+def render_records_csv(problem, seeds, outcomes, keys):
     """Raw counts for one problem: a row per (seed, environment)."""
-    headers = ["seed", "env", "peaks"] + [f"npf_{lv.key}" for lv in levels]
-    lines = [",".join(headers)]
+    lines = [",".join(["seed", "env", "peaks"] + [f"npf_{k}" for k in keys])]
     for seed in seeds:
         result = outcomes.get((problem, seed))
         if result is None:
             continue
-        for env_index in range(len(result.peaks)):
-            row = [str(seed), str(env_index + 1),
-                   str(result.peaks[env_index])]
-            row += [str(result.counts[lv][env_index]) for lv in levels]
-            lines.append(",".join(row))
+        for env, (peaks, npf) in enumerate(zip(result.peaks, result.npf),
+                                           start=1):
+            lines.append(",".join(map(str, [seed, env, peaks, *npf])))
     return "\n".join(lines) + "\n"
 
 
@@ -258,14 +250,15 @@ def parse_snapshots(text, environments):
     line, and `problem` gives the dimension D.  Raises ValueError naming
     the line for a line that is neither blank nor starts with a header
     word, `env` or `individual`; a header line missing, repeated or
-    late; a declared run length other than `environments`; an `env`
-    line outside 1..environments or seen before; an `individual` line
-    before any `env` or not D coordinates, `fitness` and one value; a
-    line with a wrong value count or a value that does not parse; an
-    individual that `report_population` would refuse (a coordinate that
-    is not a finite number in the domain) or whose fitness is not
-    finite.  Raises ValueError too for a file without any `env` line,
-    and for one that does not record every environment of the run.
+    late; a negative seed; a declared run length other than
+    `environments`; an `env` line outside 1..environments or seen
+    before; an `individual` line before any `env` or not D coordinates,
+    `fitness` and one value; a line with a wrong value count or a value
+    that does not parse; an individual that `report_population` would
+    refuse (a coordinate that is not a finite number in the domain) or
+    whose fitness is not finite.  Raises ValueError too for a file
+    without any `env` line, and for one that does not record every
+    environment of the run.
     """
     header, firsts, dim = {}, {}, None
     # packed doubles: a quarter of the memory of a list of floats
@@ -285,6 +278,9 @@ def parse_snapshots(text, environments):
                 raise _malformed(number, line)
             header[key] = (fields[0] if key == "problem"
                            else _numbers(int, fields, number, line)[0])
+            if key == "seed" and header[key] < 0:
+                raise ValueError(
+                    f"line {number}: seed must be >= 0, got {header[key]}")
         elif key == "env":
             if len(fields) != 1:
                 raise _malformed(number, line)
@@ -357,7 +353,6 @@ def rescore_snapshots(out_dir, settings=BenchmarkSettings()):
     under, otherwise the replayed optima describe a different problem.
     Raises ValueError for two files that record the same run.
     """
-    levels = accuracy_levels(settings)
     names = sorted(name for name in os.listdir(out_dir)
                    if name.startswith("snapshots_") and name.endswith(".txt"))
     if not names:
@@ -380,12 +375,12 @@ def rescore_snapshots(out_dir, settings=BenchmarkSettings()):
         truths = {env: landscape.global_optima()
                   for env, landscape, _ in iterate_environments(
                       problem, seed, settings)}
-        peaks, counts = score_run(snapshots, truths.__getitem__, levels)
-        outcomes[(problem, seed)] = RunResult(problem, seed, peaks, counts)
+        outcomes[(problem, seed)] = RunResult(
+            *score_run(snapshots, truths.__getitem__, settings))
 
     problems = sorted({p for p, _ in outcomes}, key=lambda p: int(p[1:]))
     seeds = sorted({s for _, s in outcomes})
-    table, records = _tabulate(problems, seeds, outcomes, levels)
+    table, records = _tabulate(problems, seeds, outcomes, settings)
     return BenchmarkReport(table, records, [])
 
 

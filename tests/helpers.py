@@ -40,9 +40,10 @@ def rotation_from_pairs(dim, pairs, angles):
     return rotation
 
 
-def count_npf(snapshot, optima, level):
-    """Distinct optima found, one individual at a time: each matched
-    only to its nearest optimum, the lowest index on a tie."""
+def count_npf(snapshot, optima, fitness_accuracy, distance_accuracy):
+    """Distinct optima found at one fitness accuracy, one individual at
+    a time: each matched only to its nearest optimum, the lowest index
+    on a tie."""
     positions, values = optima
     individuals = np.asarray(snapshot.individuals, dtype=float)
     if len(individuals) == 0 or len(positions) == 0:
@@ -51,7 +52,7 @@ def count_npf(snapshot, optima, level):
     distances = np.sqrt((diff * diff).sum(-1))
     found = set()
     for i, j in enumerate(distances.argmin(1)):
-        if (abs(snapshot.fitness[i] - values[j]) < level.fitness_accuracy
-                and distances[i, j] < level.distance_accuracy):
+        if (abs(snapshot.fitness[i] - values[j]) < fitness_accuracy
+                and distances[i, j] < distance_accuracy):
             found.add(int(j))
     return len(found)

@@ -27,13 +27,12 @@ from dmmobench.core import (
 from dmmobench.dynamics import (random_pairing, random_rotation,
                                 rotation_from_pairs)
 from dmmobench.metrics import (
-    AccuracyLevel,
     RunRecord,
     best_worst,
     count_npf,
     peak_ratio,
 )
-from dmmobench.reporting import accuracy_levels, run_benchmark
+from dmmobench.reporting import run_benchmark
 from helpers import min_pairwise_distance
 
 
@@ -159,7 +158,8 @@ def test_criterion_06_count_modes():
     _ok(6)
 
 
-def _brute_force_npf(individuals, fitness, positions, values, level):
+def _brute_force_npf(individuals, fitness, positions, values,
+                     fitness_accuracy, distance_accuracy):
     found = set()
     for i in range(len(individuals)):
         best_j, best_d = None, None
@@ -170,14 +170,14 @@ def _brute_force_npf(individuals, fitness, positions, values, level):
                 best_j, best_d = j, d
         if best_j is None or best_j in found:
             continue
-        if (abs(fitness[i] - values[best_j]) < level.fitness_accuracy
-                and best_d < level.distance_accuracy):
+        if (abs(fitness[i] - values[best_j]) < fitness_accuracy
+                and best_d < distance_accuracy):
             found.add(best_j)
     return len(found)
 
 
 def test_criterion_07_npf_oracle_equivalence():
-    level = AccuracyLevel(1e-3, BenchmarkSettings().distance_accuracy)
+    distance = BenchmarkSettings().distance_accuracy
     rng = np.random.default_rng(77)
     for case in range(1000):
         dim = int(rng.integers(1, 6))
@@ -213,9 +213,9 @@ def test_criterion_07_npf_oracle_equivalence():
             else np.empty((0, dim))
         fitness = np.array(fitness)
         snapshot = PopulationSnapshot(1, individuals, fitness)
-        fast = count_npf(snapshot, (positions, values), level)
+        fast, = count_npf(snapshot, (positions, values), [1e-3], distance)
         slow = _brute_force_npf(individuals, fitness, positions, values,
-                                level)
+                                1e-3, distance)
         assert fast == slow, case
     _ok(7)
 
@@ -262,8 +262,7 @@ def test_criterion_09_determinism_reduced_budget(tmp_path):
 
 def test_criterion_10_baseline_beats_random():
     settings = BenchmarkSettings()
-    level = accuracy_levels(settings)[0]
-    assert level.fitness_accuracy == 1e-3
+    assert settings.fitness_accuracy_levels[0] == 1e-3
     seeds = [1, 2, 3, 4, 5]
     base = run_benchmark(["P1", "P2"], seeds, optimizer="baseline",
                          settings=settings)
@@ -271,8 +270,8 @@ def test_criterion_10_baseline_beats_random():
                          settings=settings)
     assert not base.failures and not ctrl.failures
     for problem in ("P1", "P2"):
-        pr_baseline = peak_ratio(base.records[problem][level])
-        pr_random = peak_ratio(ctrl.records[problem][level])
+        pr_baseline = peak_ratio(base.records[problem])[0]
+        pr_random = peak_ratio(ctrl.records[problem])[0]
         assert pr_baseline > pr_random
         assert pr_baseline > 0.0
     _ok(10)

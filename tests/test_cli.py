@@ -263,6 +263,9 @@ BAD_ARGUMENTS = [
     (["run", "--problems", "P1", "--seeds", "1", "--accuracy", ""],
      "accuracy"),
     (["score", "--accuracy", "1e-3,x"], "accuracy"),
+    (["run", "--problems", "P1", "--seeds", "1", "--accuracy", "1e-3,1e-3"],
+     "repeats"),
+    (["score", "--accuracy", "1e-3,1e-3"], "repeats"),
     (["dump", "--problems", "P1", "--seeds", "5-1"], "5-1"),
     (["dump", "--problems", "P0", "--seeds", "1"], "P0"),
     (["grid", "--problems", "P1", "--seeds", "1", "--env", "0"],

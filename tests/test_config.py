@@ -12,8 +12,10 @@ from dmmobench.config import (BenchmarkSettings, ConfigError, OptimizerConfig,
     "fitness_accuracy_levels = 1e-3, inf",
     "fitness_accuracy_levels = nan",
     "fitness_accuracy_levels = 0",
+    "fitness_accuracy_levels = 1e-3, 1e-3",
     "distance_accuracy = nan",
     "distance_accuracy = inf",
+    "distance_accuracy = -0.05",
     "min_peak_distance = nan",
     "min_peak_distance = inf",
     "min_peak_distance = 0",

@@ -6,18 +6,16 @@ import pytest
 from dmmobench.config import BenchmarkSettings
 from dmmobench.controller import PopulationSnapshot, create_problem
 from dmmobench.metrics import (
-    AccuracyLevel,
     RunRecord,
     best_worst,
     count_npf,
     peak_ratio,
     score_run,
 )
-from dmmobench.reporting import accuracy_levels
 
-#: The default settings' position tolerance and accuracy levels.
+#: The default settings' position tolerance and fitness accuracies.
 DISTANCE = BenchmarkSettings().distance_accuracy
-LEVELS = accuracy_levels(BenchmarkSettings())
+LEVELS = BenchmarkSettings().fitness_accuracy_levels
 
 
 def snap(individuals, fitness):
@@ -25,7 +23,8 @@ def snap(individuals, fitness):
                               np.asarray(fitness, dtype=float))
 
 
-def brute_force_npf(individuals, fitness, positions, values, level):
+def brute_force_npf(individuals, fitness, positions, values,
+                    fitness_accuracy, distance_accuracy):
     """Slow reference count written straight from the matching rule."""
     found = set()
     for i in range(len(individuals)):
@@ -37,71 +36,77 @@ def brute_force_npf(individuals, fitness, positions, values, level):
                 best_j, best_d = j, d
         if best_j is None or best_j in found:
             continue
-        if (abs(fitness[i] - values[best_j]) < level.fitness_accuracy
-                and best_d < level.distance_accuracy):
+        if (abs(fitness[i] - values[best_j]) < fitness_accuracy
+                and best_d < distance_accuracy):
             found.add(best_j)
     return len(found)
 
 
-LEVEL = AccuracyLevel(1e-3, DISTANCE)
+def count_at(snapshot, optima, fitness_accuracy=1e-3,
+             distance_accuracy=DISTANCE):
+    """count_npf at a single fitness accuracy."""
+    count, = count_npf(snapshot, optima, [fitness_accuracy],
+                       distance_accuracy)
+    return count
+
+
 OPTIMA = (np.array([[0.0, 0.0], [1.0, 1.0], [-2.0, 3.0]]),
           np.array([75.0, 75.0, 75.0]))
 
 
 def test_exact_population_finds_everything():
-    count = count_npf(snap(OPTIMA[0], OPTIMA[1]), OPTIMA, LEVEL)
+    count = count_at(snap(OPTIMA[0], OPTIMA[1]), OPTIMA)
     assert count == 3
 
 
 def test_duplicates_count_once():
     individuals = [[0.0, 0.0], [0.0, 0.0], [0.01, 0.0]]
-    count = count_npf(snap(individuals, [75.0] * 3), OPTIMA, LEVEL)
+    count = count_at(snap(individuals, [75.0] * 3), OPTIMA)
     assert count == 1
 
 
 def test_close_but_not_close_enough():
-    count = count_npf(snap([[0.06, 0.0]], [75.0]), OPTIMA, LEVEL)
+    count = count_at(snap([[0.06, 0.0]], [75.0]), OPTIMA)
     assert count == 0
 
 
 def test_fitness_gap_blocks_a_near_point():
-    count = count_npf(snap([[0.01, 0.0]], [75.0011]), OPTIMA, LEVEL)
+    count = count_at(snap([[0.01, 0.0]], [75.0011]), OPTIMA)
     assert count == 0
-    count = count_npf(snap([[0.01, 0.0]], [75.0009]), OPTIMA, LEVEL)
+    count = count_at(snap([[0.01, 0.0]], [75.0009]), OPTIMA)
     assert count == 1
 
 
 def test_thresholds_are_strict():
     # 0.25 is exactly representable, so both gaps land exactly on the
     # threshold and must be rejected
-    level = AccuracyLevel(fitness_accuracy=0.25, distance_accuracy=0.25)
     optima = (np.array([[0.0, 0.0, 0.0]]), np.array([75.0]))
     on_distance = snap([[0.25, 0.0, 0.0]], [75.0])
-    assert count_npf(on_distance, optima, level) == 0
+    assert count_at(on_distance, optima, 0.25, 0.25) == 0
     on_fitness = snap([[0.0, 0.0, 0.0]], [75.25])
-    assert count_npf(on_fitness, optima, level) == 0
+    assert count_at(on_fitness, optima, 0.25, 0.25) == 0
     inside = snap([[0.2, 0.0, 0.0]], [75.2])
-    assert count_npf(inside, optima, level) == 1
+    assert count_at(inside, optima, 0.25, 0.25) == 1
 
 
 def test_individual_only_scores_its_nearest_optimum():
     # the point satisfies both thresholds for optimum 0 but sits a hair
     # nearer to optimum 1, whose fitness it badly misses
     optima = (np.array([[0.0, 0.0], [0.04, 0.0]]), np.array([75.0, 30.0]))
-    count = count_npf(snap([[0.021, 0.0]], [75.0]), optima, LEVEL)
+    count = count_at(snap([[0.021, 0.0]], [75.0]), optima)
     assert count == 0
 
 
 def test_distance_ties_go_to_the_lowest_index():
     optima = (np.array([[-0.03, 0.0], [0.03, 0.0]]), np.array([75.0, 75.0]))
     population = snap([[0.0, 0.0], [0.0, 0.0]], [75.0, 75.0])
-    assert count_npf(population, optima, LEVEL) == 1
+    assert count_at(population, optima) == 1
 
 
 def test_empty_inputs():
-    assert count_npf(snap(np.empty((0, 2)), []), OPTIMA, LEVEL) == 0
+    assert count_at(snap(np.empty((0, 2)), []), OPTIMA) == 0
     empty = (np.empty((0, 2)), np.empty(0))
-    assert count_npf(snap([[0.0, 0.0]], [75.0]), empty, LEVEL) == 0
+    assert count_at(snap([[0.0, 0.0]], [75.0]), empty) == 0
 
 
 def test_matches_brute_force_on_random_cases():
@@ -116,10 +121,9 @@ def test_matches_brute_force_on_random_cases():
         individuals = positions[targets] + rng.normal(
             0, 0.03, (n_ind, dim))
         fitness = values[targets] + rng.normal(0, 1.5e-3, n_ind)
-        count = count_npf(snap(individuals, fitness),
-                          (positions, values), LEVEL)
+        count = count_at(snap(individuals, fitness), (positions, values))
         oracle = brute_force_npf(individuals, fitness, positions, values,
-                                 LEVEL)
+                                 1e-3, DISTANCE)
         assert count == oracle
 
 
@@ -130,11 +134,11 @@ def test_count_does_not_depend_on_individual_order():
     individuals = positions[rng.integers(0, 5, 20)] + rng.normal(
         0, 0.03, (20, 3))
     fitness = values[rng.integers(0, 5, 20)] + rng.normal(0, 1e-3, 20)
-    base = count_npf(snap(individuals, fitness), (positions, values), LEVEL)
+    base = count_at(snap(individuals, fitness), (positions, values))
     for _ in range(10):
         order = rng.permutation(20)
-        shuffled = count_npf(snap(individuals[order], fitness[order]),
-                             (positions, values), LEVEL)
+        shuffled = count_at(snap(individuals[order], fitness[order]),
+                            (positions, values))
         assert shuffled == base
 
 
@@ -146,18 +150,8 @@ def test_tighter_accuracy_never_finds_more():
         0, 0.02, (30, 3))
     fitness = values[rng.integers(0, 6, 30)] + rng.normal(0, 5e-4, 30)
     population = snap(individuals, fitness)
-    counts = [count_npf(population, (positions, values), level)
-              for level in LEVELS]
+    counts = count_npf(population, (positions, values), LEVELS, DISTANCE)
     assert counts[0] >= counts[1] >= counts[2]
-
-
-def test_accuracy_level_validation_and_key():
-    with pytest.raises(ValueError):
-        AccuracyLevel(0.0, DISTANCE)
-    with pytest.raises(ValueError):
-        AccuracyLevel(1e-3, -1.0)
-    assert AccuracyLevel(1e-3, DISTANCE).key == "1e-03"
-    assert AccuracyLevel(1e-5, DISTANCE).key == "1e-05"
 
 
 def test_run_record_validation():
@@ -191,6 +185,27 @@ def test_best_worst_brackets_the_peak_ratio():
     assert best_worst(RunRecord([[4], [0]], [[4], [4]])) == (1.0, 0.0)
 
 
+def test_a_record_with_levels_scores_each_level_as_its_slice():
+    rng = np.random.default_rng(43)
+    for _ in range(100):
+        peaks = rng.integers(2, 9, (5, 6))
+        npf = rng.integers(0, peaks + 1, (3, 5, 6))
+        record = RunRecord(npf, peaks)
+        ratios = peak_ratio(record)
+        best, worst = best_worst(record)
+        assert ratios.shape == best.shape == worst.shape == (3,)
+        for level in range(3):
+            part = RunRecord(npf[level], peaks)
+            assert ratios[level].tobytes() == peak_ratio(part).tobytes()
+            assert (best[level], worst[level]) == best_worst(part)
+    with pytest.raises(ValueError):
+        RunRecord(np.zeros((2, 5, 6)), np.ones((6, 5)))
+    with pytest.raises(ValueError):
+        RunRecord(np.zeros((1, 2, 5, 6)), np.ones((5, 6)))
+    with pytest.raises(ValueError):
+        RunRecord([[[1]], [[5]]], [[4]])
+
+
 def test_score_run_on_a_perfect_player():
     settings = BenchmarkSettings(evals_per_dim=4, environments=2)
     inst = create_problem("P2", 1, settings)
@@ -198,7 +213,6 @@ def test_score_run_on_a_perfect_player():
         positions, _ = inst.ground_truth(env)
         inst.report_population(positions)
         inst.evaluate_many(np.zeros((20, 5)))
-    peaks, counts = score_run(inst.snapshots, inst.ground_truth, LEVELS)
+    peaks, npf = score_run(inst.snapshots, inst.ground_truth, settings)
     assert peaks == [4, 4]
-    for level in LEVELS:
-        assert counts[level] == [4, 4]
+    assert npf.tolist() == [[4, 4, 4], [4, 4, 4]]

@@ -10,7 +10,7 @@ from dmmobench.controller import PopulationSnapshot, create_problem
 from dmmobench.core import format_rows, reflect_into_domain
 from dmmobench.dynamics import (ScalarChangeParams, _first_violation,
                                 apply_scalar_change, rotation_from_pairs)
-from dmmobench.metrics import AccuracyLevel, count_npf
+from dmmobench.metrics import count_npf
 
 
 class OneShotRng:
@@ -125,8 +125,9 @@ def test_array_sine_and_cosine_round_as_math_does(values, strided):
 def scorings(draw):
     """Optima on a quarter-unit lattice and individuals on an
     eighth-unit one, so that an individual is often equally near two
-    optima; some individuals are repeated, and fitness values sit on,
-    near or beyond the fitness thresholds."""
+    optima; some individuals are repeated, fitness values sit on, near
+    or beyond the fitness thresholds, and one to three distinct fitness
+    accuracies are scored together."""
     dim = draw(st.integers(1, 3))
     point = st.lists(lattice(0.25, 4), min_size=dim, max_size=dim)
     positions = draw(st.lists(point, max_size=5))
@@ -141,16 +142,21 @@ def scorings(draw):
     near = st.sampled_from(values or [0.0])
     offset = st.sampled_from([0.0, 5e-5, -5e-4, 1e-3, -2e-3, 1.0])
     fitness = [draw(near) + draw(offset) for _ in individuals]
-    level = AccuracyLevel(draw(st.sampled_from([1e-3, 1e-4])),
-                          draw(st.sampled_from([0.125, 0.3, 1.0])))
+    levels = draw(st.lists(st.sampled_from([1e-3, 1e-4, 5e-4, 2e-3]),
+                           min_size=1, max_size=3, unique=True))
+    distance = draw(st.sampled_from([0.125, 0.3, 1.0]))
     snapshot = PopulationSnapshot(
         1, np.reshape(individuals, (-1, dim)), np.array(fitness))
-    return snapshot, (np.reshape(positions, (-1, dim)), values), level
+    return (snapshot, (np.reshape(positions, (-1, dim)), values), levels,
+            distance)
 
 
 @given(scorings())
 def test_count_npf_matches_the_individual_by_individual_count(scoring):
-    assert count_npf(*scoring) == helpers.count_npf(*scoring)
+    snapshot, optima, levels, distance = scoring
+    assert count_npf(*scoring).tolist() == [
+        helpers.count_npf(snapshot, optima, level, distance)
+        for level in levels]
 
 
 #: Cone and composition problems of both dimensions, every kind of

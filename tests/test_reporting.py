@@ -12,7 +12,6 @@ from dmmobench import reporting
 from dmmobench.reporting import (
     ResultsTable,
     _cost_rank,
-    accuracy_levels,
     execute_run,
     parse_snapshots,
     render_snapshots,
@@ -21,15 +20,16 @@ from dmmobench.reporting import (
 )
 
 
-LEVELS = accuracy_levels(BenchmarkSettings())[:2]
+#: Column keys of two accuracy levels.
+KEYS = ["1e-03", "1e-04"]
 
 
 def cells(pr, best, worst):
-    return {level: (pr, best, worst) for level in LEVELS}
+    return [(pr, best, worst)] * len(KEYS)
 
 
 def test_table_rejects_inconsistent_rows():
-    table = ResultsTable(LEVELS)
+    table = ResultsTable(KEYS)
     table.add_row("P1", "G1", cells(0.5, 0.75, 0.25))
     with pytest.raises(ValueError):
         table.add_row("P2", "G1", cells(0.8, 0.75, 0.25))
@@ -38,13 +38,27 @@ def test_table_rejects_inconsistent_rows():
 
 
 def test_table_renders_six_decimals():
-    table = ResultsTable(LEVELS)
+    table = ResultsTable(KEYS)
     table.add_row("P1", "G1", cells(1 / 3, 0.5, 0.25))
     text = table.render()
     assert "0.333333" in text
     assert text.splitlines()[0].startswith("problem")
     csv = table.to_csv()
     assert csv.splitlines()[1] == "P1,G1,0.333333,0.500000,0.250000,0.333333,0.500000,0.250000"
+
+
+def test_every_accuracy_has_its_own_column(tmp_path):
+    settings = BenchmarkSettings(evals_per_dim=4, environments=1,
+                                 fitness_accuracy_levels=(1e-3, 1.2e-3,
+                                                          2.5e-6))
+    run_benchmark(["P1"], [1], settings=settings, out_dir=str(tmp_path))
+    keys = ["1e-03", "1.2e-03", "2.5e-06"]
+    results = (tmp_path / "results.csv").read_text().splitlines()
+    assert results[0].split(",") == ["problem", "group"] + [
+        f"{name}_{key}" for key in keys for name in ("pr", "best", "worst")]
+    records = (tmp_path / "records_P1.csv").read_text().splitlines()
+    assert records[0].split(",") == ["seed", "env", "peaks"] + [
+        f"npf_{key}" for key in keys]
 
 
 def test_snapshot_text_round_trip():
@@ -66,10 +80,9 @@ def test_snapshot_text_round_trip():
 def test_execute_run_scores_every_environment():
     settings = BenchmarkSettings(evals_per_dim=40, environments=3)
     result = execute_run("P3", 2, settings=settings)
-    assert result.problem == "P3"
     assert result.peaks == [4, 4, 4]
-    for level, counts in result.counts.items():
-        assert len(counts) == 3
+    # one row per environment, one column per accuracy level
+    assert result.npf.shape == (3, 3)
     assert result.snapshots is None
     kept = execute_run("P3", 2, settings=settings, keep_snapshots=True)
     assert len(kept.snapshots) == 3
@@ -113,7 +126,7 @@ def test_failures_do_not_poison_the_table(tmp_path):
                            out_dir=str(tmp_path))
     assert len(report.failures) == 1
     assert report.failures[0][:2] == ("P1", -3)
-    assert report.records["P1"][LEVELS[0]].npf.shape == (2, 2)
+    assert report.records["P1"].npf.shape == (3, 2, 2)
     assert len(report.table.rows) == 1
 
 
@@ -169,7 +182,7 @@ def test_pool_has_at_most_one_worker_per_run(monkeypatch):
     report = run_benchmark(["P1"], [1, 2], settings=settings, jobs=5000)
     assert worker_counts == [2]
     assert report.failures == []
-    assert report.records["P1"][LEVELS[0]].npf.shape == (2, 2)
+    assert report.records["P1"].npf.shape == (3, 2, 2)
 
 
 def test_cost_rank_puts_composition_and_higher_dimensions_first():
@@ -237,6 +250,15 @@ def test_rescore_names_a_malformed_line(tmp_path, line):
     with pytest.raises(ValueError, match="snapshots_P1_seed1.txt") as info:
         rescore_snapshots(str(tmp_path), settings)
     assert f"line 6: malformed line {line!r}" in str(info.value)
+
+
+def test_rescore_names_a_negative_seed(tmp_path):
+    path = write_snapshot_file(tmp_path, 3, [1, 2, 3])
+    path.write_text(path.read_text().replace("seed 1", "seed -1"))
+    settings = BenchmarkSettings(evals_per_dim=20, environments=3)
+    with pytest.raises(ValueError, match="snapshots_P1_seed1.txt") as info:
+        rescore_snapshots(str(tmp_path), settings)
+    assert "line 2: seed must be >= 0, got -1" in str(info.value)
 
 
 def test_parse_rejects_an_individual_before_any_environment():
