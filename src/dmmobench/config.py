@@ -123,14 +123,14 @@ def parse_value(key, raw, default):
     raise ConfigError(f"unsupported option type for {key}")
 
 
-def parse_config_text(text, settings=BenchmarkSettings(),
-                      optimizer=OptimizerConfig()):
-    """Apply key=value lines to the two config dataclasses.
+def parse_config_text(text):
+    """The two config dataclasses, defaults overridden by key=value lines.
 
     Lines are `key = value`; blank lines and `#` comments are ignored.
     Keys are field names of BenchmarkSettings or OptimizerConfig;
     anything else is an error.
     """
+    settings, optimizer = BenchmarkSettings(), OptimizerConfig()
     bench_defaults = {f.name: getattr(settings, f.name) for f in fields(settings)}
     opt_defaults = {f.name: getattr(optimizer, f.name) for f in fields(optimizer)}
 
@@ -159,7 +159,7 @@ def parse_config_text(text, settings=BenchmarkSettings(),
 def load_config(path=None):
     """Read a configuration file; None yields the defaults."""
     if path is None:
-        return BenchmarkSettings(), OptimizerConfig()
+        return parse_config_text("")
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()

@@ -176,7 +176,7 @@ def create_problem(index, seed, settings=BenchmarkSettings()):
 
 
 def iterate_environments(index, seed, settings=BenchmarkSettings(),
-                         environments=None, dim_override=None):
+                         dim_override=None):
     """Yield (env, landscape, state) for each environment in turn.
 
     Drives the dynamics directly, consuming no evaluation budget; used
@@ -188,14 +188,13 @@ def iterate_environments(index, seed, settings=BenchmarkSettings(),
     if dim_override is not None:
         spec = ProblemSpec(spec.index, spec.family, spec.mode, dim_override)
     instance = ProblemInstance(spec, seed, settings)
-    last = environments if environments is not None else settings.environments
     yield 1, instance.landscape, instance.state
-    for _ in range(2, last + 1):
+    for _ in range(2, settings.environments + 1):
         instance._advance()
         yield instance.t, instance.landscape, instance.state
 
 
-def format_environment(env, landscape, state):
+def format_environment(landscape, state):
     """One environment's full parameter set, laid out as the dump prints
     it: returns (labels, widths, values).
 
@@ -203,7 +202,7 @@ def format_environment(env, landscape, state):
     the floats in line order, copied so the landscape may change
     afterwards.  The first line is blank, to separate environments.
     """
-    labels = ["", f"env {env}", f"g {state.g}"]
+    labels = ["", f"env {state.t}", f"g {state.g}"]
     labels += [f"angle {name}" for name in state.angles]
     widths = [0, 0, 0] + [1] * len(state.angles)
     values = [list(state.angles.values())]
@@ -246,9 +245,9 @@ def dump_environments_text(index, seed, settings=BenchmarkSettings()):
     ]
     widths = [0] * len(labels)
     values = []
-    for env, landscape, state in iterate_environments(index, seed, settings):
+    for _, landscape, state in iterate_environments(index, seed, settings):
         env_labels, env_widths, env_values = format_environment(
-            env, landscape, state)
+            landscape, state)
         labels += env_labels
         widths += env_widths
         values.append(env_values)

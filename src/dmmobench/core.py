@@ -223,10 +223,6 @@ def _format_chunk(values, last):
     return text, exact | zero
 
 
-#: Length up to which numpy's pairwise summation runs one unrolled block.
-_PAIRWISE_BLOCK = 128
-
-
 def coordinate_sum(terms):
     """Sum over the leading axis, of length at least 1, bit for bit as
     numpy's `sum` adds the elements of one contiguous axis.
@@ -235,37 +231,29 @@ def coordinate_sum(terms):
     C-contiguous `t`, but each addition runs over whole arrays instead
     of one short loop per output element, which is faster when the
     summed axis is short and the others are long.  Numpy's order
-    (pairwise summation): fewer than 8 terms are added in order; up to
-    128 are gathered in eight interleaved accumulators, which are then
-    combined pairwise, and the tail is added in order; longer runs are
-    split at half their length rounded down to a multiple of 8 and the
-    two halves summed the same way.  The one difference: numpy starts
-    from +0.0, so from 8 terms on a sum of negative zeros only is +0.0
-    there and -0.0 here.  A sum of squares holds no negative zero.
+    (pairwise summation): fewer than 8 terms are added in order; 8 to
+    15 start from eight accumulators, one per term, which are combined
+    pairwise, and the tail is added in order.  From 16 terms on, which
+    no benchmark problem reaches, numpy sums a contiguous copy itself.
+    The one difference: numpy starts from +0.0, so for 8 to 15 terms a
+    sum of negative zeros only is +0.0 there and -0.0 here.  A sum of
+    squares holds no negative zero.
     """
     n = len(terms)
     if n < 8:
         # in order, from +0.0, whichever axis numpy iterates innermost
         return np.add.reduce(terms, axis=0)
-    if n <= _PAIRWISE_BLOCK:
-        blocked = n - n % 8
-        acc = terms[:8]
-        if blocked > 8:
-            acc = acc + terms[8:16]
-            for start in range(16, blocked, 8):
-                acc += terms[start:start + 8]
-        # one slab at a time: faster here than adding strided halves
-        total = acc[0] + acc[1]
-        total += acc[2] + acc[3]
-        right = acc[4] + acc[5]
-        right += acc[6] + acc[7]
-        total += right
-        for term in terms[blocked:]:
-            total += term
-        return total
-    half = n // 2
-    half -= half % 8
-    return coordinate_sum(terms[:half]) + coordinate_sum(terms[half:])
+    if n >= 16:
+        return np.ascontiguousarray(np.moveaxis(terms, 0, -1)).sum(-1)
+    # one slab at a time: faster here than adding strided halves
+    total = terms[0] + terms[1]
+    total += terms[2] + terms[3]
+    right = terms[4] + terms[5]
+    right += terms[6] + terms[7]
+    total += right
+    for term in terms[8:]:
+        total += term
+    return total
 
 
 def draw_spaced_points(count, dim, rng, min_dist):
@@ -279,11 +267,8 @@ def draw_spaced_points(count, dim, rng, min_dist):
     for i in range(count):
         for _ in range(PLACEMENT_ATTEMPTS):
             candidate = rng.uniform_vector(DOMAIN_LOW, DOMAIN_HIGH, dim)
-            if i == 0:
-                points[i] = candidate
-                break
             gaps = np.sqrt(((points[:i] - candidate) ** 2).sum(1))
-            if gaps.min() >= min_dist:
+            if gaps.min(initial=np.inf) >= min_dist:
                 points[i] = candidate
                 break
         else:

@@ -72,7 +72,6 @@ class CrowdingDE:
                                             rng)
         except RunFrozenError:
             pass
-        return instance.snapshots
 
     def _make_trials(self, pop, rng):
         subs, size, dim = pop.shape
@@ -196,7 +195,6 @@ class RandomSearch:
             points = points[keep]
             values = values[keep]
             instance.report_population(points)
-        return instance.snapshots
 
 
 OPTIMIZERS = {

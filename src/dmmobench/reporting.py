@@ -153,8 +153,7 @@ def run_benchmark(problems, seeds, optimizer="baseline",
 
     table, records = _tabulate(problems, seeds, outcomes, settings)
     if out_dir is not None:
-        _write_artifacts(out_dir, table, records, outcomes, problems, seeds,
-                         settings, save_snapshots)
+        _write_artifacts(out_dir, table, records, outcomes, problems, seeds)
     return BenchmarkReport(table, records, failures)
 
 
@@ -189,8 +188,7 @@ def _tabulate(problems, seeds, outcomes, settings):
     return table, records
 
 
-def _write_artifacts(out_dir, table, records, outcomes, problems, seeds,
-                     settings, save_snapshots):
+def _write_artifacts(out_dir, table, records, outcomes, problems, seeds):
     write_artifact(out_dir, "results.txt", table.render())
     write_artifact(out_dir, "results.csv", table.to_csv())
     for problem in problems:
@@ -198,15 +196,12 @@ def _write_artifacts(out_dir, table, records, outcomes, problems, seeds,
             continue
         write_artifact(out_dir, f"records_{problem}.csv", render_records_csv(
             problem, seeds, outcomes, table.keys))
-        if save_snapshots:
-            for seed in seeds:
-                result = outcomes.get((problem, seed))
-                if result is None or result.snapshots is None:
-                    continue
+        for seed in seeds:
+            result = outcomes.get((problem, seed))
+            if result is not None and result.snapshots is not None:
                 write_artifact(
                     out_dir, f"snapshots_{problem}_seed{seed}.txt",
-                    render_snapshots(problem, seed, result.snapshots,
-                                     settings.environments))
+                    render_snapshots(problem, seed, result.snapshots))
 
 
 def render_records_csv(problem, seeds, outcomes, keys):
@@ -222,10 +217,10 @@ def render_records_csv(problem, seeds, outcomes, keys):
     return "\n".join(lines) + "\n"
 
 
-def render_snapshots(problem, seed, snapshots, environments):
-    """Reported populations of one run, full precision, re-scorable."""
+def render_snapshots(problem, seed, snapshots):
+    """Reported populations of a frozen run, full precision, re-scorable."""
     blocks = [f"problem {problem}\nseed {seed}\n"
-              f"environments {environments}\n"]
+              f"environments {len(snapshots)}\n"]
     for snapshot in snapshots:
         count, dim = snapshot.individuals.shape
         # one block per environment bounds the formatter's temporaries
@@ -245,20 +240,21 @@ _SNAPSHOT_HEADER = ("problem", "seed", "environments")
 def parse_snapshots(text, environments):
     """Inverse of render_snapshots, checked against the run length.
 
-    Returns (problem, seed, snapshots).  The header lines `problem`,
+    Returns (problem, seed, snapshots), the snapshots in environment
+    order whatever the order of the blocks.  The header lines `problem`,
     `seed` and `environments` each come once before the first `env`
     line, and `problem` gives the dimension D.  Raises ValueError naming
     the line for a line that is neither blank nor starts with a header
     word, `env` or `individual`; a header line missing, repeated or
-    late; a negative seed; a declared run length other than
-    `environments`; an `env` line outside 1..environments or seen
-    before; an `individual` line before any `env` or not D coordinates,
-    `fitness` and one value; a line with a wrong value count or a value
-    that does not parse; an individual that `report_population` would
-    refuse (a coordinate that is not a finite number in the domain) or
-    whose fitness is not finite.  Raises ValueError too for a file
-    without any `env` line, and for one that does not record every
-    environment of the run.
+    late; an unknown problem; a negative seed; a declared run length
+    other than `environments`; an `env` line outside 1..environments or
+    seen before; an `individual` line before any `env` or not D
+    coordinates, `fitness` and one value; a line with a wrong value
+    count or a value that does not parse; an individual that
+    `report_population` would refuse (a coordinate that is not a finite
+    number in the domain) or whose fitness is not finite.  Raises
+    ValueError too for a file without any `env` line, and for one that
+    does not record every environment of the run.
     """
     header, firsts, dim = {}, {}, None
     # packed doubles: a quarter of the memory of a list of floats
@@ -276,8 +272,13 @@ def parse_snapshots(text, environments):
         elif key in _SNAPSHOT_HEADER:
             if len(fields) != 1 or dim is not None or key in header:
                 raise _malformed(number, line)
-            header[key] = (fields[0] if key == "problem"
-                           else _numbers(int, fields, number, line)[0])
+            if key == "problem":
+                try:
+                    header[key] = problem_spec(fields[0])
+                except ValueError as exc:
+                    raise ValueError(f"line {number}: {exc}") from None
+            else:
+                header[key] = _numbers(int, fields, number, line)[0]
             if key == "seed" and header[key] < 0:
                 raise ValueError(
                     f"line {number}: seed must be >= 0, got {header[key]}")
@@ -294,7 +295,7 @@ def parse_snapshots(text, environments):
                     raise ValueError(
                         f"line {number}: recorded under environments "
                         f"{header['environments']}, not {environments}")
-                dim = problem_spec(header["problem"]).dimension
+                dim = header["problem"].dimension
             if not 1 <= env <= environments:
                 raise ValueError(
                     f"line {number}: env {env} outside 1..{environments}")
@@ -320,8 +321,8 @@ def parse_snapshots(text, environments):
     bounds = [*firsts.values(), len(fitness)]
     snapshots = [
         PopulationSnapshot(env, individuals[first:end], fitness[first:end])
-        for env, first, end in zip(firsts, bounds, bounds[1:])]
-    return header["problem"], header["seed"], snapshots
+        for env, first, end in sorted(zip(firsts, bounds, bounds[1:]))]
+    return header["problem"].index, header["seed"], snapshots
 
 
 def _individual_line(lines, index):
@@ -400,10 +401,10 @@ def export_landscape_grid(problem, seed, env=1, resolution=101,
             f"environment {env} outside 1..{settings.environments}")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    for _, landscape, _ in iterate_environments(
-            problem, seed, settings, environments=env,
-            dim_override=dim_override):
-        pass  # the landscape left is that of environment `env`
+    for t, landscape, _ in iterate_environments(
+            problem, seed, settings, dim_override=dim_override):
+        if t == env:
+            break
 
     axis = np.linspace(DOMAIN_LOW, DOMAIN_HIGH, resolution)
     samples = np.empty((resolution, resolution))

@@ -196,7 +196,7 @@ def test_different_seeds_differ():
 
 def test_iterate_environments_spans_requested_range():
     seen = [env for env, _, _ in
-            iterate_environments("P4", 2, tiny_settings(), environments=3)]
+            iterate_environments("P4", 2, tiny_settings())]
     assert seen == [1, 2, 3]
 
 

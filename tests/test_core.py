@@ -207,9 +207,12 @@ def test_coordinate_sum_adds_in_numpys_order(shape):
             -3, 3, shape + (dim,))
         diff = a - rng.standard_normal(shape + (dim,))
         expected = (diff * diff).sum(-1)
-        got = coordinate_sum(np.moveaxis(diff * diff, -1, 0))
-        assert got.shape == expected.shape
-        assert got.tobytes() == expected.tobytes(), dim
+        strided = np.moveaxis(diff * diff, -1, 0)
+        # the strided view, and the contiguous layout the call sites pass
+        for terms in (strided, np.ascontiguousarray(strided)):
+            got = coordinate_sum(terms)
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes(), dim
 
 
 

@@ -356,7 +356,7 @@ def _trajectory(family, mode, dim, seed=7):
     for env in range(1, settings.environments + 1):
         if env > 1:
             advance_environment(landscape, state, rng, settings)
-        labels, _, values = format_environment(env, landscape, state)
+        labels, _, values = format_environment(landscape, state)
         yield "\n".join(labels).encode("utf-8")
         yield values.tobytes()
 
@@ -426,5 +426,5 @@ def test_batches_spanning_environments_match_stored_hashes(optimizer,
     settings = BenchmarkSettings(evals_per_dim=evals_per_dim, environments=6)
     instance = create_problem("P1", 2, settings)
     make_optimizer(optimizer).optimize(instance, RngStream(2, stream=1))
-    text = render_snapshots("P1", 2, instance.snapshots, settings.environments)
+    text = render_snapshots("P1", 2, instance.snapshots)
     assert _sha(text) == SPANNING[optimizer][evals_per_dim]

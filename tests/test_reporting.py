@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dmmobench.config import BenchmarkSettings
-from dmmobench.controller import PopulationSnapshot
+from dmmobench.controller import PopulationSnapshot, create_problem
 from dmmobench.core import PROBLEM_INDICES
 from dmmobench.optimizers import OPTIMIZERS
 from dmmobench import reporting
@@ -68,7 +68,7 @@ def test_snapshot_text_round_trip():
         PopulationSnapshot(2, np.empty((0, 5)), np.empty(0)),
         PopulationSnapshot(3, rng.uniform(-5, 5, (1, 5)), rng.uniform(0, 75, 1)),
     ]
-    text = render_snapshots("P9", 12, snapshots, 3)
+    text = render_snapshots("P9", 12, snapshots)
     problem, seed, parsed = parse_snapshots(text, 3)
     assert (problem, seed) == ("P9", 12)
     assert [s.environment for s in parsed] == [1, 2, 3]
@@ -261,6 +261,31 @@ def test_rescore_names_a_negative_seed(tmp_path):
     assert "line 2: seed must be >= 0, got -1" in str(info.value)
 
 
+def test_rescore_names_an_unknown_problem_at_its_line(tmp_path):
+    path = write_snapshot_file(tmp_path, 3, [1, 2, 3])
+    path.write_text(path.read_text().replace("problem P1", "problem P99"))
+    settings = BenchmarkSettings(evals_per_dim=20, environments=3)
+    with pytest.raises(ValueError, match="snapshots_P1_seed1.txt") as info:
+        rescore_snapshots(str(tmp_path), settings)
+    assert ("line 1: unknown problem index 'P99'; expected P1..P24"
+            in str(info.value))
+
+
+def test_rescore_scores_environments_in_order_whatever_the_file_order(
+        tmp_path):
+    # environment 1's exact optima, recorded between environments 2 and 3
+    settings = BenchmarkSettings(evals_per_dim=20, environments=3)
+    positions, values = create_problem("P1", 1, settings).ground_truth(1)
+    empty = (np.empty((0, 5)), np.empty(0))
+    snapshots = [PopulationSnapshot(2, *empty),
+                 PopulationSnapshot(1, positions, values),
+                 PopulationSnapshot(3, *empty)]
+    (tmp_path / "snapshots_P1_seed1.txt").write_text(
+        render_snapshots("P1", 1, snapshots))
+    report = rescore_snapshots(str(tmp_path), settings)
+    assert report.records["P1"].npf.tolist() == [[[4, 0, 0]]] * 3
+
+
 def test_parse_rejects_an_individual_before_any_environment():
     text = "problem P1\nseed 1\nindividual 0 0 0 0 0 fitness 0\nenv 1\n"
     with pytest.raises(ValueError, match="line 3"):
@@ -287,4 +312,4 @@ def test_parse_names_an_impossible_individual(line):
     with pytest.raises(ValueError, match=f"line 10: malformed line {line!r}"):
         parse_snapshots(text, 3)
     _, _, snapshots = parse_snapshots(text.replace(line, good), 3)
-    assert [len(s) for s in snapshots] == [1, 4, 0]
+    assert [len(s) for s in snapshots] == [4, 1, 0]
