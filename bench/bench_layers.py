@@ -194,7 +194,8 @@ def changing_run(problem, settings, seed=1):
     init = init_df if spec.family in CONE_FAMILIES else init_composition
     landscape = init(spec.family, spec.dimension, rng,
                      settings.min_peak_distance)
-    return landscape, init_change_state(landscape, spec.mode, rng), rng
+    state = init_change_state(landscape, spec.mode, rng, settings)
+    return landscape, state, rng
 
 
 @pytest.mark.benchmark(group="advance_environment")
@@ -206,7 +207,7 @@ def test_advance_environment(benchmark, problem):
 
     def advance_60(landscape, state, rng):
         for _ in range(60):
-            advance_environment(landscape, state, rng, settings)
+            advance_environment(landscape, state, rng)
         return state.t
 
     t = benchmark.pedantic(

@@ -50,7 +50,8 @@ class ProblemInstance:
         init = init_df if spec.family in CONE_FAMILIES else init_composition
         self.landscape = init(spec.family, spec.dimension, self._rng,
                               settings.min_peak_distance)
-        self.state = init_change_state(self.landscape, spec.mode, self._rng)
+        self.state = init_change_state(self.landscape, spec.mode, self._rng,
+                                       settings)
         self.budget = settings.environment_budget(spec.dimension)
         self.evaluations_used_in_env = 0
         self.frozen = False
@@ -146,8 +147,7 @@ class ProblemInstance:
             self._advance()
 
     def _advance(self):
-        advance_environment(self.landscape, self.state, self._rng,
-                            self.settings)
+        advance_environment(self.landscape, self.state, self._rng)
         self.evaluations_used_in_env = 0
         self._archive_ground_truth()
 

@@ -46,8 +46,8 @@ class ScalarChangeParams:
     e_min: float
     e_max: float
     severity: float
-    phase: float = 0.0
-    settings: BenchmarkSettings = BenchmarkSettings()
+    phase: float
+    settings: BenchmarkSettings
 
     @property
     def e_range(self):
@@ -189,17 +189,19 @@ def _first_violation(points, min_dist):
 
 
 class ChangeState:
-    """Mutable per-run dynamics state.
+    """Mutable per-run dynamics state under the run's `settings`.
 
     Each rotated parameter ("positions" for cone landscapes, "shifts"
     and "rotations" for compositions) keeps its frozen initial value in
     `bases`, a frozen dimension pairing (held as the `_pair_entries` of
-    its rotation matrices), a phase, and the current angle.
-    `t` is the index of the current environment, starting at 1.
+    its rotation matrices), and the current angle.  `rules` holds the
+    fixed change rule of each angle and of a cone landscape's "heights"
+    and "widths".  `t` is the index of the current environment, from 1.
     """
 
-    def __init__(self, mode, g_max):
+    def __init__(self, mode, g_max, settings):
         self.mode = mode
+        self.settings = settings
         self.t = 1
         self.g_max = g_max
         self.g = g_max
@@ -207,12 +209,12 @@ class ChangeState:
         self.angles = {}
         self.pairings = {}
         self.bases = {}
-        self.angle_phases = {}
-        self.scalar_phases = {}
+        self.rules = {}
 
 
-def init_change_state(landscape, mode, rng):
-    """Draw the frozen randomness of a run's dynamics.
+def init_change_state(landscape, mode, rng, settings):
+    """Draw the frozen randomness of a run's dynamics and fix its change
+    rules under `settings`.
 
     The draw sequence is identical for every change mode, so a given
     seed yields the same initial environment no matter which mode later
@@ -220,22 +222,29 @@ def init_change_state(landscape, mode, rng):
     phase; then height phases; then width phases.
     """
     if landscape.kind == "df":
-        state = ChangeState(mode, landscape.n_global)
+        state = ChangeState(mode, landscape.n_global, settings)
         rotated = ("positions",)
     else:
-        state = ChangeState(mode, landscape.n_components)
+        state = ChangeState(mode, landscape.n_components, settings)
         rotated = ("shifts", "rotations")
+    arc = RECURRENT_ANGLE_RANGE if mode in ("C5", "C6") else FULL_ANGLE_RANGE
     for name in rotated:
         state.pairings[name] = _pair_entries(
             landscape.dim, random_pairing(landscape.dim, rng))
-        state.angle_phases[name] = rng.uniform(0.0, 2.0 * math.pi)
+        state.rules[name] = ScalarChangeParams(
+            *arc, settings.rotation_severity,
+            rng.uniform(0.0, 2.0 * math.pi), settings)
         state.angles[name] = 0.0
     if landscape.kind == "df":
         state.bases["positions"] = landscape.positions.copy()
-        state.scalar_phases["heights"] = rng.uniform_vector(
-            0.0, 2.0 * math.pi, landscape.n_local)
-        state.scalar_phases["widths"] = rng.uniform_vector(
-            0.0, 2.0 * math.pi, landscape.n_peaks)
+        state.rules["heights"] = ScalarChangeParams(
+            LOCAL_HEIGHT_LOW, LOCAL_HEIGHT_HIGH, settings.height_severity,
+            rng.uniform_vector(0.0, 2.0 * math.pi, landscape.n_local),
+            settings)
+        state.rules["widths"] = ScalarChangeParams(
+            WIDTH_LOW, WIDTH_HIGH, settings.width_severity,
+            rng.uniform_vector(0.0, 2.0 * math.pi, landscape.n_peaks),
+            settings)
     else:
         state.bases["shifts"] = landscape.shifts.copy()
         state.bases["rotations"] = landscape.rotations.copy()
@@ -261,35 +270,31 @@ def update_active_count(state, rng):
             f"mode {state.mode!r} does not vary the optimum count")
 
 
-def apply_matrix_change(name, state, rng, settings):
+def apply_matrix_change(name, state, rng):
     """Advance the named rotated parameter and return its new value.
 
-    The stored angle steps like any scalar, within the bounds of the
-    state's mode; the result is the frozen initial parameter rotated by
-    the whole current angle, about the domain center, rather than a
-    cumulative product of sixty slightly-off incremental rotations.
+    The stored angle steps like any scalar, under its rule; the result
+    is the frozen initial parameter rotated by the whole current angle,
+    about the domain center, rather than a cumulative product of sixty
+    slightly-off incremental rotations.
     """
-    low, high = (RECURRENT_ANGLE_RANGE if state.mode in ("C5", "C6")
-                 else FULL_ANGLE_RANGE)
-    params = ScalarChangeParams(low, high, settings.rotation_severity,
-                                state.angle_phases[name], settings)
     state.angles[name] = float(apply_scalar_change(
-        state.mode, state.angles[name], state.t, params, rng))
+        state.mode, state.angles[name], state.t, state.rules[name], rng))
     base = state.bases[name]
     rotation = _rotation(
         base.shape[-1], state.pairings[name], state.angles[name])
     return base @ rotation
 
 
-def _move_optima(name, state, rng, settings):
+def _move_optima(name, state, rng):
     """The named optimum set rotated, reflected into the domain and
-    repaired to the configured spacing."""
-    moved = apply_matrix_change(name, state, rng, settings)
+    repaired to the run's spacing."""
+    moved = apply_matrix_change(name, state, rng)
     return enforce_min_distance(reflect_into_domain(moved), rng,
-                                min_dist=settings.min_peak_distance)
+                                min_dist=state.settings.min_peak_distance)
 
 
-def advance_environment(landscape, state, rng, settings):
+def advance_environment(landscape, state, rng):
     """Mutate the landscape and state into the next environment.
 
     Draw order is part of the reproducibility contract: the
@@ -300,30 +305,24 @@ def advance_environment(landscape, state, rng, settings):
     if state.mode in ("C7", "C8"):
         update_active_count(state, rng)
     if landscape.kind == "df":
-        _advance_df(landscape, state, rng, settings)
+        _advance_df(landscape, state, rng)
     else:
-        _advance_composition(landscape, state, rng, settings)
+        _advance_composition(landscape, state, rng)
     landscape.set_active_count(state.g)
     state.t += 1
 
 
-def _advance_df(landscape, state, rng, settings):
+def _advance_df(landscape, state, rng):
     local = slice(landscape.n_global, None)
-    heights = ScalarChangeParams(LOCAL_HEIGHT_LOW, LOCAL_HEIGHT_HIGH,
-                                 settings.height_severity,
-                                 state.scalar_phases["heights"], settings)
     landscape.heights[local] = apply_scalar_change(
-        state.mode, landscape.heights[local], state.t, heights, rng)
-    widths = ScalarChangeParams(WIDTH_LOW, WIDTH_HIGH,
-                                settings.width_severity,
-                                state.scalar_phases["widths"], settings)
+        state.mode, landscape.heights[local], state.t,
+        state.rules["heights"], rng)
     landscape.widths[:] = apply_scalar_change(
-        state.mode, landscape.widths, state.t, widths, rng)
-    landscape.positions = _move_optima("positions", state, rng, settings)
+        state.mode, landscape.widths, state.t, state.rules["widths"], rng)
+    landscape.positions = _move_optima("positions", state, rng)
 
 
-def _advance_composition(landscape, state, rng, settings):
-    landscape.shifts = _move_optima("shifts", state, rng, settings)
-    landscape.rotations = apply_matrix_change(
-        "rotations", state, rng, settings)
+def _advance_composition(landscape, state, rng):
+    landscape.shifts = _move_optima("shifts", state, rng)
+    landscape.rotations = apply_matrix_change("rotations", state, rng)
     landscape.refresh_normalization()

@@ -237,10 +237,12 @@ def test_criterion_08_metric_algebra():
 def _twice(tmp_path, tag, settings):
     renders = []
     payloads = []
-    for attempt in ("a", "b"):
+    # the second attempt runs in a pool, so the artifacts are also shown
+    # not to depend on the number of jobs
+    for attempt, jobs in (("a", 1), ("b", 2)):
         out = tmp_path / f"{tag}_{attempt}"
         report = run_benchmark(["P1"], [1, 2, 3], settings=settings,
-                               out_dir=str(out))
+                               out_dir=str(out), jobs=jobs)
         assert not report.failures
         renders.append(report.table.render())
         payloads.append({name: (out / name).read_bytes()
@@ -265,9 +267,9 @@ def test_criterion_10_baseline_beats_random():
     assert settings.fitness_accuracy_levels[0] == 1e-3
     seeds = [1, 2, 3, 4, 5]
     base = run_benchmark(["P1", "P2"], seeds, optimizer="baseline",
-                         settings=settings)
+                         settings=settings, jobs=2)
     ctrl = run_benchmark(["P1", "P2"], seeds, optimizer="random",
-                         settings=settings)
+                         settings=settings, jobs=2)
     assert not base.failures and not ctrl.failures
     for problem in ("P1", "P2"):
         pr_baseline = peak_ratio(base.records[problem])[0]

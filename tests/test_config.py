@@ -27,6 +27,11 @@ from dmmobench.config import (BenchmarkSettings, ConfigError, OptimizerConfig,
     "height_severity = -7",
     "width_severity = inf",
     "rotation_severity = -1",
+    "period = 0",
+    "subpopulations = 0",
+    "crossover_rate = 1.5",
+    "reinit_fraction = 1.5",
+    "memory_size = -1",
     # older versions had this option; the index is now always public
     "expose_environment_index = true",
 ])

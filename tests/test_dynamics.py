@@ -41,7 +41,7 @@ class StubRng:
         return np.broadcast_to(self.normals.pop(0), size)
 
 
-HEIGHT_PARAMS = ScalarChangeParams(30.0, 70.0, 7.0)
+HEIGHT_PARAMS = ScalarChangeParams(30.0, 70.0, 7.0, 0.0, SETTINGS)
 
 
 def test_small_step_hand_value():
@@ -92,7 +92,7 @@ def test_recurrent_hand_value():
 
 
 def test_recurrent_is_periodic_in_t():
-    params = ScalarChangeParams(30.0, 70.0, 7.0, phase=1.234)
+    params = ScalarChangeParams(30.0, 70.0, 7.0, 1.234, SETTINGS)
     for t in range(1, 25):
         a = apply_scalar_change("C5", 0.0, t, params, StubRng())
         b = apply_scalar_change("C5", 99.0, t + 12, params, StubRng())
@@ -199,7 +199,7 @@ def test_spacing_repair_gives_up_eventually():
 
 
 def _count_state(mode, g, direction, g_max=8):
-    state = ChangeState(mode, g_max)
+    state = ChangeState(mode, g_max, SETTINGS)
     state.g = g
     state.direction = direction
     return state
@@ -218,7 +218,7 @@ def test_sweep_reverses_at_floor():
 
 
 def test_sweep_walks_a_triangle_wave():
-    state = ChangeState("C7", 8)
+    state = ChangeState("C7", 8, SETTINGS)
     seen = []
     for _ in range(13):
         update_active_count(state, StubRng())
@@ -227,7 +227,7 @@ def test_sweep_walks_a_triangle_wave():
 
 
 def test_random_count_covers_its_range():
-    state = ChangeState("C8", 8)
+    state = ChangeState("C8", 8, SETTINGS)
     rng = make_rng(11)
     seen = set()
     for _ in range(10000):
@@ -239,26 +239,42 @@ def test_random_count_covers_its_range():
 
 def test_count_update_rejects_other_modes():
     with pytest.raises(ValueError):
-        update_active_count(ChangeState("C1", 8), StubRng())
+        update_active_count(ChangeState("C1", 8, SETTINGS), StubRng())
 
 
 def test_initial_state_draws_do_not_depend_on_mode():
     landscapes = [init_df("F1", 5, make_rng(3), SPACING) for _ in range(2)]
-    state_a = init_change_state(landscapes[0], "C1", make_rng(4))
-    state_b = init_change_state(landscapes[1], "C8", make_rng(4))
+    state_a = init_change_state(landscapes[0], "C1", make_rng(4), SETTINGS)
+    state_b = init_change_state(landscapes[1], "C8", make_rng(4), SETTINGS)
     assert np.array_equal(state_a.pairings["positions"],
                           state_b.pairings["positions"])
-    assert state_a.angle_phases["positions"] == state_b.angle_phases["positions"]
-    assert np.array_equal(state_a.scalar_phases["heights"],
-                          state_b.scalar_phases["heights"])
+    for name in ("positions", "heights", "widths"):
+        assert np.array_equal(state_a.rules[name].phase,
+                              state_b.rules[name].phase)
     assert state_b.g == state_b.g_max  # everything active in environment 1
+
+
+def test_changes_follow_the_settings_the_run_started_with():
+    settings = BenchmarkSettings(min_peak_distance=2.0, height_severity=3.0,
+                                 width_severity=2.0, rotation_severity=0.5)
+    rng = make_rng(1)
+    landscape = init_df("F2", 2, rng, settings.min_peak_distance)
+    state = init_change_state(landscape, "C1", rng, settings)
+    assert [state.rules[name].severity
+            for name in ("positions", "heights", "widths")] == [0.5, 3.0, 2.0]
+    assert all(rule.settings is settings for rule in state.rules.values())
+    for _ in range(5):
+        advance_environment(landscape, state, rng)
+        # pairs reflect to about 1.41 apart here, far above the default
+        # spacing, so only a repair to the run's own spacing parts them
+        assert min_pairwise_distance(landscape.positions) >= 2.0
 
 
 def test_one_change_keeps_cone_invariants():
     rng = make_rng(21)
     landscape = init_df("F2", 5, rng, SPACING)
-    state = init_change_state(landscape, "C1", rng)
-    advance_environment(landscape, state, rng, SETTINGS)
+    state = init_change_state(landscape, "C1", rng, SETTINGS)
+    advance_environment(landscape, state, rng)
     assert state.t == 2
     assert (landscape.heights[:4] == 75.0).all()
     assert ((landscape.widths >= 1.0) & (landscape.widths <= 12.0)).all()
@@ -269,9 +285,9 @@ def test_one_change_keeps_cone_invariants():
 def test_sixty_changes_keep_rotations_orthogonal():
     rng = make_rng(22)
     landscape = init_composition("F5", 5, rng, SPACING)
-    state = init_change_state(landscape, "C1", rng)
+    state = init_change_state(landscape, "C1", rng, SETTINGS)
     for _ in range(59):
-        advance_environment(landscape, state, rng, SETTINGS)
+        advance_environment(landscape, state, rng)
     for matrix in landscape.rotations:
         assert np.abs(matrix @ matrix.T - np.eye(5)).max() <= 1e-9
     assert min_pairwise_distance(landscape.shifts) >= 0.1 - 1e-12
@@ -280,10 +296,10 @@ def test_sixty_changes_keep_rotations_orthogonal():
 def test_recurrent_shifts_revisit_exactly():
     rng = make_rng(23)
     landscape = init_composition("F8", 5, rng, SPACING)
-    state = init_change_state(landscape, "C5", rng)
+    state = init_change_state(landscape, "C5", rng, SETTINGS)
     trail = {}
     for _ in range(30):
-        advance_environment(landscape, state, rng, SETTINGS)
+        advance_environment(landscape, state, rng)
         trail[state.t] = landscape.shifts.copy()
     for t in range(2, 19):
         assert np.abs(trail[t] - trail[t + 12]).max() <= 1e-9
@@ -292,8 +308,8 @@ def test_recurrent_shifts_revisit_exactly():
 def test_count_sweep_drives_active_optima():
     rng = make_rng(24)
     landscape = init_df("F2", 5, rng, SPACING)
-    state = init_change_state(landscape, "C7", rng)
-    advance_environment(landscape, state, rng, SETTINGS)
+    state = init_change_state(landscape, "C7", rng, SETTINGS)
+    advance_environment(landscape, state, rng)
     positions, values = landscape.global_optima()
     assert state.g == 3
     assert len(positions) == 3

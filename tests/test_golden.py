@@ -352,10 +352,10 @@ def _trajectory(family, mode, dim, seed=7):
     rng = make_rng(seed)
     init = init_df if family in CONE_FAMILIES else init_composition
     landscape = init(family, dim, rng, settings.min_peak_distance)
-    state = init_change_state(landscape, mode, rng)
+    state = init_change_state(landscape, mode, rng, settings)
     for env in range(1, settings.environments + 1):
         if env > 1:
-            advance_environment(landscape, state, rng, settings)
+            advance_environment(landscape, state, rng)
         labels, _, values = format_environment(landscape, state)
         yield "\n".join(labels).encode("utf-8")
         yield values.tobytes()

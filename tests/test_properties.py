@@ -47,7 +47,7 @@ def test_reflection_always_lands_in_the_domain(coords):
     noise=st.floats(min_value=-6.0, max_value=6.0),
 )
 def test_scalar_changes_respect_their_bounds(mode, value, t, draw, noise):
-    params = ScalarChangeParams(1.0, 12.0, 1.0)
+    params = ScalarChangeParams(1.0, 12.0, 1.0, 0.0, BenchmarkSettings())
     rng = OneShotRng(draw, noise)
     out = apply_scalar_change(mode, value, t, params, rng)
     assert params.e_min <= out <= params.e_max

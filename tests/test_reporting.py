@@ -205,6 +205,7 @@ BAD_ENVIRONMENTS = [
     (3, [1, 5], "env 5 outside 1..3"),
     (3, [1, 2, 2], "env 2 recorded twice"),
     (4, [1, 2], "recorded under environments 4, not 3"),
+    (2, [1, 2, 3], "recorded under environments 2, not 3"),
     (3, [1, 3], "2 of 3 environments recorded"),
 ]
 
@@ -250,6 +251,17 @@ def test_rescore_names_a_malformed_line(tmp_path, line):
     with pytest.raises(ValueError, match="snapshots_P1_seed1.txt") as info:
         rescore_snapshots(str(tmp_path), settings)
     assert f"line 6: malformed line {line!r}" in str(info.value)
+
+
+@pytest.mark.parametrize("line", ["problem P1", "seed 1", "environments 3"])
+def test_rescore_names_a_repeated_header(tmp_path, line):
+    path = write_snapshot_file(tmp_path, 3, [1, 2, 3])
+    path.write_text(path.read_text().replace(
+        "environments 3\n", f"environments 3\n{line}\n"))
+    settings = BenchmarkSettings(evals_per_dim=20, environments=3)
+    with pytest.raises(ValueError, match="snapshots_P1_seed1.txt") as info:
+        rescore_snapshots(str(tmp_path), settings)
+    assert f"line 4: malformed line {line!r}" in str(info.value)
 
 
 def test_rescore_names_a_negative_seed(tmp_path):
