@@ -205,8 +205,8 @@ BAD_ENVIRONMENTS = [
     (3, [1, 5], "env 5 outside 1..3"),
     (3, [1, 2, 2], "env 2 recorded twice"),
     (4, [1, 2], "recorded under environments 4, not 3"),
-    (2, [1, 2, 3], "recorded under environments 2, not 3"),
     (3, [1, 3], "2 of 3 environments recorded"),
+    (2, [1, 2, 3], "recorded under environments 2, not 3"),
 ]
 
 
