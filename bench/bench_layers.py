@@ -20,7 +20,7 @@ from dmmobench import (BenchmarkSettings, PopulationSnapshot, count_npf,
 from dmmobench.composition import BASIC_FUNCTIONS, init_composition
 from dmmobench.config import OptimizerConfig
 from dmmobench.core import (CONE_FAMILIES, DOMAIN_HIGH, DOMAIN_LOW, RngStream,
-                            coordinate_sum, format_rows)
+                            format_rows, squared_distances)
 from dmmobench.df import init_df
 from dmmobench.dynamics import advance_environment, init_change_state
 from dmmobench.optimizers import CrowdingDE
@@ -98,21 +98,27 @@ def test_de_generation(benchmark, dim):
     assert instance.t == 1
 
 
-#: The three layouts `coordinate_sum` is called on, (D, ...) with the
-#: baseline's batch of 100 points: the cone kernel's (D, peak, point)
-#: with F1's most peaks, the blend weights' (D, point, component) with
-#: the most components, and crowding's (D, subpopulation, trial, member).
-SUM_SITES = {"df": (8, 100), "weights": (100, 8), "crowding": (10, 10, 10)}
+#: The leading shapes of `squared_distances`' (a, b) at its call sites,
+#: with the baseline's batch of 100 points: the cone envelope's (peak,
+#: point) with F1's most peaks, the blend weights' (point, component)
+#: with the most components, crowding's (subpopulation, trial, member),
+#: the spacing check of the most optima, and peak counting of a report
+#: against the most optima.
+DISTANCE_SITES = {"df": ((8,), (100,)), "weights": ((100,), (8,)),
+                  "crowding": ((10, 10), (10, 10)), "spacing": ((8,), (8,)),
+                  "count_npf": ((100,), (8,))}
 
 
-@pytest.mark.benchmark(group="coordinate_sum")
+@pytest.mark.benchmark(group="squared_distances")
 @pytest.mark.parametrize("dim", [5, 10])
-@pytest.mark.parametrize("site", list(SUM_SITES))
-def test_coordinate_sum(benchmark, site, dim):
-    terms = np.random.default_rng(1).uniform(
-        0.0, 100.0, (dim,) + SUM_SITES[site])
-    total = benchmark(coordinate_sum, terms)
-    assert total.shape == SUM_SITES[site]
+@pytest.mark.parametrize("site", list(DISTANCE_SITES))
+def test_squared_distances(benchmark, site, dim):
+    a_rows, b_rows = DISTANCE_SITES[site]
+    rng = np.random.default_rng(1)
+    a = rng.uniform(DOMAIN_LOW, DOMAIN_HIGH, a_rows + (dim,))
+    b = rng.uniform(DOMAIN_LOW, DOMAIN_HIGH, b_rows + (dim,))
+    dist = benchmark(squared_distances, a, b)
+    assert dist.shape == a_rows + b_rows[-1:]
 
 
 @pytest.mark.benchmark(group="evaluate_many")
@@ -157,13 +163,12 @@ def test_basic_function(benchmark, kind, dim):
 @pytest.mark.parametrize("dim", [5, 10])
 @pytest.mark.parametrize("family", ["F5", "F6", "F7", "F8"])
 def test_composition_weights(benchmark, family, dim):
-    """The blend weights alone, from the (point, component, coordinate)
-    offsets that `evaluate_many` passes them."""
+    """The blend weights alone, of the points `evaluate_many` passes
+    them."""
     landscape = create_problem(
         COMPOSITION_PROBLEMS[family, dim], 1, UNCHANGING).landscape
     points = population(dim).reshape(-1, dim)
-    diff = points[:, None, :] - landscape.shifts[None, :, :]
-    weights = benchmark(landscape._weights, diff)
+    weights = benchmark(landscape._weights, points)
     assert weights.shape == (len(points), landscape.n_components)
 
 

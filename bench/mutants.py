@@ -53,9 +53,17 @@ def mutant(name, path, old, new, equivalent=None):
 MUTANTS = [
     # refusals of meaningless configuration
     mutant("period 0 accepted", "config.py",
-           "if self.period < 1:", "if self.period < 0:"),
+           "environments=1, period=1))", "environments=1, period=0))"),
     mutant("subpopulations 0 accepted", "config.py",
-           "if self.subpopulations < 1:", "if self.subpopulations < 0:"),
+           "dict(subpopulations=1,", "dict(subpopulations=0,"),
+    mutant("fractional count accepted", "config.py",
+           "if isinstance(value, bool) or not isinstance(value, "
+           "numbers.Integral):",
+           "if isinstance(value, bool):"),
+    mutant("bool count accepted", "config.py",
+           "if isinstance(value, bool) or not isinstance(value, "
+           "numbers.Integral):",
+           "if not isinstance(value, numbers.Integral):"),
     mutant("crossover_rate up to 2 accepted", "config.py",
            "0.0 <= self.crossover_rate <= 1.0",
            "0.0 <= self.crossover_rate <= 2.0"),
@@ -63,7 +71,7 @@ MUTANTS = [
            "0.0 <= self.reinit_fraction <= 1.0",
            "0.0 <= self.reinit_fraction <= 2.0"),
     mutant("memory_size -1 accepted", "config.py",
-           "if self.memory_size < 0:", "if self.memory_size < -1:"),
+           "memory_size=0))", "memory_size=-1))"),
     mutant("spacing repair without its zero-norm guard", "dynamics.py",
            "        if norm == 0.0:\n            continue\n", "",
            equivalent="the direction is a fresh standard normal vector; "
@@ -172,6 +180,15 @@ MUTANTS = [
            "if len(firsts) != environments:", "if len(firsts) > environments:"),
     mutant("same run in two files accepted", "reporting.py",
            "if first != path:", "if False:"),
+    # a run asked for twice
+    mutant("repeated seed accepted", "reporting.py",
+           '(("problem", problems), ("seed", seeds))',
+           '(("problem", problems),)'),
+    mutant("repeated problem accepted", "reporting.py",
+           '(("problem", problems), ("seed", seeds))', '(("seed", seeds),)'),
+    # the one order of addition of every squared distance
+    mutant("8 to 15 coordinates summed in order", "core.py",
+           "    if n < 8:\n", "    if n < 16:\n"),
 ]
 
 

@@ -11,7 +11,7 @@ from functools import cache
 
 import numpy as np
 
-from .core import coordinate_sum, draw_spaced_points
+from .core import draw_spaced_points, squared_distances
 from .dynamics import random_rotation
 
 #: Scale applied to each normalized component value.
@@ -147,8 +147,7 @@ class CompositionLandscape:
 
     def evaluate_many(self, xs):
         xs = np.asarray(xs, dtype=float)
-        diff = xs[:, None, :] - self.shifts[None, :, :]
-        scaled = diff / self.stretches[None, :, None]
+        scaled = (xs[:, None, :] - self.shifts) / self.stretches[:, None]
         rotated = np.einsum("bnd,nde->bne", scaled, self.rotations)
 
         normalized = np.empty((xs.shape[0], self.n_components))
@@ -157,14 +156,10 @@ class CompositionLandscape:
             normalized[:, i] = NORMALIZATION_SCALE * raw / self.peak_magnitudes[i]
         normalized += self._penalty[None, :]
 
-        weights = self._weights(diff)
-        return -(weights * normalized).sum(1)
+        return -(self._weights(xs) * normalized).sum(1)
 
-    def _weights(self, diff):
-        # coordinate axis first, so each addition spans every
-        # (point, component) pair
-        coords = np.ascontiguousarray(diff.transpose(2, 0, 1))
-        sq_dist = coordinate_sum(np.multiply(coords, coords, out=coords))
+    def _weights(self, xs):
+        sq_dist = squared_distances(xs, self.shifts)
         raw = np.exp(-sq_dist / (2.0 * self.dim * self.spreads[None, :] ** 2))
         peak = raw.max(1, keepdims=True)
         damped = np.where(raw == peak, raw, raw * (1.0 - peak ** WEIGHT_SHARPNESS))

@@ -8,11 +8,22 @@ changed afterwards, so an invalid settings object never exists.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 
 
 class ConfigError(ValueError):
     """Raised for an unreadable or inconsistent configuration file."""
+
+
+def _check_counts(config, minimums):
+    """Refuse a count that is not an integer, or is below its minimum."""
+    for name, minimum in minimums.items():
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if value < minimum:
+            raise ConfigError(f"{name} must be >= {minimum}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -53,8 +64,7 @@ class BenchmarkSettings:
         return self.evals_per_dim * dim
 
     def validate(self):
-        if self.evals_per_dim < 1 or self.environments < 1:
-            raise ConfigError("budget and environment count must be >= 1")
+        _check_counts(self, dict(evals_per_dim=1, environments=1, period=1))
         if not 0 < self.min_peak_distance < math.inf:
             raise ConfigError("min_peak_distance must be positive and finite")
         if not self.fitness_accuracy_levels:
@@ -70,8 +80,6 @@ class BenchmarkSettings:
                      "rotation_severity"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be finite and >= 0")
-        if self.period < 1:
-            raise ConfigError("period must be >= 1")
         return self
 
 
@@ -90,20 +98,15 @@ class OptimizerConfig:
         self.validate()
 
     def validate(self):
-        if self.subpopulation_size < 4:
-            raise ConfigError(
-                "subpopulation_size must be >= 4 (mutation needs three "
-                "partners besides the target)")
-        if self.subpopulations < 1:
-            raise ConfigError("subpopulations must be >= 1")
+        # a subpopulation of 4 gives each target three partners to mutate
+        _check_counts(self, dict(subpopulations=1, subpopulation_size=4,
+                                 memory_size=0))
         if not math.isfinite(self.scale_factor):
             raise ConfigError("scale_factor must be finite")
         if not 0.0 <= self.crossover_rate <= 1.0:
             raise ConfigError("crossover_rate must lie in [0, 1]")
         if not 0.0 <= self.reinit_fraction <= 1.0:
             raise ConfigError("reinit_fraction must lie in [0, 1]")
-        if self.memory_size < 0:
-            raise ConfigError("memory_size must be >= 0")
         return self
 
 

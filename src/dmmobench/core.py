@@ -225,20 +225,13 @@ def _format_chunk(values, last):
 
 def coordinate_sum(terms):
     """Sum over the leading axis, of length at least 1, bit for bit as
-    numpy's `sum` adds the elements of one contiguous axis.
-
-    `coordinate_sum(np.moveaxis(t, -1, 0))` equals `t.sum(-1)` for a
-    C-contiguous `t`, but each addition runs over whole arrays instead
-    of one short loop per output element, which is faster when the
-    summed axis is short and the others are long.  Numpy's order
-    (pairwise summation): fewer than 8 terms are added in order; 8 to
-    15 start from eight accumulators, one per term, which are combined
-    pairwise, and the tail is added in order.  From 16 terms on, which
-    no benchmark problem reaches, numpy sums a contiguous copy itself.
-    The one difference: numpy starts from +0.0, so for 8 to 15 terms a
-    sum of negative zeros only is +0.0 there and -0.0 here.  A sum of
-    squares holds no negative zero.
-    """
+    numpy's `sum` adds the elements of one contiguous axis (pairwise
+    summation): fewer than 8 terms in order; 8 to 15 from eight
+    accumulators, one per term, combined pairwise, then the tail in
+    order; from 16 terms on, which no benchmark problem reaches, numpy
+    sums a contiguous copy itself.  The one difference: numpy starts
+    from +0.0, so a sum of 8 to 15 negative zeros only is +0.0 there
+    and -0.0 here.  A sum of squares holds no negative zero."""
     n = len(terms)
     if n < 8:
         # in order, from +0.0, whichever axis numpy iterates innermost
@@ -256,6 +249,18 @@ def coordinate_sum(terms):
     return total
 
 
+def squared_distances(a, b):
+    """Squared distances between the rows of `a` (..., n, D) and of `b`
+    (..., m, D), shaped (..., n, m): byte for byte `((a[..., :, None, :]
+    - b[..., None, :, :]) ** 2).sum(-1)`, the one order of addition the
+    benchmark's distances and golden hashes rest on.  Laid out
+    coordinate-major, each of the D additions spans every pair at once."""
+    axes = (a.ndim - 1, *range(a.ndim - 1))
+    diff = (np.ascontiguousarray(a.transpose(axes))[..., :, None]
+            - np.ascontiguousarray(b.transpose(axes))[..., None, :])
+    return coordinate_sum(np.multiply(diff, diff, out=diff))
+
+
 def draw_spaced_points(count, dim, rng, min_dist):
     """Draw `count` points uniformly in the box, rejecting any placement
     closer than `min_dist` to an earlier point.
@@ -267,7 +272,7 @@ def draw_spaced_points(count, dim, rng, min_dist):
     for i in range(count):
         for _ in range(PLACEMENT_ATTEMPTS):
             candidate = rng.uniform_vector(DOMAIN_LOW, DOMAIN_HIGH, dim)
-            gaps = np.sqrt(((points[:i] - candidate) ** 2).sum(1))
+            gaps = np.sqrt(squared_distances(points[:i], candidate[None]))
             if gaps.min(initial=np.inf) >= min_dist:
                 points[i] = candidate
                 break

@@ -11,7 +11,7 @@ dominate the local peaks.
 
 import numpy as np
 
-from .core import coordinate_sum, draw_spaced_points
+from .core import draw_spaced_points, squared_distances
 
 GLOBAL_PEAK_HEIGHT = 75.0
 
@@ -75,12 +75,7 @@ class DFLandscape:
 
     def evaluate_many(self, xs):
         """Fitness for a batch of points, one row each."""
-        xs = np.asarray(xs, dtype=float)
-        # laid out (dim, peak, point), so each operation runs over every
-        # (peak, point) pair at once
-        coords = np.ascontiguousarray(xs.T)
-        diff = coords[:, None, :] - self.positions.T[:, :, None]
-        dist = coordinate_sum(np.multiply(diff, diff, out=diff))
+        dist = squared_distances(self.positions, np.asarray(xs, dtype=float))
         np.sqrt(dist, out=dist)
         dist *= self.widths[:, None]
         # The max over peaks is exact in any order: inside the box no

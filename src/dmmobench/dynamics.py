@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import BenchmarkSettings
-from .core import DOMAIN_HIGH, DOMAIN_LOW, PlacementError, reflect_into_domain
+from .core import (DOMAIN_HIGH, DOMAIN_LOW, PlacementError,
+                   reflect_into_domain, squared_distances)
 from .df import LOCAL_HEIGHT_HIGH, LOCAL_HEIGHT_LOW, WIDTH_HIGH, WIDTH_LOW
 
 #: Total single moves allowed while repairing optimum spacing after one
@@ -176,9 +177,7 @@ def enforce_min_distance(positions, rng, min_dist):
 def _first_violation(points, min_dist):
     """Index of the first point closer than `min_dist` to an earlier
     one, or None."""
-    # each gap sums its squares as numpy sums the row of one point pair
-    diff = points[:, None, :] - points[None, :, :]
-    gaps = np.sqrt((diff * diff).sum(-1))
+    gaps = np.sqrt(squared_distances(points, points))
     # a gap of -inf makes each point close to itself under any spacing,
     # so a row's first close point comes before it exactly when the point
     # is too close to an earlier one

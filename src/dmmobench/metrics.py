@@ -11,6 +11,8 @@ found counts.
 
 import numpy as np
 
+from .core import squared_distances
+
 
 def count_npf(snapshot, optima, fitness_accuracies, distance_accuracy):
     """Number of distinct optima found by a population snapshot, one
@@ -27,8 +29,7 @@ def count_npf(snapshot, optima, fitness_accuracies, distance_accuracy):
     positions, values = (np.asarray(part, dtype=float) for part in optima)
     individuals = np.asarray(snapshot.individuals, dtype=float)
     fitness = np.asarray(snapshot.fitness, dtype=float)
-    diff = individuals[:, None, :] - positions[None]
-    distances = np.sqrt((diff * diff).sum(-1))
+    distances = np.sqrt(squared_distances(individuals, positions))
     # (individual, optimum) pairs of each individual and its nearest
     # optimum, the first of a tie; a row without optima has none
     nearest = distances == distances.min(1, keepdims=True, initial=np.inf)

@@ -13,7 +13,7 @@ from collections import deque
 import numpy as np
 
 from .config import OptimizerConfig
-from .core import DOMAIN_HIGH, DOMAIN_LOW, RunFrozenError, coordinate_sum
+from .core import DOMAIN_HIGH, DOMAIN_LOW, RunFrozenError, squared_distances
 
 
 class CrowdingDE:
@@ -108,13 +108,8 @@ class CrowdingDE:
         # comparison and the sort below would disagree; it holds because
         # trials are clipped into the domain, where every landscape is
         # finite.  `pop` and `fitness` are C-contiguous, so their flat
-        # views below write through.  The squared distances are laid out
-        # (dim, subs, trial, member), so each of the dim additions runs
-        # over every pair at once.
-        trial_coords = np.ascontiguousarray(trials.transpose(2, 0, 1))
-        member_coords = np.ascontiguousarray(pop.transpose(2, 0, 1))
-        diff = trial_coords[:, :, :, None] - member_coords[:, :, None, :]
-        nearest = coordinate_sum(np.multiply(diff, diff, out=diff)).argmin(2)
+        # views below write through.
+        nearest = squared_distances(trials, pop).argmin(2)
         subs, size = nearest.shape
         # flat member index of each trial's target
         nearest += np.arange(0, subs * size, size)[:, None]

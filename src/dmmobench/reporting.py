@@ -123,12 +123,17 @@ def run_benchmark(problems, seeds, optimizer="baseline",
     Runs are independent, so `jobs` > 1 parallelizes across pairs
     without changing any result; the pool, of at most one worker per
     run, starts the costliest runs first, and results are still
-    collected in task order.
+    collected in task order.  A repeated problem or seed, which would be
+    run and weighted twice, raises ValueError before any run starts.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     problems = list(problems)
     seeds = list(seeds)
+    for kind, values in (("problem", problems), ("seed", seeds)):
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ValueError(f"{kind} {value!r} is given twice")
     tasks = [(p, s, optimizer, settings, optimizer_config, save_snapshots)
              for p in problems for s in seeds]
 

@@ -1,6 +1,7 @@
 import math
 from dataclasses import FrozenInstanceError, replace
 
+import numpy as np
 import pytest
 
 from dmmobench.config import (BenchmarkSettings, ConfigError, OptimizerConfig,
@@ -46,6 +47,14 @@ def test_meaningless_settings_are_rejected(line):
     (OptimizerConfig, "subpopulation_size", 2),
     (OptimizerConfig, "scale_factor", math.nan),
     (OptimizerConfig, "scale_factor", math.inf),
+    # integer settings refuse other numbers, bools included
+    (BenchmarkSettings, "evals_per_dim", 2.5),
+    (BenchmarkSettings, "environments", 3.0),
+    (BenchmarkSettings, "period", 1.5),
+    (BenchmarkSettings, "period", True),
+    (OptimizerConfig, "subpopulations", 2.0),
+    (OptimizerConfig, "subpopulation_size", 10.0),
+    (OptimizerConfig, "memory_size", "20"),
 ])
 def test_invalid_settings_cannot_be_built(kind, name, value):
     with pytest.raises(ConfigError):
@@ -54,3 +63,8 @@ def test_invalid_settings_cannot_be_built(kind, name, value):
         replace(kind(), **{name: value})
     with pytest.raises(FrozenInstanceError):
         setattr(kind(), name, value)
+
+
+def test_numpy_integers_are_integer_settings():
+    assert BenchmarkSettings(period=np.int64(6)).period == 6
+    assert OptimizerConfig(memory_size=np.int32(5)).memory_size == 5

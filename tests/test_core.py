@@ -13,6 +13,7 @@ from dmmobench.core import (
     make_rng,
     problem_spec,
     reflect_into_domain,
+    squared_distances,
 )
 from helpers import min_pairwise_distance
 
@@ -231,3 +232,26 @@ def test_coordinate_sum_of_few_terms_matches_sum_in_either_layout(shape):
             got = coordinate_sum(terms)
             assert got.shape == expected.shape
             assert got.tobytes() == expected.tobytes(), dim
+
+
+#: Leading shapes of the kernel's (a, b): 2-D point sets, the DE's
+#: (subpopulation, trial, member) batch, and an empty `a`, the first
+#: placement of `draw_spaced_points`.
+KERNEL_SHAPES = {"2-D": ((7,), (5,)), "DE batch": ((10, 10), (10, 10)),
+                 "empty a": ((0,), (1,))}
+
+
+@pytest.mark.parametrize("a_rows, b_rows", KERNEL_SHAPES.values(),
+                         ids=KERNEL_SHAPES)
+def test_squared_distances_equal_the_point_major_sum(a_rows, b_rows):
+    # coordinates at many scales, so the order of addition shows; D runs
+    # over the in-order sums, the eight-accumulator ones and numpy's own
+    rng = np.random.default_rng(len(a_rows) * 100 + a_rows[-1])
+    for dim in range(1, 21):
+        a = rng.standard_normal(a_rows + (dim,)) * 10.0 ** rng.uniform(
+            -3, 3, a_rows + (dim,))
+        b = rng.standard_normal(b_rows + (dim,))
+        expected = ((a[..., :, None, :] - b[..., None, :, :]) ** 2).sum(-1)
+        got = squared_distances(a, b)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes(), dim

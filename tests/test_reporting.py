@@ -130,6 +130,21 @@ def test_failures_do_not_poison_the_table(tmp_path):
     assert len(report.table.rows) == 1
 
 
+@pytest.mark.parametrize("problems, seeds, named", [
+    (["P1"], [1, 1, 2, 3], "seed 1 "),
+    (["P1", "P2", "P1"], [1], "problem 'P1' "),
+], ids=["seed", "problem"])
+def test_repeated_problem_or_seed_is_refused_before_any_run(
+        monkeypatch, tmp_path, problems, seeds, named):
+    # run twice, the repeat would be weighted twice in the table
+    monkeypatch.setattr(reporting, "execute_run",
+                        lambda *task: pytest.fail("a run started"))
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=named):
+        run_benchmark(problems, seeds, out_dir=str(out))
+    assert not out.exists()
+
+
 def test_rescore_names_a_snapshot_file_without_environments(tmp_path):
     path = tmp_path / "snapshots_P1_seed1.txt"
     path.write_text("problem P1\nseed 1\n")
