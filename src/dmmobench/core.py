@@ -251,10 +251,11 @@ def coordinate_sum(terms):
 
 def squared_distances(a, b):
     """Squared distances between the rows of `a` (..., n, D) and of `b`
-    (..., m, D), shaped (..., n, m): byte for byte `((a[..., :, None, :]
-    - b[..., None, :, :]) ** 2).sum(-1)`, the one order of addition the
-    benchmark's distances and golden hashes rest on.  Laid out
-    coordinate-major, each of the D additions spans every pair at once."""
+    (..., m, D), shaped (..., n, m), in the order of numpy's `sum`, which
+    the golden hashes rest on; from 128 pairs on laid out coordinate-major,
+    so that each of the D additions spans every pair, to the same bytes."""
+    if a.shape[-2] * b[..., 0].size < 128:  # numpy's own sum is faster
+        return ((a[..., :, None, :] - b[..., None, :, :]) ** 2).sum(-1)
     axes = (a.ndim - 1, *range(a.ndim - 1))
     diff = (np.ascontiguousarray(a.transpose(axes))[..., :, None]
             - np.ascontiguousarray(b.transpose(axes))[..., None, :])

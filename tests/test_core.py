@@ -234,11 +234,11 @@ def test_coordinate_sum_of_few_terms_matches_sum_in_either_layout(shape):
             assert got.tobytes() == expected.tobytes(), dim
 
 
-#: Leading shapes of the kernel's (a, b): 2-D point sets, the DE's
-#: (subpopulation, trial, member) batch, and an empty `a`, the first
-#: placement of `draw_spaced_points`.
+#: Leading shapes of the kernel's (a, b): 2-D point sets with fewer and
+#: with more than 128 pairs, the DE's (subpopulation, trial, member)
+#: batch, and an empty `a`, the first placement of `draw_spaced_points`.
 KERNEL_SHAPES = {"2-D": ((7,), (5,)), "DE batch": ((10, 10), (10, 10)),
-                 "empty a": ((0,), (1,))}
+                 "empty a": ((0,), (1,)), "2-D, many pairs": ((30,), (8,))}
 
 
 @pytest.mark.parametrize("a_rows, b_rows", KERNEL_SHAPES.values(),
