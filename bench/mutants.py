@@ -7,7 +7,7 @@ README.md and pyproject.toml) is copied to a temporary directory, the edit is ch
 when pytest fails, and survives when the suite passes.  An unmutated
 copy runs first: a suite that fails on its own proves nothing.
 
-Run from the root of a checkout (about 5 minutes on two cores):
+Run from the root of a checkout (about 6 minutes on two cores):
 
     python3 bench/mutants.py            # every mutant
     python3 bench/mutants.py NAME ...   # only the named ones
@@ -116,8 +116,8 @@ MUTANTS = [
            "    if not instance.frozen:", "    if False:"),
     # exact periodicity and optimum spacing
     mutant("recurrent level from t unreduced", "dynamics.py",
-           "start = 2.0 * math.pi * (t % period) / period",
-           "start = 2.0 * math.pi * t / period"),
+           "start = 2.0 * math.pi * (state.t % period) / period",
+           "start = 2.0 * math.pi * state.t / period"),
     mutant("optima spaced at half the setting", "dynamics.py",
            "min_dist=state.settings.min_peak_distance)",
            "min_dist=0.5 * state.settings.min_peak_distance)"),
@@ -133,7 +133,10 @@ MUTANTS = [
            'if mode == "C5" else FULL_ANGLE_RANGE'),
     mutant("spacing from the default settings", "dynamics.py",
            "min_dist=state.settings.min_peak_distance)",
-           "min_dist=BenchmarkSettings().min_peak_distance)"),
+           "min_dist=type(state.settings)().min_peak_distance)"),
+    mutant("count sweep does not turn at 2", "dynamics.py",
+           "        elif state.g == 2:\n            state.direction = 1\n",
+           ""),
     # strict thresholds
     mutant("distance threshold not strict", "metrics.py",
            "close = nearest & (distances < distance_accuracy)",
@@ -186,6 +189,23 @@ MUTANTS = [
            '(("problem", problems),)'),
     mutant("repeated problem accepted", "reporting.py",
            '(("problem", problems), ("seed", seeds))', '(("seed", seeds),)'),
+    # a run that cannot run as asked
+    mutant("unknown problem run", "reporting.py",
+           "    for problem in problems:\n        problem_spec(problem)\n",
+           ""),
+    mutant("negative seed run", "reporting.py",
+           "or seed < 0):", "or seed < -1):"),
+    mutant("fractional seed run", "reporting.py",
+           "if (isinstance(seed, bool) or not isinstance(seed, "
+           "numbers.Integral)",
+           "if (isinstance(seed, bool)"),
+    mutant("bool seed run", "reporting.py",
+           "if (isinstance(seed, bool) or not", "if (not"),
+    mutant("unknown optimizer run", "reporting.py",
+           "    make_optimizer(optimizer, optimizer_config)\n", ""),
+    # a config key set twice
+    mutant("config key set twice accepted", "config.py",
+           "        if key in first_lines:", "        if False:"),
     # the one order of addition of every squared distance
     mutant("8 to 15 coordinates summed in order", "core.py",
            "    if n < 8:\n", "    if n < 16:\n"),

@@ -130,8 +130,8 @@ def parse_config_text(text):
     """The two config dataclasses, defaults overridden by key=value lines.
 
     Lines are `key = value`; blank lines and `#` comments are ignored.
-    Keys are field names of BenchmarkSettings or OptimizerConfig;
-    anything else is an error.
+    Keys are field names of BenchmarkSettings or OptimizerConfig, each
+    set at most once; anything else is an error.
     """
     settings, optimizer = BenchmarkSettings(), OptimizerConfig()
     bench_defaults = {f.name: getattr(settings, f.name) for f in fields(settings)}
@@ -139,6 +139,7 @@ def parse_config_text(text):
 
     bench_updates = {}
     opt_updates = {}
+    first_lines = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -148,6 +149,10 @@ def parse_config_text(text):
         raw = raw.strip()
         if not sep or not key:
             raise ConfigError(f"line {lineno}: expected `key = value`, got {line!r}")
+        if key in first_lines:
+            raise ConfigError(f"line {lineno}: {key!r} is already set on "
+                              f"line {first_lines[key]}")
+        first_lines[key] = lineno
         if key in bench_defaults:
             bench_updates[key] = parse_value(key, raw, bench_defaults[key])
         elif key in opt_defaults:

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import BenchmarkSettings
 from .core import (DOMAIN_HIGH, DOMAIN_LOW, PlacementError,
                    reflect_into_domain, squared_distances)
 from .df import LOCAL_HEIGHT_HIGH, LOCAL_HEIGHT_LOW, WIDTH_HIGH, WIDTH_LOW
@@ -42,44 +41,42 @@ FULL_ANGLE_RANGE = (-math.pi, math.pi)
 @dataclass
 class ScalarChangeParams:
     """Bounds, severity and phase of one changing scalar, or of a run of
-    them with one phase each; the mode constants come from `settings`."""
+    them with one phase each."""
 
     e_min: float
     e_max: float
     severity: float
     phase: float
-    settings: BenchmarkSettings
 
     @property
     def e_range(self):
         return self.e_max - self.e_min
 
 
-def _recurrent_level(t, params, shape):
+def _recurrent_level(state, params, shape):
     # reducing t first makes recurrence bit-exact: t and t + period
     # produce the same sine argument, not two arguments 2*pi apart
-    period = params.settings.period
-    start = 2.0 * math.pi * (t % period) / period
+    period = state.settings.period
+    start = 2.0 * math.pi * (state.t % period) / period
     wave = np.sin(start + np.broadcast_to(params.phase, shape))
     return params.e_min + params.e_range * (wave + 1.0) / 2.0
 
 
-def apply_scalar_change(mode, value, t, params, rng):
+def apply_scalar_change(state, value, params, rng):
     """One update of a scalar, or of each scalar of an array, under the
-    given change mode, clamped to bounds.
+    run's change mode and settings in `state`, clamped to bounds.
 
     `params.phase` is one phase or one per value.  The values draw in
-    one vector call what as many scalar draws would, in order.  `t` is
-    the index of the environment being left.  The recurrent modes
-    depend only on t (not on the current value), so they revisit the
-    same level every `period` changes exactly.
+    one vector call what as many scalar draws would, in order.
+    `state.t` is the index of the environment being left.  The
+    recurrent modes depend only on it (not on the current value), so
+    they revisit the same level every `period` changes exactly.
     """
-    settings = params.settings
+    settings = state.settings
     alpha = settings.alpha
     value = np.asarray(value, dtype=float)
     shape = value.shape
-    if mode in ("C7", "C8"):
-        mode = "C1"
+    mode = "C1" if state.mode in ("C7", "C8") else state.mode
     if mode == "C1":
         shift = rng.uniform_vector(-1.0, 1.0, shape)
         value = value + alpha * params.e_range * shift * params.severity
@@ -95,9 +92,9 @@ def apply_scalar_change(mode, value, t, params, rng):
         value = (params.e_min + settings.chaos_factor * offset
                  * (1.0 - offset / params.e_range))
     elif mode == "C5":
-        value = _recurrent_level(t, params, shape)
+        value = _recurrent_level(state, params, shape)
     elif mode == "C6":
-        value = (_recurrent_level(t, params, shape)
+        value = (_recurrent_level(state, params, shape)
                  + settings.noise_severity * rng.normal_vector(shape))
     else:
         raise ValueError(f"unknown change mode {mode!r}")
@@ -196,6 +193,7 @@ class ChangeState:
     its rotation matrices), and the current angle.  `rules` holds the
     fixed change rule of each angle and of a cone landscape's "heights"
     and "widths".  `t` is the index of the current environment, from 1.
+    Under C7, `direction` is the signed step of the optimum count `g`.
     """
 
     def __init__(self, mode, g_max, settings):
@@ -204,7 +202,7 @@ class ChangeState:
         self.t = 1
         self.g_max = g_max
         self.g = g_max
-        self.direction = 1
+        self.direction = -1
         self.angles = {}
         self.pairings = {}
         self.bases = {}
@@ -232,21 +230,16 @@ def init_change_state(landscape, mode, rng, settings):
             landscape.dim, random_pairing(landscape.dim, rng))
         state.rules[name] = ScalarChangeParams(
             *arc, settings.rotation_severity,
-            rng.uniform(0.0, 2.0 * math.pi), settings)
+            rng.uniform(0.0, 2.0 * math.pi))
         state.angles[name] = 0.0
+        state.bases[name] = getattr(landscape, name).copy()
     if landscape.kind == "df":
-        state.bases["positions"] = landscape.positions.copy()
         state.rules["heights"] = ScalarChangeParams(
             LOCAL_HEIGHT_LOW, LOCAL_HEIGHT_HIGH, settings.height_severity,
-            rng.uniform_vector(0.0, 2.0 * math.pi, landscape.n_local),
-            settings)
+            rng.uniform_vector(0.0, 2.0 * math.pi, landscape.n_local))
         state.rules["widths"] = ScalarChangeParams(
             WIDTH_LOW, WIDTH_HIGH, settings.width_severity,
-            rng.uniform_vector(0.0, 2.0 * math.pi, landscape.n_peaks),
-            settings)
-    else:
-        state.bases["shifts"] = landscape.shifts.copy()
-        state.bases["rotations"] = landscape.rotations.copy()
+            rng.uniform_vector(0.0, 2.0 * math.pi, landscape.n_peaks))
     return state
 
 
@@ -258,10 +251,10 @@ def update_active_count(state, rng):
     """
     if state.mode == "C7":
         if state.g == state.g_max:
-            state.direction = 1
+            state.direction = -1
         elif state.g == 2:
-            state.direction = 2
-        state.g += 1 if state.direction == 2 else -1
+            state.direction = 1
+        state.g += state.direction
     elif state.mode == "C8":
         state.g = rng.randint(2, state.g_max)
     else:
@@ -278,7 +271,7 @@ def apply_matrix_change(name, state, rng):
     slightly-off incremental rotations.
     """
     state.angles[name] = float(apply_scalar_change(
-        state.mode, state.angles[name], state.t, state.rules[name], rng))
+        state, state.angles[name], state.rules[name], rng))
     base = state.bases[name]
     rotation = _rotation(
         base.shape[-1], state.pairings[name], state.angles[name])
@@ -314,10 +307,9 @@ def advance_environment(landscape, state, rng):
 def _advance_df(landscape, state, rng):
     local = slice(landscape.n_global, None)
     landscape.heights[local] = apply_scalar_change(
-        state.mode, landscape.heights[local], state.t,
-        state.rules["heights"], rng)
+        state, landscape.heights[local], state.rules["heights"], rng)
     landscape.widths[:] = apply_scalar_change(
-        state.mode, landscape.widths, state.t, state.rules["widths"], rng)
+        state, landscape.widths, state.rules["widths"], rng)
     landscape.positions = _move_optima("positions", state, rng)
 
 

@@ -9,6 +9,7 @@ Artifacts per output directory:
   grid_P<n>_seed<m>_env<e>.txt   fitness sample grids (grid command)
 """
 
+import numbers
 import os
 from array import array
 from concurrent.futures import ProcessPoolExecutor
@@ -123,8 +124,10 @@ def run_benchmark(problems, seeds, optimizer="baseline",
     Runs are independent, so `jobs` > 1 parallelizes across pairs
     without changing any result; the pool, of at most one worker per
     run, starts the costliest runs first, and results are still
-    collected in task order.  A repeated problem or seed, which would be
-    run and weighted twice, raises ValueError before any run starts.
+    collected in task order.  A request that cannot run as asked raises
+    ValueError, naming the bad value, before any run starts: a repeated
+    problem or seed (it would be run and weighted twice), an unknown
+    problem or optimizer, or a seed that is not an integer >= 0.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -134,6 +137,13 @@ def run_benchmark(problems, seeds, optimizer="baseline",
         for i, value in enumerate(values):
             if value in values[:i]:
                 raise ValueError(f"{kind} {value!r} is given twice")
+    for problem in problems:
+        problem_spec(problem)
+    for seed in seeds:
+        if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
+                or seed < 0):
+            raise ValueError(f"seed {seed!r} is not an integer >= 0")
+    make_optimizer(optimizer, optimizer_config)
     tasks = [(p, s, optimizer, settings, optimizer_config, save_snapshots)
              for p in problems for s in seeds]
 

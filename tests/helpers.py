@@ -41,18 +41,20 @@ def rotation_from_pairs(dim, pairs, angles):
 
 
 def count_npf(snapshot, optima, fitness_accuracy, distance_accuracy):
-    """Distinct optima found at one fitness accuracy, one individual at
-    a time: each matched only to its nearest optimum, the lowest index
-    on a tie."""
+    """Distinct optima found at one fitness accuracy, written straight
+    from the matching rule, one individual and one optimum at a time:
+    each individual is matched only to its nearest optimum, the lowest
+    index on a tie."""
     positions, values = optima
-    individuals = np.asarray(snapshot.individuals, dtype=float)
-    if len(individuals) == 0 or len(positions) == 0:
-        return 0
-    diff = individuals[:, None, :] - np.asarray(positions, dtype=float)[None]
-    distances = np.sqrt((diff * diff).sum(-1))
     found = set()
-    for i, j in enumerate(distances.argmin(1)):
-        if (abs(snapshot.fitness[i] - values[j]) < fitness_accuracy
-                and distances[i, j] < distance_accuracy):
-            found.add(int(j))
+    for point, fitness in zip(snapshot.individuals, snapshot.fitness):
+        best_j, best_d = None, None
+        for j, position in enumerate(positions):
+            d = math.sqrt(sum((a - b) ** 2 for a, b in zip(point, position)))
+            if best_d is None or d < best_d:
+                best_j, best_d = j, d
+        if (best_j is not None
+                and abs(fitness - values[best_j]) < fitness_accuracy
+                and best_d < distance_accuracy):
+            found.add(best_j)
     return len(found)

@@ -6,11 +6,10 @@ minutes, dominated by the full-budget determinism and baseline-sanity
 runs.
 """
 
-import math
-
 import numpy as np
 import pytest
 
+import helpers
 from dmmobench.config import BenchmarkSettings
 from dmmobench.controller import (
     PopulationSnapshot,
@@ -158,24 +157,6 @@ def test_criterion_06_count_modes():
     _ok(6)
 
 
-def _brute_force_npf(individuals, fitness, positions, values,
-                     fitness_accuracy, distance_accuracy):
-    found = set()
-    for i in range(len(individuals)):
-        best_j, best_d = None, None
-        for j in range(len(positions)):
-            d = math.sqrt(sum(
-                (a - b) ** 2 for a, b in zip(individuals[i], positions[j])))
-            if best_d is None or d < best_d:
-                best_j, best_d = j, d
-        if best_j is None or best_j in found:
-            continue
-        if (abs(fitness[i] - values[best_j]) < fitness_accuracy
-                and best_d < distance_accuracy):
-            found.add(best_j)
-    return len(found)
-
-
 def test_criterion_07_npf_oracle_equivalence():
     distance = BenchmarkSettings().distance_accuracy
     rng = np.random.default_rng(77)
@@ -214,8 +195,8 @@ def test_criterion_07_npf_oracle_equivalence():
         fitness = np.array(fitness)
         snapshot = PopulationSnapshot(1, individuals, fitness)
         fast, = count_npf(snapshot, (positions, values), [1e-3], distance)
-        slow = _brute_force_npf(individuals, fitness, positions, values,
-                                1e-3, distance)
+        slow = helpers.count_npf(snapshot, (positions, values), 1e-3,
+                                 distance)
         assert fast == slow, case
     _ok(7)
 

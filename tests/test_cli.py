@@ -276,6 +276,8 @@ BAD_ARGUMENTS = [
      UNPLACEABLE),
     (["grid", "--problems", "P5", "--seeds", "1"], "spacing 20",
      UNPLACEABLE),
+    (["run", "--problems", "P1,P2", "--seeds", "1-2", "--optimizer", "nope"],
+     "nope"),
 ]
 
 

@@ -35,6 +35,8 @@ from dmmobench.config import (BenchmarkSettings, ConfigError, OptimizerConfig,
     "memory_size = -1",
     # older versions had this option; the index is now always public
     "expose_environment_index = true",
+    # a key set twice: which value holds would be a guess
+    "alpha = 0.1\nalpha = 0.2\n",
 ])
 def test_meaningless_settings_are_rejected(line):
     with pytest.raises(ConfigError):

@@ -41,39 +41,48 @@ class StubRng:
         return np.broadcast_to(self.normals.pop(0), size)
 
 
-HEIGHT_PARAMS = ScalarChangeParams(30.0, 70.0, 7.0, 0.0, SETTINGS)
+HEIGHT_PARAMS = ScalarChangeParams(30.0, 70.0, 7.0, 0.0)
+
+
+def at(mode, t=1):
+    """The change state of a run under `mode` and the default settings,
+    leaving environment `t`."""
+    state = ChangeState(mode, 8, SETTINGS)
+    state.t = t
+    return state
 
 
 def test_small_step_hand_value():
     # 50 + 0.04 * 40 * 1 * 7 = 61.2
-    out = apply_scalar_change("C1", 50.0, 1, HEIGHT_PARAMS, StubRng([1.0]))
+    out = apply_scalar_change(at("C1"), 50.0, HEIGHT_PARAMS, StubRng([1.0]))
     assert out == pytest.approx(61.2)
 
 
 def test_count_modes_move_scalars_in_small_steps():
     for mode in ("C7", "C8"):
-        out = apply_scalar_change(mode, 50.0, 1, HEIGHT_PARAMS, StubRng([1.0]))
+        out = apply_scalar_change(at(mode), 50.0, HEIGHT_PARAMS,
+                                  StubRng([1.0]))
         assert out == pytest.approx(61.2)
 
 
 def test_large_step_hand_value():
     # step = 0.04*sign(0.5) + (0.01-0.04)*0.5 = 0.025; 50 + 40*0.025*7 = 57
-    out = apply_scalar_change("C2", 50.0, 1, HEIGHT_PARAMS, StubRng([0.5]))
+    out = apply_scalar_change(at("C2"), 50.0, HEIGHT_PARAMS, StubRng([0.5]))
     assert out == pytest.approx(57.0)
 
 
 def test_noisy_step_hand_values():
-    unchanged = apply_scalar_change("C3", 50.0, 1, HEIGHT_PARAMS,
+    unchanged = apply_scalar_change(at("C3"), 50.0, HEIGHT_PARAMS,
                                     StubRng(normals=[0.0]))
     assert unchanged == 50.0
-    out = apply_scalar_change("C3", 50.0, 1, HEIGHT_PARAMS,
+    out = apply_scalar_change(at("C3"), 50.0, HEIGHT_PARAMS,
                               StubRng(normals=[2.0]))
     assert out == pytest.approx(64.0)
 
 
 def test_chaotic_step_hand_value():
     # 30 + 3.67 * 20 * (1 - 20/40) = 66.7, no randomness consumed
-    out = apply_scalar_change("C4", 50.0, 1, HEIGHT_PARAMS, StubRng())
+    out = apply_scalar_change(at("C4"), 50.0, HEIGHT_PARAMS, StubRng())
     assert out == pytest.approx(66.7)
 
 
@@ -81,27 +90,27 @@ def test_chaotic_iterates_stay_bounded():
     value = 50.0
     peak = HEIGHT_PARAMS.e_min + HEIGHT_PARAMS.e_range * 3.67 / 4.0
     for _ in range(1000):
-        value = apply_scalar_change("C4", value, 1, HEIGHT_PARAMS, StubRng())
+        value = apply_scalar_change(at("C4"), value, HEIGHT_PARAMS, StubRng())
         assert HEIGHT_PARAMS.e_min <= value <= peak + 1e-9
 
 
 def test_recurrent_hand_value():
     # 30 + 40 * (sin(2*pi*3/12) + 1) / 2 = 70 at the crest
-    out = apply_scalar_change("C5", 11.0, 3, HEIGHT_PARAMS, StubRng())
+    out = apply_scalar_change(at("C5", 3), 11.0, HEIGHT_PARAMS, StubRng())
     assert out == pytest.approx(70.0)
 
 
 def test_recurrent_is_periodic_in_t():
-    params = ScalarChangeParams(30.0, 70.0, 7.0, 1.234, SETTINGS)
+    params = ScalarChangeParams(30.0, 70.0, 7.0, 1.234)
     for t in range(1, 25):
-        a = apply_scalar_change("C5", 0.0, t, params, StubRng())
-        b = apply_scalar_change("C5", 99.0, t + 12, params, StubRng())
+        a = apply_scalar_change(at("C5", t), 0.0, params, StubRng())
+        b = apply_scalar_change(at("C5", t + 12), 99.0, params, StubRng())
         assert a == pytest.approx(b, abs=1e-9)
 
 
 def test_noisy_recurrent_hand_value():
     # level at t=6 is 50; plus 0.8 * 1.0 of noise
-    out = apply_scalar_change("C6", 50.0, 6, HEIGHT_PARAMS,
+    out = apply_scalar_change(at("C6", 6), 50.0, HEIGHT_PARAMS,
                               StubRng(normals=[1.0]))
     assert out == pytest.approx(50.8)
 
@@ -109,23 +118,23 @@ def test_noisy_recurrent_hand_value():
 def test_noisy_recurrent_residual_scale():
     rng = make_rng(7)
     residuals = [
-        apply_scalar_change("C6", 50.0, 6, HEIGHT_PARAMS, rng) - 50.0
+        apply_scalar_change(at("C6", 6), 50.0, HEIGHT_PARAMS, rng) - 50.0
         for _ in range(1000)
     ]
     assert 0.64 <= np.std(residuals) <= 0.96
 
 
 def test_changes_clamp_to_bounds():
-    high = apply_scalar_change("C1", 69.0, 1, HEIGHT_PARAMS, StubRng([1.0]))
+    high = apply_scalar_change(at("C1"), 69.0, HEIGHT_PARAMS, StubRng([1.0]))
     assert high == 70.0
-    low = apply_scalar_change("C3", 31.0, 1, HEIGHT_PARAMS,
+    low = apply_scalar_change(at("C3"), 31.0, HEIGHT_PARAMS,
                               StubRng(normals=[-50.0]))
     assert low == 30.0
 
 
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
-        apply_scalar_change("C9", 50.0, 1, HEIGHT_PARAMS, StubRng([0.0]))
+        apply_scalar_change(at("C9"), 50.0, HEIGHT_PARAMS, StubRng([0.0]))
 
 
 def test_zero_angle_rotation_is_identity():
@@ -206,15 +215,15 @@ def _count_state(mode, g, direction, g_max=8):
 
 
 def test_sweep_reverses_at_ceiling():
-    state = _count_state("C7", 8, 2)
+    state = _count_state("C7", 8, 1)
     update_active_count(state, StubRng())
-    assert (state.g, state.direction) == (7, 1)
+    assert (state.g, state.direction) == (7, -1)
 
 
 def test_sweep_reverses_at_floor():
-    state = _count_state("C7", 2, 1)
+    state = _count_state("C7", 2, -1)
     update_active_count(state, StubRng())
-    assert (state.g, state.direction) == (3, 2)
+    assert (state.g, state.direction) == (3, 1)
 
 
 def test_sweep_walks_a_triangle_wave():
@@ -262,7 +271,7 @@ def test_changes_follow_the_settings_the_run_started_with():
     state = init_change_state(landscape, "C1", rng, settings)
     assert [state.rules[name].severity
             for name in ("positions", "heights", "widths")] == [0.5, 3.0, 2.0]
-    assert all(rule.settings is settings for rule in state.rules.values())
+    assert state.settings is settings
     for _ in range(5):
         advance_environment(landscape, state, rng)
         # pairs reflect to about 1.41 apart here, far above the default

@@ -1,8 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
+import helpers
 from dmmobench.config import BenchmarkSettings
 from dmmobench.controller import PopulationSnapshot, create_problem
 from dmmobench.metrics import (
@@ -21,25 +20,6 @@ LEVELS = BenchmarkSettings().fitness_accuracy_levels
 def snap(individuals, fitness):
     return PopulationSnapshot(1, np.asarray(individuals, dtype=float),
                               np.asarray(fitness, dtype=float))
-
-
-def brute_force_npf(individuals, fitness, positions, values,
-                    fitness_accuracy, distance_accuracy):
-    """Slow reference count written straight from the matching rule."""
-    found = set()
-    for i in range(len(individuals)):
-        best_j, best_d = None, None
-        for j in range(len(positions)):
-            d = math.sqrt(sum(
-                (a - b) ** 2 for a, b in zip(individuals[i], positions[j])))
-            if best_d is None or d < best_d:
-                best_j, best_d = j, d
-        if best_j is None or best_j in found:
-            continue
-        if (abs(fitness[i] - values[best_j]) < fitness_accuracy
-                and best_d < distance_accuracy):
-            found.add(best_j)
-    return len(found)
 
 
 def count_at(snapshot, optima, fitness_accuracy=1e-3,
@@ -121,9 +101,10 @@ def test_matches_brute_force_on_random_cases():
         individuals = positions[targets] + rng.normal(
             0, 0.03, (n_ind, dim))
         fitness = values[targets] + rng.normal(0, 1.5e-3, n_ind)
-        count = count_at(snap(individuals, fitness), (positions, values))
-        oracle = brute_force_npf(individuals, fitness, positions, values,
-                                 1e-3, DISTANCE)
+        population = snap(individuals, fitness)
+        count = count_at(population, (positions, values))
+        oracle = helpers.count_npf(population, (positions, values), 1e-3,
+                                   DISTANCE)
         assert count == oracle
 
 

@@ -8,8 +8,9 @@ import helpers
 from dmmobench.config import BenchmarkSettings
 from dmmobench.controller import PopulationSnapshot, create_problem
 from dmmobench.core import format_rows, reflect_into_domain
-from dmmobench.dynamics import (ScalarChangeParams, _first_violation,
-                                apply_scalar_change, rotation_from_pairs)
+from dmmobench.dynamics import (ChangeState, ScalarChangeParams,
+                                _first_violation, apply_scalar_change,
+                                rotation_from_pairs)
 from dmmobench.metrics import count_npf
 
 
@@ -47,9 +48,11 @@ def test_reflection_always_lands_in_the_domain(coords):
     noise=st.floats(min_value=-6.0, max_value=6.0),
 )
 def test_scalar_changes_respect_their_bounds(mode, value, t, draw, noise):
-    params = ScalarChangeParams(1.0, 12.0, 1.0, 0.0, BenchmarkSettings())
+    params = ScalarChangeParams(1.0, 12.0, 1.0, 0.0)
+    state = ChangeState(mode, 8, BenchmarkSettings())
+    state.t = t
     rng = OneShotRng(draw, noise)
-    out = apply_scalar_change(mode, value, t, params, rng)
+    out = apply_scalar_change(state, value, params, rng)
     assert params.e_min <= out <= params.e_max
 
 

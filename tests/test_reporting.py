@@ -120,12 +120,21 @@ def test_a_run_that_returns_before_it_froze_fails(monkeypatch):
     assert report.table.rows == [] and report.records == {}
 
 
-def test_failures_do_not_poison_the_table(tmp_path):
+def execute_unless_seed_3(problem, seed, *rest):
+    """`execute_run`, except that every run of seed 3 fails; defined at
+    module level, so a pool can send it to its workers."""
+    if seed == 3:
+        raise RuntimeError("seed 3 fails")
+    return execute_run(problem, seed, *rest)
+
+
+def test_failures_do_not_poison_the_table(monkeypatch, tmp_path):
+    monkeypatch.setattr(reporting, "execute_run", execute_unless_seed_3)
     settings = BenchmarkSettings(evals_per_dim=40, environments=2)
-    report = run_benchmark(["P1"], [1, -3, 2], settings=settings,
+    report = run_benchmark(["P1"], [1, 3, 2], settings=settings,
                            out_dir=str(tmp_path))
     assert len(report.failures) == 1
-    assert report.failures[0][:2] == ("P1", -3)
+    assert report.failures[0][:2] == ("P1", 3)
     assert report.records["P1"].npf.shape == (3, 2, 2)
     assert len(report.table.rows) == 1
 
@@ -145,6 +154,25 @@ def test_repeated_problem_or_seed_is_refused_before_any_run(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("problems, seeds, optimizer, named", [
+    (["P1", "P99"], [1], "baseline", "'P99'"),
+    (["P1"], [1, -1], "baseline", "seed -1 "),
+    (["P1"], [1, 1.5], "baseline", "seed 1.5 "),
+    (["P1"], [1], "nope", "'nope'"),
+    (["P1"], [True], "baseline", "seed True "),
+], ids=["unknown problem", "negative seed", "fractional seed",
+        "unknown optimizer", "bool seed"])
+def test_a_request_that_cannot_run_is_refused_before_any_run(
+        monkeypatch, tmp_path, problems, seeds, optimizer, named):
+    # each would otherwise fail as a run of its own, after the others ran
+    monkeypatch.setattr(reporting, "execute_run",
+                        lambda *task: pytest.fail("a run started"))
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=named):
+        run_benchmark(problems, seeds, optimizer, out_dir=str(out))
+    assert not out.exists()
+
+
 def test_rescore_names_a_snapshot_file_without_environments(tmp_path):
     path = tmp_path / "snapshots_P1_seed1.txt"
     path.write_text("problem P1\nseed 1\n")
@@ -152,17 +180,18 @@ def test_rescore_names_a_snapshot_file_without_environments(tmp_path):
         rescore_snapshots(str(tmp_path))
 
 
-def test_pool_output_and_failures_match_serial(tmp_path):
+def test_pool_output_and_failures_match_serial(monkeypatch, tmp_path):
     # the pool starts P21 and P5 before P17 and P1; nothing may show it
+    monkeypatch.setattr(reporting, "execute_run", execute_unless_seed_3)
     settings = BenchmarkSettings(evals_per_dim=20, environments=2)
-    problems, seeds = ["P1", "P5", "P17", "P21"], [1, -3]
+    problems, seeds = ["P1", "P5", "P17", "P21"], [1, 3]
     reports = {}
     for jobs in (1, 2):
         reports[jobs] = run_benchmark(
             problems, seeds, settings=settings, jobs=jobs,
             out_dir=str(tmp_path / str(jobs)), save_snapshots=True)
     assert reports[1].failures == reports[2].failures
-    assert [f[:2] for f in reports[2].failures] == [(p, -3) for p in problems]
+    assert [f[:2] for f in reports[2].failures] == [(p, 3) for p in problems]
     names = sorted(os.listdir(tmp_path / "1"))
     assert names == sorted(os.listdir(tmp_path / "2"))
     assert len(names) == 2 + 2 * len(problems)
