@@ -56,14 +56,16 @@ MUTANTS = [
            "environments=1, period=1))", "environments=1, period=0))"),
     mutant("subpopulations 0 accepted", "config.py",
            "dict(subpopulations=1,", "dict(subpopulations=0,"),
-    mutant("fractional count accepted", "config.py",
+    mutant("fractional integer accepted", "core.py",
            "if isinstance(value, bool) or not isinstance(value, "
            "numbers.Integral):",
            "if isinstance(value, bool):"),
-    mutant("bool count accepted", "config.py",
+    mutant("bool integer accepted", "core.py",
            "if isinstance(value, bool) or not isinstance(value, "
            "numbers.Integral):",
            "if not isinstance(value, numbers.Integral):"),
+    mutant("count refused as a plain ValueError", "config.py",
+           "minimum, ConfigError)", "minimum)"),
     mutant("crossover_rate up to 2 accepted", "config.py",
            "0.0 <= self.crossover_rate <= 1.0",
            "0.0 <= self.crossover_rate <= 2.0"),
@@ -194,21 +196,39 @@ MUTANTS = [
            "    for problem in problems:\n        problem_spec(problem)\n",
            ""),
     mutant("negative seed run", "reporting.py",
-           "or seed < 0):", "or seed < -1):"),
-    mutant("fractional seed run", "reporting.py",
-           "if (isinstance(seed, bool) or not isinstance(seed, "
-           "numbers.Integral)",
-           "if (isinstance(seed, bool)"),
-    mutant("bool seed run", "reporting.py",
-           "if (isinstance(seed, bool) or not", "if (not"),
+           'check_integer("seed", seed, 0)',
+           'check_integer("seed", seed, -1)'),
+    mutant("seed left to the run", "reporting.py",
+           '    for seed in seeds:\n        check_integer("seed", seed, 0)\n',
+           ""),
     mutant("unknown optimizer run", "reporting.py",
            "    make_optimizer(optimizer, optimizer_config)\n", ""),
+    mutant("jobs 0 run", "reporting.py",
+           'check_integer("jobs", jobs, 1)', 'check_integer("jobs", jobs)'),
+    mutant("fractional or bool jobs run", "reporting.py",
+           '    check_integer("jobs", jobs, 1)\n',
+           '    if jobs < 1:\n        raise ValueError("jobs")\n'),
+    # a seed, or a grid argument, that is not an integer
+    mutant("stream seed unchecked", "core.py",
+           '        check_integer("seed", seed, 0)\n', ""),
+    mutant("fractional grid env accepted", "reporting.py",
+           '    check_integer("env", env)\n', ""),
+    mutant("fractional grid resolution accepted", "reporting.py",
+           '    check_integer("resolution", resolution, 2)\n',
+           '    if resolution < 2:\n        raise ValueError("resolution")\n'),
+    mutant("grid resolution 1 accepted", "reporting.py",
+           'check_integer("resolution", resolution, 2)',
+           'check_integer("resolution", resolution, 1)'),
+    mutant("fractional grid dimension accepted", "reporting.py",
+           '        check_integer("dim_override", dim_override)\n', ""),
     # a config key set twice
     mutant("config key set twice accepted", "config.py",
            "        if key in first_lines:", "        if False:"),
     # the one order of addition of every squared distance
     mutant("8 to 15 coordinates summed in order", "core.py",
-           "    if n < 8:\n", "    if n < 16:\n"),
+           "    if dim < 8:\n", "    if dim < 16:\n"),
+    mutant("16 or more coordinates from the slab", "core.py",
+           "if dim >= 16 or a.shape[-2]", "if a.shape[-2]"),
 ]
 
 

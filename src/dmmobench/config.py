@@ -8,8 +8,9 @@ changed afterwards, so an invalid settings object never exists.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, fields, replace
+
+from .core import check_integer
 
 
 class ConfigError(ValueError):
@@ -19,11 +20,7 @@ class ConfigError(ValueError):
 def _check_counts(config, minimums):
     """Refuse a count that is not an integer, or is below its minimum."""
     for name, minimum in minimums.items():
-        value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if value < minimum:
-            raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+        check_integer(name, getattr(config, name), minimum, ConfigError)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,8 @@ D in {5, 10} for the official problems (2-D instances are allowed for
 visualisation).  All arithmetic is IEEE-754 binary64.
 """
 
+import numbers
+
 import numpy as np
 
 DOMAIN_LOW = -5.0
@@ -28,6 +30,15 @@ class PlacementError(RuntimeError):
     """Raised when spaced placement or distance repair exceeds its retry cap."""
 
 
+def check_integer(name, value, minimum=None, error=ValueError):
+    """Raise `error`, naming `name` and `value`, for a value that is not
+    an integer (a bool is not one) or is below `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} {value!r} is not an integer")
+    if minimum is not None and value < minimum:
+        raise error(f"{name} {value!r} is less than {minimum}")
+
+
 class RngStream:
     """Deterministic random stream backed by numpy's PCG64 generator.
 
@@ -41,8 +52,7 @@ class RngStream:
     """
 
     def __init__(self, seed, stream=0):
-        if seed < 0:
-            raise ValueError(f"seed must be >= 0, got {seed}")
+        check_integer("seed", seed, 0)
         entropy = seed if stream == 0 else (seed, stream)
         self._gen = np.random.Generator(np.random.PCG64(entropy))
         self._permutation_bases = {}
@@ -223,43 +233,35 @@ def _format_chunk(values, last):
     return text, exact | zero
 
 
-def coordinate_sum(terms):
-    """Sum over the leading axis, of length at least 1, bit for bit as
-    numpy's `sum` adds the elements of one contiguous axis (pairwise
-    summation): fewer than 8 terms in order; 8 to 15 from eight
-    accumulators, one per term, combined pairwise, then the tail in
-    order; from 16 terms on, which no benchmark problem reaches, numpy
-    sums a contiguous copy itself.  The one difference: numpy starts
-    from +0.0, so a sum of 8 to 15 negative zeros only is +0.0 there
-    and -0.0 here.  A sum of squares holds no negative zero."""
-    n = len(terms)
-    if n < 8:
-        # in order, from +0.0, whichever axis numpy iterates innermost
-        return np.add.reduce(terms, axis=0)
-    if n >= 16:
-        return np.ascontiguousarray(np.moveaxis(terms, 0, -1)).sum(-1)
-    # one slab at a time: faster here than adding strided halves
-    total = terms[0] + terms[1]
-    total += terms[2] + terms[3]
-    right = terms[4] + terms[5]
-    right += terms[6] + terms[7]
-    total += right
-    for term in terms[8:]:
-        total += term
-    return total
-
-
 def squared_distances(a, b):
     """Squared distances between the rows of `a` (..., n, D) and of `b`
-    (..., m, D), shaped (..., n, m), in the order of numpy's `sum`, which
-    the golden hashes rest on; from 128 pairs on laid out coordinate-major,
-    so that each of the D additions spans every pair, to the same bytes."""
-    if a.shape[-2] * b[..., 0].size < 128:  # numpy's own sum is faster
+    (..., m, D), shaped (..., n, m), bit for bit as numpy's `sum` adds
+    the D squares of one pair, which the golden hashes rest on: pairwise
+    summation, that is fewer than 8 terms in order, and 8 to 15 from
+    eight accumulators, one per term, combined pairwise, then the tail
+    in order.  Below 128 pairs, where that is faster, and from 16
+    coordinates on, which no benchmark problem reaches, numpy sums the
+    point-major squares itself.  Otherwise the coordinates are laid out
+    first, so that each of the D additions spans every pair."""
+    dim = a.shape[-1]
+    if dim >= 16 or a.shape[-2] * b[..., 0].size < 128:
         return ((a[..., :, None, :] - b[..., None, :, :]) ** 2).sum(-1)
     axes = (a.ndim - 1, *range(a.ndim - 1))
     diff = (np.ascontiguousarray(a.transpose(axes))[..., :, None]
             - np.ascontiguousarray(b.transpose(axes))[..., None, :])
-    return coordinate_sum(np.multiply(diff, diff, out=diff))
+    squares = np.multiply(diff, diff, out=diff)
+    if dim < 8:
+        # in order, as numpy's pairwise sum adds fewer than 8 terms
+        return np.add.reduce(squares, axis=0)
+    # one slab at a time: faster here than adding strided halves
+    total = squares[0] + squares[1]
+    total += squares[2] + squares[3]
+    right = squares[4] + squares[5]
+    right += squares[6] + squares[7]
+    total += right
+    for square in squares[8:]:
+        total += square
+    return total
 
 
 def draw_spaced_points(count, dim, rng, min_dist):

@@ -9,7 +9,6 @@ Artifacts per output directory:
   grid_P<n>_seed<m>_env<e>.txt   fitness sample grids (grid command)
 """
 
-import numbers
 import os
 from array import array
 from concurrent.futures import ProcessPoolExecutor
@@ -24,8 +23,8 @@ from .config import BenchmarkSettings, OptimizerConfig
 # benchmark's tracer wraps it
 from .controller import (PopulationSnapshot, create_problem,
                          dump_environments_text, iterate_environments)
-from .core import (CONE_FAMILIES, DOMAIN_HIGH, DOMAIN_LOW, format_rows,
-                   make_rng, problem_spec)
+from .core import (CONE_FAMILIES, DOMAIN_HIGH, DOMAIN_LOW, check_integer,
+                   format_rows, make_rng, problem_spec)
 # count_npf is unused here, but the benchmark's tracer patches it by name.
 from .metrics import (RunRecord, best_worst, count_npf,  # noqa: F401
                       peak_ratio, score_run)
@@ -127,10 +126,10 @@ def run_benchmark(problems, seeds, optimizer="baseline",
     collected in task order.  A request that cannot run as asked raises
     ValueError, naming the bad value, before any run starts: a repeated
     problem or seed (it would be run and weighted twice), an unknown
-    problem or optimizer, or a seed that is not an integer >= 0.
+    problem or optimizer, a seed that is not an integer >= 0, or `jobs`
+    that is not an integer >= 1 (a bool is not an integer).
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    check_integer("jobs", jobs, 1)
     problems = list(problems)
     seeds = list(seeds)
     for kind, values in (("problem", problems), ("seed", seeds)):
@@ -140,9 +139,7 @@ def run_benchmark(problems, seeds, optimizer="baseline",
     for problem in problems:
         problem_spec(problem)
     for seed in seeds:
-        if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
-                or seed < 0):
-            raise ValueError(f"seed {seed!r} is not an integer >= 0")
+        check_integer("seed", seed, 0)
     make_optimizer(optimizer, optimizer_config)
     tasks = [(p, s, optimizer, settings, optimizer_config, save_snapshots)
              for p in problems for s in seeds]
@@ -408,14 +405,18 @@ def export_landscape_grid(problem, seed, env=1, resolution=101,
     beyond two dimensions the slice fixes every other coordinate at
     zero.  `dim_override` rebuilds the problem at another dimension
     (2 is the useful one, for direct visualisation), at least 2.
+    `env`, `resolution` and `dim_override` must be integers.
     """
-    if dim_override is not None and dim_override < 2:
-        raise ValueError(f"dimension must be at least 2, got {dim_override}")
+    if dim_override is not None:
+        check_integer("dim_override", dim_override)
+        if dim_override < 2:
+            raise ValueError(
+                f"dimension must be at least 2, got {dim_override}")
+    check_integer("env", env)
     if not 1 <= env <= settings.environments:
         raise ValueError(
             f"environment {env} outside 1..{settings.environments}")
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
+    check_integer("resolution", resolution, 2)
     for t, landscape, _ in iterate_environments(
             problem, seed, settings, dim_override=dim_override):
         if t == env:

@@ -194,6 +194,17 @@ def test_different_seeds_differ():
     assert a != b
 
 
+@pytest.mark.parametrize("call, seed", [
+    (lambda seed: create_problem("P1", seed), 1.5),
+    (lambda seed: create_problem("P1", seed), True),
+    (lambda seed: dump_environments_text("P1", seed, tiny_settings()), True),
+], ids=["problem, fractional seed", "problem, bool seed", "dump, bool seed"])
+def test_a_seed_that_is_not_an_integer_is_refused(call, seed):
+    # a bool would otherwise build seed 1's problem, under its own name
+    with pytest.raises(ValueError, match=f"seed {seed} "):
+        call(seed)
+
+
 def test_iterate_environments_spans_requested_range():
     seen = [env for env, _, _ in
             iterate_environments("P4", 2, tiny_settings())]

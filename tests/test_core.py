@@ -9,7 +9,6 @@ from dmmobench.core import (
     PROBLEM_INDICES,
     PROBLEM_TABLE,
     PlacementError,
-    coordinate_sum,
     draw_spaced_points,
     format_rows,
     make_rng,
@@ -192,48 +191,6 @@ def test_format_floats_matches_format_e16():
     assert format_rows([], []) == []
     with pytest.raises(ValueError):
         format_rows([1.0, 2.0], [1])
-
-
-#: Leading shapes for the coordinate sum: one point, a batch, the DE's
-#: (subs, trial, member) layout and a long axis.
-SUM_SHAPES = [(1,), (7,), (3, 4), (2, 3, 5), (301,)]
-
-
-@pytest.mark.parametrize("shape", SUM_SHAPES)
-def test_coordinate_sum_adds_in_numpys_order(shape):
-    # Continuous data: squares of differences at many scales, whose sum
-    # depends on the order of addition (the in-order sum differs from
-    # numpy's at most lengths from 8 on).
-    rng = np.random.default_rng(len(shape) * 1000 + shape[-1])
-    for dim in range(1, 301):
-        a = rng.standard_normal(shape + (dim,)) * 10.0 ** rng.uniform(
-            -3, 3, shape + (dim,))
-        diff = a - rng.standard_normal(shape + (dim,))
-        expected = (diff * diff).sum(-1)
-        strided = np.moveaxis(diff * diff, -1, 0)
-        # the strided view, and the contiguous layout the call sites pass
-        for terms in (strided, np.ascontiguousarray(strided)):
-            got = coordinate_sum(terms)
-            assert got.shape == expected.shape
-            assert got.tobytes() == expected.tobytes(), dim
-
-
-
-@pytest.mark.parametrize("shape", SUM_SHAPES)
-def test_coordinate_sum_of_few_terms_matches_sum_in_either_layout(shape):
-    # Fewer than 8 terms: signed values at many scales, so the order of
-    # addition shows, and some outputs summing negative zeros only.
-    rng = np.random.default_rng(shape[-1])
-    for dim in range(1, 8):
-        t = rng.standard_normal(shape + (dim,)) * 10.0 ** rng.uniform(
-            -8, 8, shape + (dim,))
-        t[..., :1, :] = -0.0
-        expected = t.sum(-1)
-        strided = np.moveaxis(t, -1, 0)
-        for terms in (strided, np.ascontiguousarray(strided)):
-            got = coordinate_sum(terms)
-            assert got.shape == expected.shape
-            assert got.tobytes() == expected.tobytes(), dim
 
 
 #: Leading shapes of the kernel's (a, b): 2-D point sets with fewer and

@@ -13,6 +13,7 @@ from dmmobench.reporting import (
     ResultsTable,
     _cost_rank,
     execute_run,
+    export_landscape_grid,
     parse_snapshots,
     render_snapshots,
     rescore_snapshots,
@@ -154,22 +155,25 @@ def test_repeated_problem_or_seed_is_refused_before_any_run(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("problems, seeds, optimizer, named", [
-    (["P1", "P99"], [1], "baseline", "'P99'"),
-    (["P1"], [1, -1], "baseline", "seed -1 "),
-    (["P1"], [1, 1.5], "baseline", "seed 1.5 "),
-    (["P1"], [1], "nope", "'nope'"),
-    (["P1"], [True], "baseline", "seed True "),
+@pytest.mark.parametrize("problems, seeds, optimizer, jobs, named", [
+    (["P1", "P99"], [1], "baseline", 1, "'P99'"),
+    (["P1"], [1, -1], "baseline", 1, "seed -1 "),
+    (["P1"], [1, 1.5], "baseline", 1, "seed 1.5 "),
+    (["P1"], [1], "nope", 1, "'nope'"),
+    (["P1"], [True], "baseline", 1, "seed True "),
+    (["P1", "P2"], [1], "baseline", 1.5, "jobs 1.5 "),
+    (["P1", "P2"], [1], "baseline", True, "jobs True "),
 ], ids=["unknown problem", "negative seed", "fractional seed",
-        "unknown optimizer", "bool seed"])
+        "unknown optimizer", "bool seed", "fractional jobs", "bool jobs"])
 def test_a_request_that_cannot_run_is_refused_before_any_run(
-        monkeypatch, tmp_path, problems, seeds, optimizer, named):
+        monkeypatch, tmp_path, problems, seeds, optimizer, jobs, named):
     # each would otherwise fail as a run of its own, after the others ran
     monkeypatch.setattr(reporting, "execute_run",
                         lambda *task: pytest.fail("a run started"))
     out = tmp_path / "out"
     with pytest.raises(ValueError, match=named):
-        run_benchmark(problems, seeds, optimizer, out_dir=str(out))
+        run_benchmark(problems, seeds, optimizer, out_dir=str(out),
+                      jobs=jobs)
     assert not out.exists()
 
 
@@ -369,3 +373,12 @@ def test_parse_names_an_impossible_individual(line):
         parse_snapshots(text, 3)
     _, _, snapshots = parse_snapshots(text.replace(line, good), 3)
     assert [len(s) for s in snapshots] == [4, 1, 0]
+
+
+@pytest.mark.parametrize("argument, value", [
+    ("env", 1.5), ("resolution", 2.5), ("dim_override", 2.5)])
+def test_grid_refuses_an_argument_that_is_not_an_integer(argument, value):
+    # env 1.5 would match no environment and sample the last one
+    with pytest.raises(ValueError, match=f"{argument} {value} "):
+        export_landscape_grid("P1", 1, settings=BenchmarkSettings(
+            environments=3), **{argument: value})
