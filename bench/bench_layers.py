@@ -2,7 +2,8 @@
 bundled DE baseline uses (10 subpopulations of 10, D in {5, 10}), and of
 the environment changes and peak counting that every run replays.
 
-Run from the root of a checkout:
+They need pytest-benchmark (`pip install -e '.[bench]'`).  Run from
+the root of a checkout:
 
     PYTHONPATH=src python -m pytest bench -o python_files='bench_*.py' \
         --benchmark-only

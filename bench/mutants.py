@@ -7,7 +7,7 @@ README.md and pyproject.toml) is copied to a temporary directory, the edit is ch
 when pytest fails, and survives when the suite passes.  An unmutated
 copy runs first: a suite that fails on its own proves nothing.
 
-Run from the root of a checkout (about 6 minutes on two cores):
+Run from the root of a checkout (about 10 minutes on two cores):
 
     python3 bench/mutants.py            # every mutant
     python3 bench/mutants.py NAME ...   # only the named ones
@@ -179,6 +179,11 @@ MUTANTS = [
            "    except TypeError:\n        raise _malformed(number, line)"),
     mutant("infinite fitness accepted", "reporting.py",
            "& np.isfinite(fitness)))", "& ~np.isnan(fitness)))"),
+    mutant("out-of-domain snapshot coordinate accepted", "reporting.py",
+           "max(1, initial=0.0) <= DOMAIN_HIGH)",
+           "max(1, initial=0.0) <= np.inf)"),
+    mutant("bad individual named at the wrong line", "reporting.py",
+           "line_numbers.append(number)", "line_numbers.append(number + 1)"),
     mutant("file without env lines accepted", "reporting.py",
            "    if not firsts:\n", "    if False:\n"),
     mutant("truncated file accepted", "reporting.py",
@@ -224,6 +229,9 @@ MUTANTS = [
     # a config key set twice
     mutant("config key set twice accepted", "config.py",
            "        if key in first_lines:", "        if False:"),
+    mutant("config method name taken as a key", "config.py",
+           "if key in {f.name for f in fields(config)}:",
+           "if hasattr(config, key):"),
     # the one order of addition of every squared distance
     mutant("8 to 15 coordinates summed in order", "core.py",
            "    if dim < 8:\n", "    if dim < 16:\n"),

@@ -178,7 +178,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, PlacementError) as exc:  # ConfigError included
+    # ConfigError included; OSError for an --out-dir that cannot be used
+    except (ValueError, PlacementError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,11 +7,9 @@ component contributes one global optimum of fitness 0 at its shift, and
 no point evaluates above 0.
 """
 
-from functools import cache
-
 import numpy as np
 
-from .core import draw_spaced_points, squared_distances
+from .core import DOMAIN_HIGH, draw_spaced_points, squared_distances
 from .dynamics import random_rotation
 
 #: Scale applied to each normalized component value.
@@ -34,15 +32,8 @@ def _sphere(z):
     return (z * z).sum(-1)
 
 
-@cache
-def _griewank_divisors(dim):
-    divisors = np.sqrt(np.arange(1, dim + 1, dtype=float))
-    divisors.flags.writeable = False
-    return divisors
-
-
 def _griewank(z):
-    divisors = _griewank_divisors(z.shape[-1])
+    divisors = np.sqrt(np.arange(1.0, z.shape[-1] + 1.0))
     return 1.0 + (z * z).sum(-1) / 4000.0 - np.cos(z / divisors).prod(-1)
 
 
@@ -117,7 +108,7 @@ class CompositionLandscape:
         self.spreads = spreads
         self.set_active_count(len(kinds))
         # the domain's far corner, stretched by each component
-        self._corners = np.full(dim, 5.0) / stretches[:, None]
+        self._corners = np.full(dim, DOMAIN_HIGH) / stretches[:, None]
         self._kind_rows = {kind: np.flatnonzero([k == kind for k in kinds])
                            for kind in dict.fromkeys(kinds)}
         #: |raw value| at the domain's far corner, used for normalization.

@@ -130,12 +130,8 @@ def parse_config_text(text):
     Keys are field names of BenchmarkSettings or OptimizerConfig, each
     set at most once; anything else is an error.
     """
-    settings, optimizer = BenchmarkSettings(), OptimizerConfig()
-    bench_defaults = {f.name: getattr(settings, f.name) for f in fields(settings)}
-    opt_defaults = {f.name: getattr(optimizer, f.name) for f in fields(optimizer)}
-
-    bench_updates = {}
-    opt_updates = {}
+    configs = BenchmarkSettings(), OptimizerConfig()
+    updates = [{} for _ in configs]
     first_lines = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -150,15 +146,15 @@ def parse_config_text(text):
             raise ConfigError(f"line {lineno}: {key!r} is already set on "
                               f"line {first_lines[key]}")
         first_lines[key] = lineno
-        if key in bench_defaults:
-            bench_updates[key] = parse_value(key, raw, bench_defaults[key])
-        elif key in opt_defaults:
-            opt_updates[key] = parse_value(key, raw, opt_defaults[key])
+        for config, update in zip(configs, updates):
+            if key in {f.name for f in fields(config)}:
+                update[key] = parse_value(key, raw, getattr(config, key))
+                break
         else:
             raise ConfigError(f"line {lineno}: unknown option {key!r}")
 
-    return (replace(settings, **bench_updates),
-            replace(optimizer, **opt_updates))
+    return tuple(replace(config, **update)
+                 for config, update in zip(configs, updates))
 
 
 def load_config(path=None):

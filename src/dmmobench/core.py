@@ -7,6 +7,7 @@ visualisation).  All arithmetic is IEEE-754 binary64.
 """
 
 import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -293,25 +294,19 @@ def reflect_into_domain(points):
     return DOMAIN_LOW + folded
 
 
+@dataclass(frozen=True)
 class ProblemSpec:
     """One row of the 24-problem benchmark table."""
 
-    __slots__ = ("index", "family", "mode", "dimension")
-
-    def __init__(self, index, family, mode, dimension):
-        self.index = index
-        self.family = family
-        self.mode = mode
-        self.dimension = dimension
+    index: str
+    family: str
+    mode: str
+    dimension: int
 
     @property
     def group(self):
         number = int(self.index[1:])
         return "G1" if number <= 8 else ("G2" if number <= 16 else "G3")
-
-    def __repr__(self):
-        return (f"ProblemSpec({self.index}: {self.family}, "
-                f"{self.mode}, D={self.dimension})")
 
 
 def _build_problem_table():

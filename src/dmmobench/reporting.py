@@ -269,8 +269,9 @@ def parse_snapshots(text, environments):
     does not record every environment of the run.
     """
     header, firsts, dim = {}, {}, None
-    # packed doubles: a quarter of the memory of a list of floats
-    coords, values = array("d"), array("d")
+    # packed doubles: a quarter of the memory of a list of floats; and
+    # each individual's line number, to name a bad one after the loop
+    coords, values, line_numbers = array("d"), array("d"), array("l")
     lines = text.splitlines()
     for number, line in enumerate(lines, start=1):
         key, *fields = line.split() or [None]
@@ -281,6 +282,7 @@ def parse_snapshots(text, environments):
             point = _numbers(float, fields[:dim] + fields[-1:], number, line)
             values.append(point.pop())
             coords.fromlist(point)
+            line_numbers.append(number)
         elif key in _SNAPSHOT_HEADER:
             if len(fields) != 1 or dim is not None or key in header:
                 raise _malformed(number, line)
@@ -326,7 +328,8 @@ def parse_snapshots(text, environments):
         (np.abs(individuals).max(1, initial=0.0) <= DOMAIN_HIGH)
         & np.isfinite(fitness)))
     if len(bad):
-        raise _malformed(*_individual_line(lines, int(bad[0])))
+        number = line_numbers[bad[0]]
+        raise _malformed(number, lines[number - 1])
     if len(firsts) != environments:
         raise ValueError(
             f"{len(firsts)} of {environments} environments recorded")
@@ -335,15 +338,6 @@ def parse_snapshots(text, environments):
         PopulationSnapshot(env, individuals[first:end], fitness[first:end])
         for env, first, end in sorted(zip(firsts, bounds, bounds[1:]))]
     return header["problem"].index, header["seed"], snapshots
-
-
-def _individual_line(lines, index):
-    """Number, from 1, and text of the individual line `index`, from 0."""
-    for number, line in enumerate(lines, start=1):
-        if line.split()[:1] == ["individual"]:
-            if index == 0:
-                return number, line
-            index -= 1
 
 
 def _numbers(kind, fields, number, line):

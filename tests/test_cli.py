@@ -294,3 +294,24 @@ def test_bad_arguments_exit_2(tmp_path, config_path, capsys, case):
     assert "error:" in err and word in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+UNUSABLE_OUT_DIRS = [
+    (["score"], "missing"),
+    (["score"], "file"),
+    (["dump", "--problems", "P1", "--seeds", "1"], os.path.join("file", "x")),
+]
+
+
+@pytest.mark.parametrize("case", UNUSABLE_OUT_DIRS,
+                         ids=[f"{case[0][0]} --out-dir {case[1]}"
+                              for case in UNUSABLE_OUT_DIRS])
+def test_an_unusable_out_dir_exits_2(tmp_path, config_path, capsys, case):
+    args, target = case
+    (tmp_path / "file").write_text("")
+    out = tmp_path / target
+    code = run_cli(args + ["--config", config_path, "--out-dir", out])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and str(out) in err
+    assert "Traceback" not in err

@@ -1,5 +1,5 @@
 import math
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -65,6 +65,34 @@ def test_invalid_settings_cannot_be_built(kind, name, value):
         replace(kind(), **{name: value})
     with pytest.raises(FrozenInstanceError):
         setattr(kind(), name, value)
+
+
+def test_every_key_sets_its_own_field():
+    settings = BenchmarkSettings(
+        evals_per_dim=7, environments=5, alpha=0.05, alpha_max=0.02,
+        chaos_factor=3.5, period=6, noise_severity=0.7,
+        min_peak_distance=0.2, height_severity=6.0, width_severity=0.5,
+        rotation_severity=0.9, distance_accuracy=0.04,
+        fitness_accuracy_levels=(0.01, 0.002))
+    optimizer = OptimizerConfig(
+        subpopulations=3, subpopulation_size=5, scale_factor=0.6,
+        crossover_rate=0.8, memory_size=4, reinit_fraction=0.25)
+    lines = []
+    for config in (settings, optimizer):
+        for field in fields(config):
+            value = getattr(config, field.name)
+            assert value != field.default
+            if isinstance(value, tuple):
+                value = ", ".join(map(repr, value))
+            lines.append(f"{field.name} = {value}\n")
+    assert parse_config_text("".join(lines)) == (settings, optimizer)
+
+
+@pytest.mark.parametrize("key", [
+    "validate", "environment_budget", "__post_init__"])
+def test_only_fields_are_keys(key):
+    with pytest.raises(ConfigError, match=f"line 1: unknown option '{key}'"):
+        parse_config_text(f"{key} = 1\n")
 
 
 def test_numpy_integers_are_integer_settings():

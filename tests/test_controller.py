@@ -205,6 +205,25 @@ def test_a_seed_that_is_not_an_integer_is_refused(call, seed):
         call(seed)
 
 
+@pytest.mark.parametrize("problem", ["P1", "P13", "P15", "P16", "P21"])
+def test_live_ground_truth_equals_the_replay(problem):
+    # the cone, F8 under C5 (angles from the period's sine), C7 and C8
+    # (changing active counts), and a composition at D = 10
+    settings = tiny_settings(evals_per_dim=2, environments=14)
+    live = create_problem(problem, 3, settings)
+    for _ in range(settings.environments):
+        live.evaluate_many(np.zeros((live.budget, live.spec.dimension)))
+    assert live.frozen
+    replayed = 0
+    for env, landscape, _ in iterate_environments(problem, 3, settings):
+        for ours, theirs in zip(live.ground_truth(env),
+                                landscape.global_optima()):
+            assert ours.shape == theirs.shape
+            assert ours.tobytes() == theirs.tobytes()
+        replayed += 1
+    assert replayed == settings.environments
+
+
 def test_iterate_environments_spans_requested_range():
     seen = [env for env, _, _ in
             iterate_environments("P4", 2, tiny_settings())]
