@@ -208,6 +208,9 @@ MUTANTS = [
            ""),
     mutant("unknown optimizer run", "reporting.py",
            "    make_optimizer(optimizer, optimizer_config)\n", ""),
+    mutant("out-dir created only after the runs", "reporting.py",
+           "    if out_dir is not None:\n"
+           "        os.makedirs(out_dir, exist_ok=True)\n", ""),
     mutant("jobs 0 run", "reporting.py",
            'check_integer("jobs", jobs, 1)', 'check_integer("jobs", jobs)'),
     mutant("fractional or bool jobs run", "reporting.py",
@@ -224,14 +227,21 @@ MUTANTS = [
     mutant("grid resolution 1 accepted", "reporting.py",
            'check_integer("resolution", resolution, 2)',
            'check_integer("resolution", resolution, 1)'),
-    mutant("fractional grid dimension accepted", "reporting.py",
+    mutant("fractional grid dimension accepted", "controller.py",
            '        check_integer("dim_override", dim_override)\n', ""),
-    # a config key set twice
+    mutant("grid dimension 1 accepted", "controller.py",
+           "if dim_override < 2:", "if dim_override < 1:"),
+    # config text the reader refuses
     mutant("config key set twice accepted", "config.py",
            "        if key in first_lines:", "        if False:"),
     mutant("config method name taken as a key", "config.py",
            "if key in {f.name for f in fields(config)}:",
            "if hasattr(config, key):"),
+    mutant("config line without `=` read as a key", "config.py",
+           "if not sep or not key:", "if not key:"),
+    mutant("unreadable config raised as OSError", "config.py",
+           'raise ConfigError(f"cannot read config {path}: {exc}") from None',
+           "raise"),
     # the one order of addition of every squared distance
     mutant("8 to 15 coordinates summed in order", "core.py",
            "    if dim < 8:\n", "    if dim < 16:\n"),

@@ -108,19 +108,17 @@ class OptimizerConfig:
 
 
 def parse_value(key, raw, default):
-    """`raw` read as a value of `default`'s type for option `key`; a
-    list is comma-separated and may be empty."""
+    """`raw` read as a value of `default`'s type, an int, a float or a
+    tuple, for option `key`; a tuple is comma-separated and may be empty."""
     kind = type(default)
     try:
         if kind is int:
             return int(raw)
         if kind is float:
             return float(raw)
-        if kind is tuple:
-            return tuple(float(part) for part in raw.split(",") if part.strip())
+        return tuple(float(part) for part in raw.split(",") if part.strip())
     except ValueError:
         raise ConfigError(f"bad value for {key}: {raw!r}") from None
-    raise ConfigError(f"unsupported option type for {key}")
 
 
 def parse_config_text(text):

@@ -12,7 +12,8 @@ import numpy as np
 from .composition import init_composition
 from .config import BenchmarkSettings
 from .core import (CONE_FAMILIES, DOMAIN_HIGH, DOMAIN_LOW, ProblemSpec,
-                   RunFrozenError, format_rows, make_rng, problem_spec)
+                   RunFrozenError, check_integer, format_rows, make_rng,
+                   problem_spec)
 from .df import init_df
 from .dynamics import advance_environment, init_change_state
 
@@ -182,10 +183,15 @@ def iterate_environments(index, seed, settings=BenchmarkSettings(),
     Drives the dynamics directly, consuming no evaluation budget; used
     by parameter dumps, landscape exports and re-scoring.  The yielded
     landscape is the live object: consume it before resuming the
-    generator.  `dim_override` builds the problem at another dimension.
+    generator.  `dim_override` builds the problem at another dimension,
+    an integer of at least 2.
     """
     spec = problem_spec(index)
     if dim_override is not None:
+        check_integer("dim_override", dim_override)
+        if dim_override < 2:
+            raise ValueError(
+                f"dimension must be at least 2, got {dim_override}")
         spec = ProblemSpec(spec.index, spec.family, spec.mode, dim_override)
     instance = ProblemInstance(spec, seed, settings)
     yield 1, instance.landscape, instance.state

@@ -137,8 +137,6 @@ def _rotation(dim, entries, angles):
 
 def random_rotation(dim, rng):
     """Orthogonal matrix with an independent random angle per plane."""
-    if dim < 2:
-        raise ValueError("rotation needs dim >= 2")
     pairs = random_pairing(dim, rng)
     angles = rng.uniform_vector(-math.pi, math.pi, len(pairs))
     return rotation_from_pairs(dim, pairs, angles)

@@ -127,7 +127,8 @@ def run_benchmark(problems, seeds, optimizer="baseline",
     ValueError, naming the bad value, before any run starts: a repeated
     problem or seed (it would be run and weighted twice), an unknown
     problem or optimizer, a seed that is not an integer >= 0, or `jobs`
-    that is not an integer >= 1 (a bool is not an integer).
+    that is not an integer >= 1 (a bool is not an integer).  An `out_dir`
+    that cannot be created raises OSError, also before any run.
     """
     check_integer("jobs", jobs, 1)
     problems = list(problems)
@@ -141,6 +142,8 @@ def run_benchmark(problems, seeds, optimizer="baseline",
     for seed in seeds:
         check_integer("seed", seed, 0)
     make_optimizer(optimizer, optimizer_config)
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
     tasks = [(p, s, optimizer, settings, optimizer_config, save_snapshots)
              for p in problems for s in seeds]
 
@@ -401,11 +404,6 @@ def export_landscape_grid(problem, seed, env=1, resolution=101,
     (2 is the useful one, for direct visualisation), at least 2.
     `env`, `resolution` and `dim_override` must be integers.
     """
-    if dim_override is not None:
-        check_integer("dim_override", dim_override)
-        if dim_override < 2:
-            raise ValueError(
-                f"dimension must be at least 2, got {dim_override}")
     check_integer("env", env)
     if not 1 <= env <= settings.environments:
         raise ValueError(

@@ -170,6 +170,14 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_missing_config_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    code = run_cli(["run", "--problems", "P1", "--seeds", "1",
+                    "--config", missing, "--out-dir", tmp_path / "o"])
+    assert code == 2
+    assert f"error: cannot read config {missing}" in capsys.readouterr().err
+
+
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("surprise = 1\n")

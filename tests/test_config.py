@@ -1,11 +1,12 @@
 import math
+import re
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
 
 from dmmobench.config import (BenchmarkSettings, ConfigError, OptimizerConfig,
-                              parse_config_text)
+                              load_config, parse_config_text)
 
 
 @pytest.mark.parametrize("line", [
@@ -98,3 +99,18 @@ def test_only_fields_are_keys(key):
 def test_numpy_integers_are_integer_settings():
     assert BenchmarkSettings(period=np.int64(6)).period == 6
     assert OptimizerConfig(memory_size=np.int32(5)).memory_size == 5
+
+
+@pytest.mark.parametrize("line", ["evals_per_dim 5", "= 5", "evals_per_dim"])
+def test_a_line_that_is_not_key_equals_value_is_refused(line):
+    # without the check each fails otherwise: an unknown key, a bad value
+    message = f"line 2: expected `key = value`, got {line!r}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config_text(f"# comment\n{line}\n")
+
+
+def test_an_unreadable_config_is_a_config_error(tmp_path):
+    path = tmp_path / "missing.cfg"
+    with pytest.raises(ConfigError, match=re.escape(
+            f"cannot read config {path}: ")):
+        load_config(str(path))

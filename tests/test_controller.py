@@ -230,6 +230,21 @@ def test_iterate_environments_spans_requested_range():
     assert seen == [1, 2, 3]
 
 
+@pytest.mark.parametrize("problem", ["P1", "P5"])
+@pytest.mark.parametrize("dim, message", [
+    (0, "dimension must be at least 2, got 0"),
+    (1, "dimension must be at least 2, got 1"),
+    (2.5, "dim_override 2.5 is not an integer"),
+    (True, "dim_override True is not an integer"),
+], ids=["0", "1", "2.5", "True"])
+def test_a_replay_refuses_a_dimension_below_2_or_not_an_integer(
+        problem, dim, message):
+    # at dimension 1 a replay of P1 would run as a 1-D problem
+    with pytest.raises(ValueError, match=message):
+        next(iterate_environments(problem, 1, tiny_settings(),
+                                  dim_override=dim))
+
+
 def test_dump_layout_for_cone_problems():
     text = dump_environments_text("P1", 1, tiny_settings(environments=2))
     lines = text.splitlines()

@@ -177,6 +177,23 @@ def test_a_request_that_cannot_run_is_refused_before_any_run(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("target", ["file", os.path.join("file", "x")])
+def test_an_unusable_out_dir_is_refused_before_any_run(
+        monkeypatch, tmp_path, target):
+    # found only at the end, it would cost every run of the table
+    started = []
+
+    def execute_and_fail(problem, seed, *rest):
+        started.append((problem, seed))
+        raise RuntimeError("a run started")
+
+    monkeypatch.setattr(reporting, "execute_run", execute_and_fail)
+    (tmp_path / "file").write_text("")
+    with pytest.raises(OSError):
+        run_benchmark(["P1", "P5"], [1, 2], out_dir=str(tmp_path / target))
+    assert started == []
+
+
 def test_rescore_names_a_snapshot_file_without_environments(tmp_path):
     path = tmp_path / "snapshots_P1_seed1.txt"
     path.write_text("problem P1\nseed 1\n")
