@@ -211,6 +211,13 @@ MUTANTS = [
     mutant("out-dir created only after the runs", "reporting.py",
            "    if out_dir is not None:\n"
            "        os.makedirs(out_dir, exist_ok=True)\n", ""),
+    mutant("snapshots without out_dir accepted", "reporting.py",
+           "    if save_snapshots and out_dir is None:\n"
+           "        raise ValueError(\"save_snapshots needs an out_dir\")\n",
+           ""),
+    mutant("run's snapshot file not written", "reporting.py",
+           "    if snapshot_dir is not None:\n        write_artifact(",
+           "    if False:\n        write_artifact("),
     mutant("jobs 0 run", "reporting.py",
            'check_integer("jobs", jobs, 1)', 'check_integer("jobs", jobs)'),
     mutant("fractional or bool jobs run", "reporting.py",

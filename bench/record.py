@@ -1,0 +1,151 @@
+"""Record end-to-end benchmark numbers of one or more source trees.
+
+Each tree is measured with `perfbench/run.py --trace 0`, run from the
+tree's root, on every workload that BENCHMARK.json lists, for
+BENCHMARK.json's `run_seconds`.  Rounds go round-robin over the
+workloads and, within each workload, over the trees, the first tree
+moving one place on each round, so that a host whose speed drifts
+spreads its drift over every tree and neither side of a pair always
+runs first.
+
+Every tree other than this checkout (an older commit exported with
+`git archive` into a directory outside the checkout) first has its
+`perfbench/` and BENCHMARK.json, if any, replaced by this checkout's,
+so every tree runs the same benchmark code and digests on its own
+`src/`.
+
+A run that exits non-zero, or whose result is not `correct` or has a
+failed operation, stops the recording.  For each tree `LABEL`,
+`BENCH_<LABEL>.json` is written to the current directory: the
+environment record of the tree's first run, and per workload the
+median and quartiles (inclusive method) of every end-to-end metric and
+every round's values.
+
+    git archive 0d58935 | tar -x -C /tmp/tree-0d58935
+    python3 bench/record.py --tree 0d58935=/tmp/tree-0d58935 \\
+        --tree head=. --rounds 5
+"""
+
+import argparse
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: The workload seed of every recorded run.
+SEED = 1
+
+
+def prepare_tree(path):
+    """Give a tree other than this checkout this checkout's benchmark."""
+    if not (path / "src" / "dmmobench").is_dir():
+        raise SystemExit(f"error: no dmmobench sources under {path}")
+    if path == ROOT:
+        return
+    if (path / "perfbench").exists():
+        shutil.rmtree(path / "perfbench")
+    shutil.copytree(ROOT / "perfbench", path / "perfbench",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "BENCHMARK.json", path / "BENCHMARK.json")
+
+
+def run_once(path, workload, seconds):
+    """(environment record, result) of one perfbench run in `path`."""
+    command = [sys.executable, "perfbench/run.py", "--workload", workload,
+               "--seed", str(SEED), "--seconds", str(seconds),
+               "--trace", "0"]
+    # the tree imports its own src/, whatever the caller's path holds
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(command, cwd=path, env=env, capture_output=True,
+                          text=True, check=False)
+    lines = done.stdout.splitlines()
+    if done.returncode != 0 or len(lines) < 2:
+        raise SystemExit(f"error: {path}: {workload} exited "
+                         f"{done.returncode}\n{done.stderr}")
+    record = json.loads(lines[-2])["environment"]
+    outcome = json.loads(lines[-1])
+    if not outcome["correct"] or outcome["failed"] != 0:
+        raise SystemExit(f"error: {path}: {workload} failed "
+                         f"{outcome['failed']} of {outcome['attempted']}: "
+                         f"{record['failures']}")
+    return record, outcome
+
+
+def summary(rounds):
+    """Median and quartiles of each metric over the rounds."""
+    stats = {}
+    for name in rounds[0]:
+        values = [r[name]["value"] for r in rounds]
+        q1, median, q3 = statistics.quantiles(values, n=4,
+                                              method="inclusive")
+        stats[name] = {"unit": rounds[0][name]["unit"], "median": median,
+                       "q1": q1, "q3": q3}
+    return stats
+
+
+def parse_args(argv):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--tree", action="append", required=True,
+                        metavar="LABEL=PATH",
+                        help="a source tree to measure, under a label")
+    parser.add_argument("--rounds", type=int, required=True)
+    args = parser.parse_args(argv)
+    trees = {}
+    for spec in args.tree:
+        label, sep, path = spec.partition("=")
+        if not sep or not label or not path or label in trees:
+            parser.error(f"--tree {spec!r}: want a new LABEL=PATH")
+        trees[label] = Path(path).resolve()
+    if args.rounds < 2:
+        parser.error("--rounds must be at least 2")
+    return trees, args.rounds
+
+
+def main(argv=None):
+    trees, rounds = parse_args(argv)
+    with open(ROOT / "BENCHMARK.json", encoding="utf-8") as handle:
+        benchmark = json.load(handle)
+    seconds = benchmark["run_seconds"]
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    for path in trees.values():
+        prepare_tree(path)
+    labels = list(trees)
+    records = {label: {"label": label, "seed": SEED, "environment": None,
+                       "workloads": {w: {"rounds": []} for w in workloads}}
+               for label in labels}
+    for i in range(rounds):
+        for workload in workloads:
+            shift = i % len(labels)
+            for label in labels[shift:] + labels[:shift]:
+                record, outcome = run_once(trees[label], workload, seconds)
+                entry = records[label]
+                if entry["environment"] is None:
+                    entry["environment"] = record
+                entry["workloads"][workload]["rounds"].append(
+                    outcome["metrics"])
+                print(f"round {i + 1} {workload:8} {label:12} wall_s "
+                      f"{outcome['metrics']['wall_s']['value']:.3f}",
+                      flush=True)
+        if i > 0:
+            # rewritten every round, so a recording cut short keeps its
+            # finished rounds
+            for label, entry in records.items():
+                write_record(label, entry)
+    return 0
+
+
+def write_record(label, entry):
+    for stats in entry["workloads"].values():
+        stats["metrics"] = summary(stats["rounds"])
+    with open(f"BENCH_{label}.json", "w", encoding="utf-8") as handle:
+        json.dump(entry, handle, indent=1)
+        handle.write("\n")
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -4,7 +4,7 @@ every accuracy level in one pass, and writes the delimited artifacts.
 Artifacts per output directory:
   results.txt / results.csv   the 24-row score table (6 decimal places)
   records_P<n>.csv            per-run, per-environment raw counts
-  snapshots_P<n>_seed<m>.txt  reported populations (with --save-snapshots)
+  snapshots_P<n>_seed<m>.txt  populations, as each run ends (--save-snapshots)
   dump_P<n>_seed<m>.txt       golden parameter dumps (dump command)
   grid_P<n>_seed<m>_env<e>.txt   fitness sample grids (grid command)
 """
@@ -37,12 +37,11 @@ OPTIMIZER_STREAM = 1
 
 @dataclass
 class RunResult:
-    """Scored outcome of one run: optima per environment, found counts
-    per environment and accuracy level, and the snapshots if kept."""
+    """Scored outcome of one run: optima per environment, and found
+    counts per environment and accuracy level."""
 
     peaks: list
     npf: np.ndarray
-    snapshots: object = None
 
 
 class ResultsTable:
@@ -93,12 +92,13 @@ class BenchmarkReport:
 
 def execute_run(problem, seed, optimizer="baseline",
                 settings=BenchmarkSettings(),
-                optimizer_config=OptimizerConfig(), keep_snapshots=False):
-    """One full run: build the instance, optimize until frozen, score.
+                optimizer_config=OptimizerConfig(), snapshot_dir=None):
+    """One full run: build the instance, optimize until frozen, score,
+    then write the snapshot file into `snapshot_dir`, if one is given.
 
     Raises RuntimeError if the optimizer returns before the run froze:
     a run scored on only the environments it sealed would read as
-    complete in the table.
+    complete in the table.  A run that fails before then writes no file.
     """
     instance = create_problem(problem, seed, settings)
     engine = make_optimizer(optimizer, optimizer_config)
@@ -107,9 +107,11 @@ def execute_run(problem, seed, optimizer="baseline",
         raise RuntimeError(
             f"optimizer {optimizer!r} returned with {len(instance.snapshots)}"
             f" of {settings.environments} environments sealed")
-    return RunResult(*score_run(instance.snapshots, instance.ground_truth,
-                                settings),
-                     instance.snapshots if keep_snapshots else None)
+    peaks, npf = score_run(instance.snapshots, instance.ground_truth, settings)
+    if snapshot_dir is not None:
+        write_artifact(snapshot_dir, f"snapshots_{problem}_seed{seed}.txt",
+                       render_snapshots(problem, seed, instance.snapshots))
+    return RunResult(peaks, npf)
 
 
 def run_benchmark(problems, seeds, optimizer="baseline",
@@ -126,9 +128,12 @@ def run_benchmark(problems, seeds, optimizer="baseline",
     collected in task order.  A request that cannot run as asked raises
     ValueError, naming the bad value, before any run starts: a repeated
     problem or seed (it would be run and weighted twice), an unknown
-    problem or optimizer, a seed that is not an integer >= 0, or `jobs`
-    that is not an integer >= 1 (a bool is not an integer).  An `out_dir`
-    that cannot be created raises OSError, also before any run.
+    problem or optimizer, a seed that is not an integer >= 0, `jobs`
+    that is not an integer >= 1 (a bool is not an integer), or
+    `save_snapshots` without an `out_dir`.  An `out_dir` that cannot be
+    created raises OSError, also before any run.  With `save_snapshots`
+    each run writes its snapshot file as it ends, and fails if it
+    cannot; the table and records are written after the last run.
     """
     check_integer("jobs", jobs, 1)
     problems = list(problems)
@@ -142,9 +147,12 @@ def run_benchmark(problems, seeds, optimizer="baseline",
     for seed in seeds:
         check_integer("seed", seed, 0)
     make_optimizer(optimizer, optimizer_config)
+    if save_snapshots and out_dir is None:
+        raise ValueError("save_snapshots needs an out_dir")
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-    tasks = [(p, s, optimizer, settings, optimizer_config, save_snapshots)
+    snapshot_dir = out_dir if save_snapshots else None
+    tasks = [(p, s, optimizer, settings, optimizer_config, snapshot_dir)
              for p in problems for s in seeds]
 
     outcomes = {}
@@ -168,7 +176,12 @@ def run_benchmark(problems, seeds, optimizer="baseline",
 
     table, records = _tabulate(problems, seeds, outcomes, settings)
     if out_dir is not None:
-        _write_artifacts(out_dir, table, records, outcomes, problems, seeds)
+        write_artifact(out_dir, "results.txt", table.render())
+        write_artifact(out_dir, "results.csv", table.to_csv())
+        for problem in records:
+            write_artifact(out_dir, f"records_{problem}.csv",
+                           render_records_csv(problem, seeds, outcomes,
+                                              table.keys))
     return BenchmarkReport(table, records, failures)
 
 
@@ -201,22 +214,6 @@ def _tabulate(problems, seeds, outcomes, settings):
         table.add_row(problem, problem_spec(problem).group,
                       list(zip(peak_ratio(record), *best_worst(record))))
     return table, records
-
-
-def _write_artifacts(out_dir, table, records, outcomes, problems, seeds):
-    write_artifact(out_dir, "results.txt", table.render())
-    write_artifact(out_dir, "results.csv", table.to_csv())
-    for problem in problems:
-        if problem not in records:
-            continue
-        write_artifact(out_dir, f"records_{problem}.csv", render_records_csv(
-            problem, seeds, outcomes, table.keys))
-        for seed in seeds:
-            result = outcomes.get((problem, seed))
-            if result is not None and result.snapshots is not None:
-                write_artifact(
-                    out_dir, f"snapshots_{problem}_seed{seed}.txt",
-                    render_snapshots(problem, seed, result.snapshots))
 
 
 def render_records_csv(problem, seeds, outcomes, keys):

@@ -1,5 +1,7 @@
+import dataclasses
 import os
 from concurrent.futures import Future
+from functools import partial
 
 import numpy as np
 import pytest
@@ -78,15 +80,16 @@ def test_snapshot_text_round_trip():
         assert np.array_equal(a.fitness, b.fitness)
 
 
-def test_execute_run_scores_every_environment():
+def test_execute_run_scores_every_environment(tmp_path):
     settings = BenchmarkSettings(evals_per_dim=40, environments=3)
     result = execute_run("P3", 2, settings=settings)
     assert result.peaks == [4, 4, 4]
     # one row per environment, one column per accuracy level
     assert result.npf.shape == (3, 3)
-    assert result.snapshots is None
-    kept = execute_run("P3", 2, settings=settings, keep_snapshots=True)
-    assert len(kept.snapshots) == 3
+    assert [f.name for f in dataclasses.fields(result)] == ["peaks", "npf"]
+    execute_run("P3", 2, settings=settings, snapshot_dir=str(tmp_path))
+    text = (tmp_path / "snapshots_P3_seed2.txt").read_text()
+    assert len(parse_snapshots(text, 3)[2]) == 3
 
 
 class EarlyReturn:
@@ -192,6 +195,56 @@ def test_an_unusable_out_dir_is_refused_before_any_run(
     with pytest.raises(OSError):
         run_benchmark(["P1", "P5"], [1, 2], out_dir=str(tmp_path / target))
     assert started == []
+
+
+def test_snapshots_without_an_out_dir_are_refused_before_any_run(
+        monkeypatch):
+    # the runs would render their snapshots for nothing to keep them
+    monkeypatch.setattr(reporting, "execute_run",
+                        lambda *task: pytest.fail("a run started"))
+    with pytest.raises(ValueError, match="save_snapshots"):
+        run_benchmark(["P1"], [1], save_snapshots=True)
+
+
+def execute_and_list(listings, out_dir, problem, seed, *rest):
+    """`execute_run`, first appending to `listings` the run and the
+    bytes of every file in `out_dir` as the run starts."""
+    listings.append(((problem, seed), {
+        name: (out_dir / name).read_bytes() for name in os.listdir(out_dir)}))
+    return execute_run(problem, seed, *rest)
+
+
+def test_each_run_writes_its_snapshot_file_as_it_ends(monkeypatch, tmp_path):
+    # a table stopped part-way keeps the files of the runs that finished
+    listings = []
+    monkeypatch.setattr(reporting, "execute_run",
+                        partial(execute_and_list, listings, tmp_path))
+    settings = BenchmarkSettings(evals_per_dim=20, environments=2)
+    run_benchmark(["P1", "P5"], [1, 2], settings=settings,
+                  out_dir=str(tmp_path), save_snapshots=True)
+    runs = [run for run, _ in listings]
+    assert runs == [("P1", 1), ("P1", 2), ("P5", 1), ("P5", 2)]
+    for i, (_, files) in enumerate(listings):
+        assert files == {
+            f"snapshots_{p}_seed{s}.txt":
+                (tmp_path / f"snapshots_{p}_seed{s}.txt").read_bytes()
+            for p, s in runs[:i]}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_snapshot_file_that_cannot_be_written_fails_its_run(tmp_path, jobs):
+    (tmp_path / "snapshots_P1_seed2.txt").mkdir()
+    settings = BenchmarkSettings(evals_per_dim=20, environments=2)
+    report = run_benchmark(["P1", "P2"], [1, 2], settings=settings,
+                           out_dir=str(tmp_path), jobs=jobs,
+                           save_snapshots=True)
+    assert [f[:2] for f in report.failures] == [("P1", 2)]
+    for name in ["snapshots_P1_seed1.txt", "snapshots_P2_seed1.txt",
+                 "snapshots_P2_seed2.txt", "records_P1.csv",
+                 "records_P2.csv"]:
+        assert (tmp_path / name).is_file()
+    alone = run_benchmark(["P1"], [1], settings=settings)
+    assert report.table.rows[0] == alone.table.rows[0]
 
 
 def test_rescore_names_a_snapshot_file_without_environments(tmp_path):
