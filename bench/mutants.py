@@ -223,6 +223,13 @@ MUTANTS = [
     mutant("fractional or bool jobs run", "reporting.py",
            '    check_integer("jobs", jobs, 1)\n',
            '    if jobs < 1:\n        raise ValueError("jobs")\n'),
+    # what a serial process loads, and what a failed run reports
+    mutant("process pool loaded by every process", "reporting.py",
+           "from contextlib import ExitStack\n",
+           "from concurrent.futures import ProcessPoolExecutor\n"
+           "from contextlib import ExitStack\n"),
+    mutant("failure recorded by repr", "reporting.py",
+           'f"{type(exc).__name__}: {exc}"', "repr(exc)"),
     # a seed, or a grid argument, that is not an integer
     mutant("stream seed unchecked", "core.py",
            '        check_integer("seed", seed, 0)\n', ""),

@@ -11,7 +11,6 @@ Artifacts per output directory:
 
 import os
 from array import array
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
@@ -120,8 +119,9 @@ def run_benchmark(problems, seeds, optimizer="baseline",
                   save_snapshots=False):
     """Run every (problem, seed) pair, aggregate, and write artifacts.
 
-    A failing run aborts only itself; its absence is reported in the
-    returned failures list and it contributes nothing to the table.
+    A failing run aborts only itself; it is reported in the returned
+    failures list as (problem, seed, "<exception type>: <message>") and
+    contributes nothing to the table.
     Runs are independent, so `jobs` > 1 parallelizes across pairs
     without changing any result; the pool, of at most one worker per
     run, starts the costliest runs first, and results are still
@@ -161,6 +161,8 @@ def run_benchmark(problems, seeds, optimizer="baseline",
     workers = min(jobs, len(tasks))
     with ExitStack() as stack:
         if workers > 1:
+            # imported here, so a serial process never loads multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
             pool = stack.enter_context(ProcessPoolExecutor(workers))
             futures = {i: pool.submit(execute_run, *tasks[i])
                        for i in sorted(range(len(tasks)),
@@ -172,7 +174,8 @@ def run_benchmark(problems, seeds, optimizer="baseline",
             try:
                 outcomes[(problem, seed)] = result()
             except Exception as exc:
-                failures.append((problem, seed, repr(exc)))
+                failures.append((problem, seed,
+                                 f"{type(exc).__name__}: {exc}"))
 
     table, records = _tabulate(problems, seeds, outcomes, settings)
     if out_dir is not None:

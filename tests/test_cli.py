@@ -1,4 +1,7 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -92,6 +95,39 @@ def test_parallel_runs_match_serial(tmp_path, config_path):
     assert run_cli(base + ["--out-dir", parallel, "--jobs", "2"]) == 0
     for name in ("results.csv", "records_P1.csv", "records_P5.csv"):
         assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+
+
+SERIAL_PROCESS = """\
+import sys
+from dmmobench.cli import main
+from dmmobench.config import BenchmarkSettings
+from dmmobench.reporting import run_benchmark
+out, config = sys.argv[1:]
+settings = BenchmarkSettings(evals_per_dim=20, environments=3)
+report = run_benchmark(["P1"], [1], settings=settings, out_dir=out,
+                       save_snapshots=True)
+assert report.failures == []
+common = ["--config", config, "--out-dir", out]
+assert main(["dump", "--problems", "P1", "--seeds", "1"] + common) == 0
+assert main(["grid", "--problems", "P5", "--dim", "2"] + common) == 0
+assert main(["score"] + common) == 0
+pool = ["concurrent.futures", "concurrent.futures.process",
+        "multiprocessing"]
+print([name for name in pool if name in sys.modules])
+"""
+
+
+def test_serial_run_and_offline_verbs_never_load_the_pool(tmp_path):
+    # in a fresh interpreter: pytest itself may load multiprocessing
+    config = tmp_path / "bench.cfg"
+    config.write_text("evals_per_dim = 20\nenvironments = 3\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", SERIAL_PROCESS, str(tmp_path / "out"),
+         str(config)], env=env, capture_output=True, text=True, check=False)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_dump_verb_tracks_active_counts(tmp_path, config_path, capsys):

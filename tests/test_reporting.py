@@ -239,6 +239,9 @@ def test_a_snapshot_file_that_cannot_be_written_fails_its_run(tmp_path, jobs):
                            out_dir=str(tmp_path), jobs=jobs,
                            save_snapshots=True)
     assert [f[:2] for f in report.failures] == [("P1", 2)]
+    message = report.failures[0][2]
+    assert "IsADirectoryError" in message
+    assert "snapshots_P1_seed2.txt" in message
     for name in ["snapshots_P1_seed1.txt", "snapshots_P2_seed1.txt",
                  "snapshots_P2_seed2.txt", "records_P1.csv",
                  "records_P2.csv"]:
@@ -295,7 +298,7 @@ def test_pool_has_at_most_one_worker_per_run(monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(reporting, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     settings = BenchmarkSettings(evals_per_dim=20, environments=2)
     report = run_benchmark(["P1"], [1, 2], settings=settings, jobs=5000)
     assert worker_counts == [2]
