@@ -20,8 +20,9 @@ from dmmobench import (BenchmarkSettings, PopulationSnapshot, count_npf,
                        problem_spec)
 from dmmobench.composition import BASIC_FUNCTIONS, init_composition
 from dmmobench.config import OptimizerConfig
-from dmmobench.core import (CONE_FAMILIES, DOMAIN_HIGH, DOMAIN_LOW, RngStream,
-                            format_rows, squared_distances)
+from dmmobench.core import (CONE_FAMILIES, DOMAIN_HIGH, DOMAIN_LOW,
+                            MIN_PEAK_DISTANCE, RngStream, format_rows,
+                            squared_distances)
 from dmmobench.df import init_df
 from dmmobench.dynamics import advance_environment, init_change_state
 from dmmobench.optimizers import CrowdingDE
@@ -193,14 +194,13 @@ def test_dump_environments_text(benchmark):
     assert text.count("\nenv ") == BenchmarkSettings().environments
 
 
-def changing_run(problem, settings, seed=1):
+def changing_run(problem, seed=1):
     """A fresh first environment of one run: (landscape, state, rng)."""
     spec = problem_spec(problem)
     rng = make_rng(seed)
     init = init_df if spec.family in CONE_FAMILIES else init_composition
-    landscape = init(spec.family, spec.dimension, rng,
-                     settings.min_peak_distance)
-    state = init_change_state(landscape, spec.mode, rng, settings)
+    landscape = init(spec.family, spec.dimension, rng, MIN_PEAK_DISTANCE)
+    state = init_change_state(landscape, spec.mode, rng)
     return landscape, state, rng
 
 
@@ -209,7 +209,6 @@ def changing_run(problem, settings, seed=1):
 def test_advance_environment(benchmark, problem):
     """60 environment changes of one run: F1 (heights, widths and
     positions) and F8 (shifts, rotations and normalisation)."""
-    settings = BenchmarkSettings()
 
     def advance_60(landscape, state, rng):
         for _ in range(60):
@@ -217,7 +216,7 @@ def test_advance_environment(benchmark, problem):
         return state.t
 
     t = benchmark.pedantic(
-        advance_60, setup=lambda: (changing_run(problem, settings), {}),
+        advance_60, setup=lambda: (changing_run(problem), {}),
         rounds=20, warmup_rounds=2)
     assert t == 61
 

@@ -52,8 +52,6 @@ def mutant(name, path, old, new, equivalent=None):
 
 MUTANTS = [
     # refusals of meaningless configuration
-    mutant("period 0 accepted", "config.py",
-           "environments=1, period=1))", "environments=1, period=0))"),
     mutant("subpopulations 0 accepted", "config.py",
            "dict(subpopulations=1,", "dict(subpopulations=0,"),
     mutant("fractional integer accepted", "core.py",
@@ -118,24 +116,19 @@ MUTANTS = [
            "    if not instance.frozen:", "    if False:"),
     # exact periodicity and optimum spacing
     mutant("recurrent level from t unreduced", "dynamics.py",
-           "start = 2.0 * math.pi * (state.t % period) / period",
-           "start = 2.0 * math.pi * state.t / period"),
-    mutant("optima spaced at half the setting", "dynamics.py",
-           "min_dist=state.settings.min_peak_distance)",
-           "min_dist=0.5 * state.settings.min_peak_distance)"),
+           "start = 2.0 * math.pi * (state.t % PERIOD) / PERIOD",
+           "start = 2.0 * math.pi * state.t / PERIOD"),
+    mutant("optima spaced at half the constant", "dynamics.py",
+           "min_dist=MIN_PEAK_DISTANCE)", "min_dist=0.5 * MIN_PEAK_DISTANCE)"),
     # the run's change rules, fixed when it starts
     mutant("heights change at the width severity", "dynamics.py",
-           "LOCAL_HEIGHT_LOW, LOCAL_HEIGHT_HIGH, settings.height_severity,",
-           "LOCAL_HEIGHT_LOW, LOCAL_HEIGHT_HIGH, settings.width_severity,"),
+           "LOCAL_HEIGHT_LOW, LOCAL_HEIGHT_HIGH, HEIGHT_SEVERITY,",
+           "LOCAL_HEIGHT_LOW, LOCAL_HEIGHT_HIGH, WIDTH_SEVERITY,"),
     mutant("angles change at the width severity", "dynamics.py",
-           "*arc, settings.rotation_severity,",
-           "*arc, settings.width_severity,"),
+           "*arc, ROTATION_SEVERITY,", "*arc, WIDTH_SEVERITY,"),
     mutant("noisy recurrence swings the full circle", "dynamics.py",
            'if mode in ("C5", "C6") else FULL_ANGLE_RANGE',
            'if mode == "C5" else FULL_ANGLE_RANGE'),
-    mutant("spacing from the default settings", "dynamics.py",
-           "min_dist=state.settings.min_peak_distance)",
-           "min_dist=type(state.settings)().min_peak_distance)"),
     mutant("count sweep does not turn at 2", "dynamics.py",
            "        elif state.g == 2:\n            state.direction = 1\n",
            ""),

@@ -17,9 +17,11 @@ so every tree runs the same benchmark code and digests on its own
 A run that exits non-zero, or whose result is not `correct` or has a
 failed operation, stops the recording.  For each tree `LABEL`,
 `BENCH_<LABEL>.json` is written to the current directory: the
-environment record of the tree's first run, and per workload the
-median and quartiles (inclusive method) of every end-to-end metric and
-every round's values.
+environment record of the tree's first run, whether the tree was a
+clean git checkout before recording (`git_clean`: true or false, null
+for a tree without `.git`, whose environment record names no commit),
+and per workload the median and quartiles (inclusive method) of every
+end-to-end metric and every round's values.
 
     git archive 0d58935 | tar -x -C /tmp/tree-0d58935
     python3 bench/record.py --tree 0d58935=/tmp/tree-0d58935 \\
@@ -39,6 +41,17 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: The workload seed of every recorded run.
 SEED = 1
+
+
+def git_clean(path):
+    """Whether `git status --porcelain` in `path` prints nothing, or
+    None for a tree without `.git`.  The environment record names the
+    checkout's commit, which a dirty tree does not hold."""
+    if not (path / ".git").exists():
+        return None
+    done = subprocess.run(["git", "status", "--porcelain"], cwd=path,
+                          capture_output=True, text=True, check=True)
+    return done.stdout == ""
 
 
 def prepare_tree(path):
@@ -112,10 +125,13 @@ def main(argv=None):
         benchmark = json.load(handle)
     seconds = benchmark["run_seconds"]
     workloads = [w["name"] for w in benchmark["workloads"]]
+    # read before prepare_tree edits a tree's perfbench/
+    clean = {label: git_clean(path) for label, path in trees.items()}
     for path in trees.values():
         prepare_tree(path)
     labels = list(trees)
     records = {label: {"label": label, "seed": SEED, "environment": None,
+                       "git_clean": clean[label],
                        "workloads": {w: {"rounds": []} for w in workloads}}
                for label in labels}
     for i in range(rounds):

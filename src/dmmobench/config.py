@@ -1,7 +1,10 @@
-"""Run configuration: benchmark constants, optimizer parameters, and the
-flat key=value file format that overrides them.
+"""Run configuration: run settings, optimizer parameters, and the flat
+key=value file format that overrides them.
 
-Every configurable constant of the benchmark definition lives here with
+The problem definition is code: the change constants live in
+`dynamics` and the optimum spacing in `core`, so every config builds
+the same 24 problems.  Settings hold the evaluation budget, the run
+length, the scoring thresholds and the baseline's parameters, each with
 its default, so an experiment is fully described by (problem, seed,
 config file).  Settings are checked when they are built and cannot be
 changed afterwards, so an invalid settings object never exists.
@@ -25,29 +28,13 @@ def _check_counts(config, minimums):
 
 @dataclass(frozen=True)
 class BenchmarkSettings:
-    """Constants of the problem definition and evaluation protocol."""
+    """The evaluation protocol's budget and run length, and the scoring
+    thresholds."""
 
     #: Fitness evaluations per environment, per search dimension.
     evals_per_dim: int = 5000
     #: Environments per run.
     environments: int = 60
-    #: Small-step severity scale.
-    alpha: float = 0.04
-    #: Large-step severity cap, printed value; 0.1 is a common
-    #: alternative in dynamic-benchmark generators.
-    alpha_max: float = 0.01
-    #: Logistic-map coefficient of the chaotic mode.
-    chaos_factor: float = 3.67
-    #: Period of the recurrent modes, in environments.
-    period: int = 12
-    #: Noise scale added on top of the noisy recurrent mode.
-    noise_severity: float = 0.8
-    #: Minimum distance allowed between any two optima.
-    min_peak_distance: float = 0.1
-    #: Per-parameter change severities.
-    height_severity: float = 7.0
-    width_severity: float = 1.0
-    rotation_severity: float = 1.0
     #: Peak-counting thresholds: position tolerance and the fitness
     #: tolerance levels scored in one pass.
     distance_accuracy: float = 0.05
@@ -61,9 +48,7 @@ class BenchmarkSettings:
         return self.evals_per_dim * dim
 
     def validate(self):
-        _check_counts(self, dict(evals_per_dim=1, environments=1, period=1))
-        if not 0 < self.min_peak_distance < math.inf:
-            raise ConfigError("min_peak_distance must be positive and finite")
+        _check_counts(self, dict(evals_per_dim=1, environments=1))
         if not self.fitness_accuracy_levels:
             raise ConfigError("fitness_accuracy_levels must not be empty")
         if len(set(self.fitness_accuracy_levels)) != len(
@@ -72,11 +57,6 @@ class BenchmarkSettings:
         if not all(0 < value < math.inf for value in (
                 self.distance_accuracy, *self.fitness_accuracy_levels)):
             raise ConfigError("accuracy thresholds must be positive and finite")
-        for name in ("alpha", "alpha_max", "chaos_factor", "noise_severity",
-                     "height_severity", "width_severity",
-                     "rotation_severity"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be finite and >= 0")
         return self
 
 

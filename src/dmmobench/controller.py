@@ -11,9 +11,9 @@ import numpy as np
 
 from .composition import init_composition
 from .config import BenchmarkSettings
-from .core import (CONE_FAMILIES, DOMAIN_HIGH, DOMAIN_LOW, ProblemSpec,
-                   RunFrozenError, check_integer, format_rows, make_rng,
-                   problem_spec)
+from .core import (CONE_FAMILIES, DOMAIN_HIGH, DOMAIN_LOW, MIN_PEAK_DISTANCE,
+                   ProblemSpec, RunFrozenError, check_integer, format_rows,
+                   make_rng, problem_spec)
 from .df import init_df
 from .dynamics import advance_environment, init_change_state
 
@@ -50,9 +50,8 @@ class ProblemInstance:
         self._rng = make_rng(seed)
         init = init_df if spec.family in CONE_FAMILIES else init_composition
         self.landscape = init(spec.family, spec.dimension, self._rng,
-                              settings.min_peak_distance)
-        self.state = init_change_state(self.landscape, spec.mode, self._rng,
-                                       settings)
+                              MIN_PEAK_DISTANCE)
+        self.state = init_change_state(self.landscape, spec.mode, self._rng)
         self.budget = settings.environment_budget(spec.dimension)
         self.evaluations_used_in_env = 0
         self.frozen = False

@@ -17,6 +17,9 @@ DOMAIN_HIGH = 5.0
 #: Attempts allowed when rejection-sampling a spaced point set.
 PLACEMENT_ATTEMPTS = 1000
 
+#: Minimum distance between any two optima, kept after every change.
+MIN_PEAK_DISTANCE = 0.1
+
 FAMILIES = ("F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8")
 #: The cone-peak families; the others are composition landscapes.
 CONE_FAMILIES = FAMILIES[:4]

@@ -23,13 +23,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DOMAIN_HIGH, DOMAIN_LOW, PlacementError,
-                   reflect_into_domain, squared_distances)
+from .core import (DOMAIN_HIGH, DOMAIN_LOW, MIN_PEAK_DISTANCE,
+                   PlacementError, reflect_into_domain, squared_distances)
 from .df import LOCAL_HEIGHT_HIGH, LOCAL_HEIGHT_LOW, WIDTH_HIGH, WIDTH_LOW
 
 #: Total single moves allowed while repairing optimum spacing after one
-#: change; exceeding it means the configuration is pathological.
+#: change; exceeding it means the layout is pathological.
 REPAIR_MOVE_CAP = 10_000
+
+# The change constants of the problem definition (C1-C6 are GDBG's
+# change types); changing one moves the benchmark's golden hashes.
+
+#: Small-step severity scale.
+ALPHA = 0.04
+#: Large-step severity cap, printed value; 0.1 is a common
+#: alternative in dynamic-benchmark generators.
+ALPHA_MAX = 0.01
+#: Logistic-map coefficient of the chaotic mode.
+CHAOS_FACTOR = 3.67
+#: Period of the recurrent modes, in environments.
+PERIOD = 12
+#: Noise scale added on top of the noisy recurrent mode.
+NOISE_SEVERITY = 0.8
+#: Per-parameter change severities.
+HEIGHT_SEVERITY = 7.0
+WIDTH_SEVERITY = 1.0
+ROTATION_SEVERITY = 1.0
 
 #: Rotation-angle bounds: a narrow arc under the recurrent modes (their
 #: level is an absolute function of time, so a full circle would swing
@@ -56,46 +75,43 @@ class ScalarChangeParams:
 def _recurrent_level(state, params, shape):
     # reducing t first makes recurrence bit-exact: t and t + period
     # produce the same sine argument, not two arguments 2*pi apart
-    period = state.settings.period
-    start = 2.0 * math.pi * (state.t % period) / period
+    start = 2.0 * math.pi * (state.t % PERIOD) / PERIOD
     wave = np.sin(start + np.broadcast_to(params.phase, shape))
     return params.e_min + params.e_range * (wave + 1.0) / 2.0
 
 
 def apply_scalar_change(state, value, params, rng):
     """One update of a scalar, or of each scalar of an array, under the
-    run's change mode and settings in `state`, clamped to bounds.
+    run's change mode in `state` and the change constants, clamped to
+    bounds.
 
     `params.phase` is one phase or one per value.  The values draw in
     one vector call what as many scalar draws would, in order.
     `state.t` is the index of the environment being left.  The
     recurrent modes depend only on it (not on the current value), so
-    they revisit the same level every `period` changes exactly.
+    they revisit the same level every `PERIOD` changes exactly.
     """
-    settings = state.settings
-    alpha = settings.alpha
     value = np.asarray(value, dtype=float)
     shape = value.shape
     mode = "C1" if state.mode in ("C7", "C8") else state.mode
     if mode == "C1":
         shift = rng.uniform_vector(-1.0, 1.0, shape)
-        value = value + alpha * params.e_range * shift * params.severity
+        value = value + ALPHA * params.e_range * shift * params.severity
     elif mode == "C2":
         shift = rng.uniform_vector(-1.0, 1.0, shape)
-        step = (alpha * np.sign(shift)
-                + (settings.alpha_max - alpha) * shift)
+        step = ALPHA * np.sign(shift) + (ALPHA_MAX - ALPHA) * shift
         value = value + params.e_range * step * params.severity
     elif mode == "C3":
         value = value + params.severity * rng.normal_vector(shape)
     elif mode == "C4":
         offset = value - params.e_min
-        value = (params.e_min + settings.chaos_factor * offset
+        value = (params.e_min + CHAOS_FACTOR * offset
                  * (1.0 - offset / params.e_range))
     elif mode == "C5":
         value = _recurrent_level(state, params, shape)
     elif mode == "C6":
         value = (_recurrent_level(state, params, shape)
-                 + settings.noise_severity * rng.normal_vector(shape))
+                 + NOISE_SEVERITY * rng.normal_vector(shape))
     else:
         raise ValueError(f"unknown change mode {mode!r}")
     return np.minimum(np.maximum(value, params.e_min), params.e_max)
@@ -183,7 +199,7 @@ def _first_violation(points, min_dist):
 
 
 class ChangeState:
-    """Mutable per-run dynamics state under the run's `settings`.
+    """Mutable per-run dynamics state.
 
     Each rotated parameter ("positions" for cone landscapes, "shifts"
     and "rotations" for compositions) keeps its frozen initial value in
@@ -194,9 +210,8 @@ class ChangeState:
     Under C7, `direction` is the signed step of the optimum count `g`.
     """
 
-    def __init__(self, mode, g_max, settings):
+    def __init__(self, mode, g_max):
         self.mode = mode
-        self.settings = settings
         self.t = 1
         self.g_max = g_max
         self.g = g_max
@@ -207,9 +222,9 @@ class ChangeState:
         self.rules = {}
 
 
-def init_change_state(landscape, mode, rng, settings):
+def init_change_state(landscape, mode, rng):
     """Draw the frozen randomness of a run's dynamics and fix its change
-    rules under `settings`.
+    rules at the change severities.
 
     The draw sequence is identical for every change mode, so a given
     seed yields the same initial environment no matter which mode later
@@ -217,26 +232,26 @@ def init_change_state(landscape, mode, rng, settings):
     phase; then height phases; then width phases.
     """
     if landscape.kind == "df":
-        state = ChangeState(mode, landscape.n_global, settings)
+        state = ChangeState(mode, landscape.n_global)
         rotated = ("positions",)
     else:
-        state = ChangeState(mode, landscape.n_components, settings)
+        state = ChangeState(mode, landscape.n_components)
         rotated = ("shifts", "rotations")
     arc = RECURRENT_ANGLE_RANGE if mode in ("C5", "C6") else FULL_ANGLE_RANGE
     for name in rotated:
         state.pairings[name] = _pair_entries(
             landscape.dim, random_pairing(landscape.dim, rng))
         state.rules[name] = ScalarChangeParams(
-            *arc, settings.rotation_severity,
+            *arc, ROTATION_SEVERITY,
             rng.uniform(0.0, 2.0 * math.pi))
         state.angles[name] = 0.0
         state.bases[name] = getattr(landscape, name).copy()
     if landscape.kind == "df":
         state.rules["heights"] = ScalarChangeParams(
-            LOCAL_HEIGHT_LOW, LOCAL_HEIGHT_HIGH, settings.height_severity,
+            LOCAL_HEIGHT_LOW, LOCAL_HEIGHT_HIGH, HEIGHT_SEVERITY,
             rng.uniform_vector(0.0, 2.0 * math.pi, landscape.n_local))
         state.rules["widths"] = ScalarChangeParams(
-            WIDTH_LOW, WIDTH_HIGH, settings.width_severity,
+            WIDTH_LOW, WIDTH_HIGH, WIDTH_SEVERITY,
             rng.uniform_vector(0.0, 2.0 * math.pi, landscape.n_peaks))
     return state
 
@@ -278,10 +293,10 @@ def apply_matrix_change(name, state, rng):
 
 def _move_optima(name, state, rng):
     """The named optimum set rotated, reflected into the domain and
-    repaired to the run's spacing."""
+    repaired to the optimum spacing."""
     moved = apply_matrix_change(name, state, rng)
     return enforce_min_distance(reflect_into_domain(moved), rng,
-                                min_dist=state.settings.min_peak_distance)
+                                min_dist=MIN_PEAK_DISTANCE)
 
 
 def advance_environment(landscape, state, rng):

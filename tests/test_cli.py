@@ -295,8 +295,8 @@ def test_score_accuracy_overrides_the_scored_levels(tmp_path, config_path,
         "pr_1e-03", "pr_1e-04"]
 
 
-#: A spacing that no layout of four or more optima in the 5-D box keeps.
-UNPLACEABLE = "min_peak_distance = 20\n"
+#: A key of the problem definition, which no config may set.
+FIXED_KEY = "min_peak_distance = 0.1\n"
 
 #: Arguments every verb must refuse before doing any work, with a word
 #: the message must contain and, for some, lines added to the config.
@@ -316,10 +316,10 @@ BAD_ARGUMENTS = [
      "environment 0"),
     (["grid", "--problems", "P1", "--seeds", "1", "--resolution", "1"],
      "resolution"),
-    (["dump", "--problems", "P1", "--seeds", "1"], "spacing 20",
-     UNPLACEABLE),
-    (["grid", "--problems", "P5", "--seeds", "1"], "spacing 20",
-     UNPLACEABLE),
+    (["dump", "--problems", "P1", "--seeds", "1"], "min_peak_distance",
+     FIXED_KEY),
+    (["grid", "--problems", "P5", "--seeds", "1"], "min_peak_distance",
+     FIXED_KEY),
     (["run", "--problems", "P1,P2", "--seeds", "1-2", "--optimizer", "nope"],
      "nope"),
 ]

@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from dmmobench.composition import BASIC_FUNCTIONS, init_composition
-from dmmobench.config import BenchmarkSettings
+from dmmobench.core import MIN_PEAK_DISTANCE as SPACING
 from dmmobench.core import make_rng
 from helpers import min_pairwise_distance
-
-#: The spacing the default settings enforce between optima.
-SPACING = BenchmarkSettings().min_peak_distance
 
 
 EXPECTED_RECIPES = {

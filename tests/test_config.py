@@ -18,6 +18,7 @@ from dmmobench.config import (BenchmarkSettings, ConfigError, OptimizerConfig,
     "distance_accuracy = nan",
     "distance_accuracy = inf",
     "distance_accuracy = -0.05",
+    # the problem definition's constants are not options
     "min_peak_distance = nan",
     "min_peak_distance = inf",
     "min_peak_distance = 0",
@@ -37,7 +38,7 @@ from dmmobench.config import (BenchmarkSettings, ConfigError, OptimizerConfig,
     # older versions had this option; the index is now always public
     "expose_environment_index = true",
     # a key set twice: which value holds would be a guess
-    "alpha = 0.1\nalpha = 0.2\n",
+    "environments = 5\nenvironments = 6\n",
 ])
 def test_meaningless_settings_are_rejected(line):
     with pytest.raises(ConfigError):
@@ -46,15 +47,14 @@ def test_meaningless_settings_are_rejected(line):
 
 @pytest.mark.parametrize("kind, name, value", [
     (BenchmarkSettings, "environments", 0),
-    (BenchmarkSettings, "alpha", math.nan),
+    (BenchmarkSettings, "distance_accuracy", math.nan),
     (OptimizerConfig, "subpopulation_size", 2),
     (OptimizerConfig, "scale_factor", math.nan),
     (OptimizerConfig, "scale_factor", math.inf),
     # integer settings refuse other numbers, bools included
     (BenchmarkSettings, "evals_per_dim", 2.5),
     (BenchmarkSettings, "environments", 3.0),
-    (BenchmarkSettings, "period", 1.5),
-    (BenchmarkSettings, "period", True),
+    (BenchmarkSettings, "environments", True),
     (OptimizerConfig, "subpopulations", 2.0),
     (OptimizerConfig, "subpopulation_size", 10.0),
     (OptimizerConfig, "memory_size", "20"),
@@ -70,10 +70,7 @@ def test_invalid_settings_cannot_be_built(kind, name, value):
 
 def test_every_key_sets_its_own_field():
     settings = BenchmarkSettings(
-        evals_per_dim=7, environments=5, alpha=0.05, alpha_max=0.02,
-        chaos_factor=3.5, period=6, noise_severity=0.7,
-        min_peak_distance=0.2, height_severity=6.0, width_severity=0.5,
-        rotation_severity=0.9, distance_accuracy=0.04,
+        evals_per_dim=7, environments=5, distance_accuracy=0.04,
         fitness_accuracy_levels=(0.01, 0.002))
     optimizer = OptimizerConfig(
         subpopulations=3, subpopulation_size=5, scale_factor=0.6,
@@ -89,6 +86,17 @@ def test_every_key_sets_its_own_field():
     assert parse_config_text("".join(lines)) == (settings, optimizer)
 
 
+def test_the_problem_definition_is_not_a_setting():
+    assert [field.name for field in fields(BenchmarkSettings)] == [
+        "evals_per_dim", "environments", "distance_accuracy",
+        "fitness_accuracy_levels"]
+    for key in ("alpha", "alpha_max", "chaos_factor", "period",
+                "noise_severity", "min_peak_distance", "height_severity",
+                "width_severity", "rotation_severity"):
+        with pytest.raises(ConfigError, match=f"unknown option '{key}'"):
+            parse_config_text(f"{key} = 0.1\n")
+
+
 @pytest.mark.parametrize("key", [
     "validate", "environment_budget", "__post_init__"])
 def test_only_fields_are_keys(key):
@@ -97,7 +105,7 @@ def test_only_fields_are_keys(key):
 
 
 def test_numpy_integers_are_integer_settings():
-    assert BenchmarkSettings(period=np.int64(6)).period == 6
+    assert BenchmarkSettings(environments=np.int64(6)).environments == 6
     assert OptimizerConfig(memory_size=np.int32(5)).memory_size == 5
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dmmobench.config import BenchmarkSettings
+from dmmobench.core import MIN_PEAK_DISTANCE as SPACING
 from dmmobench.core import make_rng
 from dmmobench.df import (
     DEACTIVATED_HEIGHT,
@@ -10,9 +10,6 @@ from dmmobench.df import (
     init_df,
 )
 from helpers import min_pairwise_distance
-
-#: The spacing the default settings enforce between optima.
-SPACING = BenchmarkSettings().min_peak_distance
 
 
 def test_f2_layout_is_fixed():

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from dmmobench import dynamics
 from dmmobench.composition import init_composition
-from dmmobench.config import BenchmarkSettings
+from dmmobench.core import MIN_PEAK_DISTANCE as SPACING
 from dmmobench.core import PlacementError, make_rng
 from dmmobench.df import init_df
 from dmmobench.dynamics import (
@@ -20,10 +21,6 @@ from dmmobench.dynamics import (
     update_active_count,
 )
 from helpers import min_pairwise_distance
-
-#: The default settings, and the spacing they enforce between optima.
-SETTINGS = BenchmarkSettings()
-SPACING = SETTINGS.min_peak_distance
 
 
 class StubRng:
@@ -45,9 +42,8 @@ HEIGHT_PARAMS = ScalarChangeParams(30.0, 70.0, 7.0, 0.0)
 
 
 def at(mode, t=1):
-    """The change state of a run under `mode` and the default settings,
-    leaving environment `t`."""
-    state = ChangeState(mode, 8, SETTINGS)
+    """The change state of a run under `mode`, leaving environment `t`."""
+    state = ChangeState(mode, 8)
     state.t = t
     return state
 
@@ -208,7 +204,7 @@ def test_spacing_repair_gives_up_eventually():
 
 
 def _count_state(mode, g, direction, g_max=8):
-    state = ChangeState(mode, g_max, SETTINGS)
+    state = ChangeState(mode, g_max)
     state.g = g
     state.direction = direction
     return state
@@ -227,7 +223,7 @@ def test_sweep_reverses_at_floor():
 
 
 def test_sweep_walks_a_triangle_wave():
-    state = ChangeState("C7", 8, SETTINGS)
+    state = ChangeState("C7", 8)
     seen = []
     for _ in range(13):
         update_active_count(state, StubRng())
@@ -236,7 +232,7 @@ def test_sweep_walks_a_triangle_wave():
 
 
 def test_random_count_covers_its_range():
-    state = ChangeState("C8", 8, SETTINGS)
+    state = ChangeState("C8", 8)
     rng = make_rng(11)
     seen = set()
     for _ in range(10000):
@@ -248,13 +244,13 @@ def test_random_count_covers_its_range():
 
 def test_count_update_rejects_other_modes():
     with pytest.raises(ValueError):
-        update_active_count(ChangeState("C1", 8, SETTINGS), StubRng())
+        update_active_count(ChangeState("C1", 8), StubRng())
 
 
 def test_initial_state_draws_do_not_depend_on_mode():
     landscapes = [init_df("F1", 5, make_rng(3), SPACING) for _ in range(2)]
-    state_a = init_change_state(landscapes[0], "C1", make_rng(4), SETTINGS)
-    state_b = init_change_state(landscapes[1], "C8", make_rng(4), SETTINGS)
+    state_a = init_change_state(landscapes[0], "C1", make_rng(4))
+    state_b = init_change_state(landscapes[1], "C8", make_rng(4))
     assert np.array_equal(state_a.pairings["positions"],
                           state_b.pairings["positions"])
     for name in ("positions", "heights", "widths"):
@@ -263,26 +259,28 @@ def test_initial_state_draws_do_not_depend_on_mode():
     assert state_b.g == state_b.g_max  # everything active in environment 1
 
 
-def test_changes_follow_the_settings_the_run_started_with():
-    settings = BenchmarkSettings(min_peak_distance=2.0, height_severity=3.0,
-                                 width_severity=2.0, rotation_severity=0.5)
+def test_changes_follow_the_settings_the_run_started_with(monkeypatch):
+    """The change constants in force when a run starts shape its changes."""
+    for name, value in dict(MIN_PEAK_DISTANCE=2.0, HEIGHT_SEVERITY=3.0,
+                            WIDTH_SEVERITY=2.0,
+                            ROTATION_SEVERITY=0.5).items():
+        monkeypatch.setattr(dynamics, name, value)
     rng = make_rng(1)
-    landscape = init_df("F2", 2, rng, settings.min_peak_distance)
-    state = init_change_state(landscape, "C1", rng, settings)
+    landscape = init_df("F2", 2, rng, 2.0)
+    state = init_change_state(landscape, "C1", rng)
     assert [state.rules[name].severity
             for name in ("positions", "heights", "widths")] == [0.5, 3.0, 2.0]
-    assert state.settings is settings
     for _ in range(5):
         advance_environment(landscape, state, rng)
-        # pairs reflect to about 1.41 apart here, far above the default
-        # spacing, so only a repair to the run's own spacing parts them
+        # pairs reflect to about 1.41 apart here, far above the usual
+        # spacing, so only a repair to the constant's value parts them
         assert min_pairwise_distance(landscape.positions) >= 2.0
 
 
 def test_one_change_keeps_cone_invariants():
     rng = make_rng(21)
     landscape = init_df("F2", 5, rng, SPACING)
-    state = init_change_state(landscape, "C1", rng, SETTINGS)
+    state = init_change_state(landscape, "C1", rng)
     advance_environment(landscape, state, rng)
     assert state.t == 2
     assert (landscape.heights[:4] == 75.0).all()
@@ -294,7 +292,7 @@ def test_one_change_keeps_cone_invariants():
 def test_sixty_changes_keep_rotations_orthogonal():
     rng = make_rng(22)
     landscape = init_composition("F5", 5, rng, SPACING)
-    state = init_change_state(landscape, "C1", rng, SETTINGS)
+    state = init_change_state(landscape, "C1", rng)
     for _ in range(59):
         advance_environment(landscape, state, rng)
     for matrix in landscape.rotations:
@@ -305,7 +303,7 @@ def test_sixty_changes_keep_rotations_orthogonal():
 def test_recurrent_shifts_revisit_exactly():
     rng = make_rng(23)
     landscape = init_composition("F8", 5, rng, SPACING)
-    state = init_change_state(landscape, "C5", rng, SETTINGS)
+    state = init_change_state(landscape, "C5", rng)
     trail = {}
     for _ in range(30):
         advance_environment(landscape, state, rng)
@@ -317,7 +315,7 @@ def test_recurrent_shifts_revisit_exactly():
 def test_count_sweep_drives_active_optima():
     rng = make_rng(24)
     landscape = init_df("F2", 5, rng, SPACING)
-    state = init_change_state(landscape, "C7", rng, SETTINGS)
+    state = init_change_state(landscape, "C7", rng)
     advance_environment(landscape, state, rng)
     positions, values = landscape.global_optima()
     assert state.g == 3

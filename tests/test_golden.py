@@ -14,12 +14,14 @@ import os
 import numpy as np
 import pytest
 
+from dmmobench import dynamics
 from dmmobench.composition import init_composition
 from dmmobench.config import BenchmarkSettings
 from dmmobench.controller import (create_problem, dump_environments_text,
                                   format_environment)
 from dmmobench.core import (CHANGE_MODES, CONE_FAMILIES, DOMAIN_HIGH,
-                            DOMAIN_LOW, PROBLEM_INDICES, RngStream, make_rng)
+                            DOMAIN_LOW, MIN_PEAK_DISTANCE, PROBLEM_INDICES,
+                            RngStream, make_rng)
 from dmmobench.df import init_df
 from dmmobench.dynamics import advance_environment, init_change_state
 from dmmobench.optimizers import OPTIMIZERS, make_optimizer
@@ -301,14 +303,14 @@ def test_oracle_scores_match_stored_hashes(tmp_path, monkeypatch):
     assert rescored.table.render() == report.table.render()
 
 
-# -- change settings away from their defaults -----------------------------------
+# -- change constants away from their values ----------------------------------
 
-#: Every change constant and severity set away from its default, so that
-#: dynamics which silently fell back to a default would move a hash.
-CHANGED_SETTINGS = BenchmarkSettings(
-    alpha=0.07, alpha_max=0.03, chaos_factor=3.9, period=7,
-    noise_severity=0.3, height_severity=5.0, width_severity=0.5,
-    rotation_severity=0.6)
+#: Every change constant and severity of `dynamics` set away from its
+#: value, so that a formula which read another constant would move a hash.
+CHANGED_SETTINGS = dict(
+    ALPHA=0.07, ALPHA_MAX=0.03, CHAOS_FACTOR=3.9, PERIOD=7,
+    NOISE_SEVERITY=0.3, HEIGHT_SEVERITY=5.0, WIDTH_SEVERITY=0.5,
+    ROTATION_SEVERITY=0.6)
 
 #: sha256 of dump_environments_text under CHANGED_SETTINGS, seed 1: F1
 #: under C1 (heights and widths) and F8 under each change mode.
@@ -325,9 +327,14 @@ CHANGED_DUMPS = {
 }
 
 
-def test_dumps_under_changed_settings_match_stored_hashes():
-    digests = {problem: _sha(dump_environments_text(
-                   problem, 1, CHANGED_SETTINGS))
+def _set_constants(monkeypatch, constants):
+    for name, value in constants.items():
+        monkeypatch.setattr(dynamics, name, value)
+
+
+def test_dumps_under_changed_settings_match_stored_hashes(monkeypatch):
+    _set_constants(monkeypatch, CHANGED_SETTINGS)
+    digests = {problem: _sha(dump_environments_text(problem, 1))
                for problem in CHANGED_DUMPS}
     assert digests == CHANGED_DUMPS
 
@@ -336,7 +343,7 @@ def test_dumps_under_changed_settings_match_stored_hashes():
 
 #: The large-step cap and the logistic coefficient away from their
 #: defaults, so that C2 and C4 take other steps than C1 and the table.
-TRAJECTORY_SETTINGS = BenchmarkSettings(alpha_max=0.1, chaos_factor=3.9)
+TRAJECTORY_SETTINGS = dict(ALPHA_MAX=0.1, CHAOS_FACTOR=3.9)
 
 #: sha256 over the 60-environment parameter trajectories, seed 7, of F1,
 #: F5 and F8 under each change mode at D = 2, 5 and 10.  The table runs
@@ -348,12 +355,11 @@ TRAJECTORIES = "0b82f34755dcef540568c1767394459b24c153c8ff51ddf66f48c204deabdd63
 def _trajectory(family, mode, dim, seed=7):
     """The labels and values of every environment of one run, as
     `format_environment` lays them out."""
-    settings = TRAJECTORY_SETTINGS
     rng = make_rng(seed)
     init = init_df if family in CONE_FAMILIES else init_composition
-    landscape = init(family, dim, rng, settings.min_peak_distance)
-    state = init_change_state(landscape, mode, rng, settings)
-    for env in range(1, settings.environments + 1):
+    landscape = init(family, dim, rng, MIN_PEAK_DISTANCE)
+    state = init_change_state(landscape, mode, rng)
+    for env in range(1, 61):
         if env > 1:
             advance_environment(landscape, state, rng)
         labels, _, values = format_environment(landscape, state)
@@ -361,7 +367,8 @@ def _trajectory(family, mode, dim, seed=7):
         yield values.tobytes()
 
 
-def test_every_change_mode_matches_stored_hash():
+def test_every_change_mode_matches_stored_hash(monkeypatch):
+    _set_constants(monkeypatch, TRAJECTORY_SETTINGS)
     digest = hashlib.sha256()
     for family in ("F1", "F5", "F8"):
         for mode in CHANGE_MODES:

@@ -49,7 +49,7 @@ def test_reflection_always_lands_in_the_domain(coords):
 )
 def test_scalar_changes_respect_their_bounds(mode, value, t, draw, noise):
     params = ScalarChangeParams(1.0, 12.0, 1.0, 0.0)
-    state = ChangeState(mode, 8, BenchmarkSettings())
+    state = ChangeState(mode, 8)
     state.t = t
     rng = OneShotRng(draw, noise)
     out = apply_scalar_change(state, value, params, rng)
