@@ -16,8 +16,7 @@ import numpy as np
 import pytest
 
 from dmmobench import (BenchmarkSettings, PopulationSnapshot, count_npf,
-                       create_problem, dump_environments_text, make_rng,
-                       problem_spec)
+                       create_problem, dump_environments_text, problem_spec)
 from dmmobench.composition import BASIC_FUNCTIONS, init_composition
 from dmmobench.config import OptimizerConfig
 from dmmobench.core import (CONE_FAMILIES, DOMAIN_HIGH, DOMAIN_LOW,
@@ -197,7 +196,7 @@ def test_dump_environments_text(benchmark):
 def changing_run(problem, seed=1):
     """A fresh first environment of one run: (landscape, state, rng)."""
     spec = problem_spec(problem)
-    rng = make_rng(seed)
+    rng = RngStream(seed)
     init = init_df if spec.family in CONE_FAMILIES else init_composition
     landscape = init(spec.family, spec.dimension, rng, MIN_PEAK_DISTANCE)
     state = init_change_state(landscape, spec.mode, rng)
@@ -243,8 +242,6 @@ def test_count_npf(benchmark, dim):
     individuals[:len(positions)] = positions
     snapshot = PopulationSnapshot(
         1, individuals, instance.landscape.evaluate_many(individuals))
-    settings = BenchmarkSettings()
     found = benchmark(count_npf, snapshot, (positions, values),
-                      settings.fitness_accuracy_levels,
-                      settings.distance_accuracy)
+                      BenchmarkSettings().fitness_accuracy_levels)
     assert found.tolist() == [len(positions)] * 3

@@ -134,8 +134,8 @@ MUTANTS = [
            ""),
     # strict thresholds
     mutant("distance threshold not strict", "metrics.py",
-           "close = nearest & (distances < distance_accuracy)",
-           "close = nearest & (distances <= distance_accuracy)"),
+           "close = nearest & (distances < DISTANCE_ACCURACY)",
+           "close = nearest & (distances <= DISTANCE_ACCURACY)"),
     mutant("fitness threshold not strict", "metrics.py",
            "hit = (gaps < levels[:, None, None]) & close",
            "hit = (gaps <= levels[:, None, None]) & close"),
@@ -211,6 +211,19 @@ MUTANTS = [
     mutant("run's snapshot file not written", "reporting.py",
            "    if snapshot_dir is not None:\n        write_artifact(",
            "    if False:\n        write_artifact("),
+    mutant("dump out-dir created after the first dump", "cli.py",
+           "    os.makedirs(args.out_dir, exist_ok=True)\n"
+           "    for problem in problems:\n        for seed in seeds:\n"
+           "            # looked up",
+           "    for problem in problems:\n        for seed in seeds:\n"
+           "            # looked up"),
+    mutant("grid out-dir created after the first grid", "cli.py",
+           "    check_grid(args.env, args.resolution, settings, args.dim)\n"
+           "    os.makedirs(args.out_dir, exist_ok=True)\n",
+           "    check_grid(args.env, args.resolution, settings, args.dim)\n"),
+    mutant("grid dimension checked after the out-dir", "reporting.py",
+           "    if dim_override is not None:\n"
+           "        check_dim_override(dim_override)\n", ""),
     mutant("jobs 0 run", "reporting.py",
            'check_integer("jobs", jobs, 1)', 'check_integer("jobs", jobs)'),
     mutant("fractional or bool jobs run", "reporting.py",
@@ -235,10 +248,14 @@ MUTANTS = [
            'check_integer("resolution", resolution, 2)',
            'check_integer("resolution", resolution, 1)'),
     mutant("fractional grid dimension accepted", "controller.py",
-           '        check_integer("dim_override", dim_override)\n', ""),
+           '    check_integer("dim_override", dim_override)\n', ""),
     mutant("grid dimension 1 accepted", "controller.py",
            "if dim_override < 2:", "if dim_override < 1:"),
     # config text the reader refuses
+    mutant("distance_accuracy key accepted", "config.py",
+           "    fitness_accuracy_levels: tuple = (1e-3, 1e-4, 1e-5)\n",
+           "    fitness_accuracy_levels: tuple = (1e-3, 1e-4, 1e-5)\n"
+           "    distance_accuracy: float = 0.05\n"),
     mutant("config key set twice accepted", "config.py",
            "        if key in first_lines:", "        if False:"),
     mutant("config method name taken as a key", "config.py",

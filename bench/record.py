@@ -15,13 +15,17 @@ so every tree runs the same benchmark code and digests on its own
 `src/`.
 
 A run that exits non-zero, or whose result is not `correct` or has a
-failed operation, stops the recording.  For each tree `LABEL`,
-`BENCH_<LABEL>.json` is written to the current directory: the
-environment record of the tree's first run, whether the tree was a
+failed operation, stops the recording.  After the last round the
+Tier-1 test command runs once in each tree, from its root with
+`PYTHONPATH=src`, so each tree's tests run on its own `src/`.  For each
+tree `LABEL`, `BENCH_<LABEL>.json` is written to the current directory:
+the environment record of the tree's first run, whether the tree was a
 clean git checkout before recording (`git_clean`: true or false, null
 for a tree without `.git`, whose environment record names no commit),
-and per workload the median and quartiles (inclusive method) of every
-end-to-end metric and every round's values.
+per workload the median and quartiles (inclusive method) of every
+end-to-end metric and every round's values, and `tier1`: the tests
+that passed, those that failed or errored, and the command's wall time
+in seconds, interpreter start and collection included.
 
     git archive 0d58935 | tar -x -C /tmp/tree-0d58935
     python3 bench/record.py --tree 0d58935=/tmp/tree-0d58935 \\
@@ -31,16 +35,22 @@ end-to-end metric and every round's values.
 import argparse
 import json
 import os
+import re
 import shutil
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
 #: The workload seed of every recorded run.
 SEED = 1
+
+#: The Tier-1 test command, run from a tree's root.
+TIER1 = [sys.executable, "-m", "pytest", "-q",
+         "--continue-on-collection-errors"]
 
 
 def git_clean(path):
@@ -87,6 +97,25 @@ def run_once(path, workload, seconds):
                          f"{outcome['failed']} of {outcome['attempted']}: "
                          f"{record['failures']}")
     return record, outcome
+
+
+def run_tier1(path):
+    """{passed, failed, wall_s} of one Tier-1 run in `path`; a test
+    that errors counts as failed."""
+    env = dict(os.environ, PYTHONPATH="src")
+    start = time.perf_counter()
+    done = subprocess.run(TIER1, cwd=path, env=env, capture_output=True,
+                          text=True, check=False)
+    wall_s = time.perf_counter() - start
+    last = (done.stdout.strip().splitlines() or [""])[-1]
+    counts = {word.rstrip("s"): int(n) for n, word in
+              re.findall(r"(\d+) (passed|failed|errors?)\b", last)}
+    if not counts:
+        raise SystemExit(f"error: {path}: Tier-1 exited {done.returncode} "
+                         f"without a summary\n{done.stderr}")
+    return {"passed": counts.get("passed", 0),
+            "failed": counts.get("failed", 0) + counts.get("error", 0),
+            "wall_s": wall_s}
 
 
 def summary(rounds):
@@ -152,6 +181,10 @@ def main(argv=None):
             # finished rounds
             for label, entry in records.items():
                 write_record(label, entry)
+    for label, entry in records.items():
+        entry["tier1"] = run_tier1(trees[label])
+        print(f"tier-1 {label:12} {entry['tier1']}", flush=True)
+        write_record(label, entry)
     return 0
 
 

@@ -9,7 +9,7 @@ from .controller import (PopulationSnapshot, ProblemInstance, create_problem,
                          dump_environments_text, iterate_environments)
 from .core import (DOMAIN_HIGH, DOMAIN_LOW, PROBLEM_INDICES, PROBLEM_TABLE,
                    PlacementError, ProblemSpec, RngStream, RunFrozenError,
-                   make_rng, problem_spec)
+                   problem_spec)
 from .metrics import RunRecord, best_worst, count_npf, peak_ratio, score_run
 from .optimizers import OPTIMIZERS, CrowdingDE, RandomSearch, make_optimizer
 from .reporting import (BenchmarkReport, ResultsTable, execute_run,
@@ -47,7 +47,6 @@ __all__ = [
     "iterate_environments",
     "load_config",
     "make_optimizer",
-    "make_rng",
     "peak_ratio",
     "problem_spec",
     "rescore_snapshots",

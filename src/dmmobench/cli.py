@@ -11,14 +11,15 @@ the word `all`.  Seeds accept the same list syntax (e.g. 1-30).
 """
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
 from . import reporting
 from .config import load_config, parse_value
 from .core import PROBLEM_INDICES, PlacementError, problem_spec
-from .reporting import (export_landscape_grid, rescore_snapshots,
-                        run_benchmark, write_artifact)
+from .reporting import (check_grid, export_landscape_grid,
+                        rescore_snapshots, run_benchmark, write_artifact)
 
 
 def _expand(text, what, number):
@@ -135,8 +136,10 @@ def _cmd_run(args):
 
 def _cmd_dump(args):
     settings, _ = _load(args)
-    for problem in parse_problems(args.problems):
-        for seed in parse_seeds(args.seeds):
+    problems, seeds = parse_problems(args.problems), parse_seeds(args.seeds)
+    os.makedirs(args.out_dir, exist_ok=True)
+    for problem in problems:
+        for seed in seeds:
             # looked up on `reporting` at each call (see its import there)
             text = reporting.dump_environments_text(problem, seed, settings)
             print(write_artifact(
@@ -146,12 +149,14 @@ def _cmd_dump(args):
 
 def _cmd_grid(args):
     settings, _ = _load(args)
-    for problem in parse_problems(args.problems):
-        for seed in parse_seeds(args.seeds):
+    problems, seeds = parse_problems(args.problems), parse_seeds(args.seeds)
+    check_grid(args.env, args.resolution, settings, args.dim)
+    os.makedirs(args.out_dir, exist_ok=True)
+    for problem in problems:
+        for seed in seeds:
             text = export_landscape_grid(
                 problem, seed, env=args.env, resolution=args.resolution,
                 settings=settings, dim_override=args.dim)
-            # the directory is created once the grid's own checks passed
             print(write_artifact(
                 args.out_dir, f"grid_{problem}_seed{seed}_env{args.env}.txt",
                 text))

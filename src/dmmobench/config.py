@@ -2,12 +2,13 @@
 key=value file format that overrides them.
 
 The problem definition is code: the change constants live in
-`dynamics` and the optimum spacing in `core`, so every config builds
-the same 24 problems.  Settings hold the evaluation budget, the run
-length, the scoring thresholds and the baseline's parameters, each with
-its default, so an experiment is fully described by (problem, seed,
-config file).  Settings are checked when they are built and cannot be
-changed afterwards, so an invalid settings object never exists.
+`dynamics`, the optimum spacing in `core` and the peak-counting radius
+in `metrics`, so every config builds and scores the same 24 problems.
+Settings hold the evaluation budget, the run length, the scored fitness
+accuracies and the baseline's parameters, each with its default, so an
+experiment is fully described by (problem, seed, config file).  Settings
+are checked when they are built and cannot be changed afterwards, so an
+invalid settings object never exists.
 """
 
 import math
@@ -28,16 +29,14 @@ def _check_counts(config, minimums):
 
 @dataclass(frozen=True)
 class BenchmarkSettings:
-    """The evaluation protocol's budget and run length, and the scoring
-    thresholds."""
+    """The evaluation protocol's budget and run length, and the scored
+    fitness accuracies."""
 
     #: Fitness evaluations per environment, per search dimension.
     evals_per_dim: int = 5000
     #: Environments per run.
     environments: int = 60
-    #: Peak-counting thresholds: position tolerance and the fitness
-    #: tolerance levels scored in one pass.
-    distance_accuracy: float = 0.05
+    #: Peak-counting fitness tolerances, scored in one pass.
     fitness_accuracy_levels: tuple = (1e-3, 1e-4, 1e-5)
 
     def __post_init__(self):
@@ -54,9 +53,9 @@ class BenchmarkSettings:
         if len(set(self.fitness_accuracy_levels)) != len(
                 self.fitness_accuracy_levels):
             raise ConfigError("fitness_accuracy_levels repeats a value")
-        if not all(0 < value < math.inf for value in (
-                self.distance_accuracy, *self.fitness_accuracy_levels)):
-            raise ConfigError("accuracy thresholds must be positive and finite")
+        if not all(0 < value < math.inf
+                   for value in self.fitness_accuracy_levels):
+            raise ConfigError("accuracy levels must be positive and finite")
         return self
 
 

@@ -12,8 +12,8 @@ import numpy as np
 from .composition import init_composition
 from .config import BenchmarkSettings
 from .core import (CONE_FAMILIES, DOMAIN_HIGH, DOMAIN_LOW, MIN_PEAK_DISTANCE,
-                   ProblemSpec, RunFrozenError, check_integer, format_rows,
-                   make_rng, problem_spec)
+                   ProblemSpec, RngStream, RunFrozenError, check_integer,
+                   format_rows, problem_spec)
 from .df import init_df
 from .dynamics import advance_environment, init_change_state
 
@@ -47,7 +47,7 @@ class ProblemInstance:
     def __init__(self, spec, seed, settings):
         self.spec = spec
         self.settings = settings
-        self._rng = make_rng(seed)
+        self._rng = RngStream(seed)
         init = init_df if spec.family in CONE_FAMILIES else init_composition
         self.landscape = init(spec.family, spec.dimension, self._rng,
                               MIN_PEAK_DISTANCE)
@@ -175,6 +175,13 @@ def create_problem(index, seed, settings=BenchmarkSettings()):
     return ProblemInstance(problem_spec(index), seed, settings)
 
 
+def check_dim_override(dim_override):
+    """Refuse a rebuild dimension that is not an integer of at least 2."""
+    check_integer("dim_override", dim_override)
+    if dim_override < 2:
+        raise ValueError(f"dimension must be at least 2, got {dim_override}")
+
+
 def iterate_environments(index, seed, settings=BenchmarkSettings(),
                          dim_override=None):
     """Yield (env, landscape, state) for each environment in turn.
@@ -187,10 +194,7 @@ def iterate_environments(index, seed, settings=BenchmarkSettings(),
     """
     spec = problem_spec(index)
     if dim_override is not None:
-        check_integer("dim_override", dim_override)
-        if dim_override < 2:
-            raise ValueError(
-                f"dimension must be at least 2, got {dim_override}")
+        check_dim_override(dim_override)
         spec = ProblemSpec(spec.index, spec.family, spec.mode, dim_override)
     instance = ProblemInstance(spec, seed, settings)
     yield 1, instance.landscape, instance.state

@@ -52,7 +52,9 @@ class RngStream:
     generator is a format-breaking change.
 
     A stream is single-owner: exactly one logical thread of control may
-    draw from it.
+    draw from it.  Streams with different `stream` numbers are
+    independent even for the same seed; the problem dynamics draw from
+    stream 0 and optimizers from stream 1 so neither perturbs the other.
     """
 
     def __init__(self, seed, stream=0):
@@ -101,16 +103,6 @@ class RngStream:
             self._permutation_bases[rows, n] = base
         # `permuted` shuffles a copy, so one read-only base serves every call
         return self._gen.permuted(base, axis=1)
-
-
-def make_rng(seed, stream=0):
-    """Create a named random stream for the given seed.
-
-    Streams with different `stream` numbers are independent even for the
-    same seed; the problem dynamics draw from stream 0 and optimizers
-    from stream 1 so neither perturbs the other.
-    """
-    return RngStream(seed, stream)
 
 
 #: Exact powers of ten, 10**0 .. 10**22 (5**22 < 2**53), the scales

@@ -13,8 +13,11 @@ import numpy as np
 
 from .core import squared_distances
 
+#: Position tolerance of peak counting.
+DISTANCE_ACCURACY = 0.05
 
-def count_npf(snapshot, optima, fitness_accuracies, distance_accuracy):
+
+def count_npf(snapshot, optima, fitness_accuracies):
     """Number of distinct optima found by a population snapshot, one
     count per fitness accuracy.
 
@@ -22,7 +25,7 @@ def count_npf(snapshot, optima, fitness_accuracies, distance_accuracy):
     assigned to its nearest optimum by Euclidean distance (ties go to
     the lowest optimum index); the optimum is found at an accuracy when
     the fitness gap is below it and the distance below
-    `distance_accuracy`, both strictly.  An individual never counts
+    DISTANCE_ACCURACY, both strictly.  An individual never counts
     toward a farther optimum, even if it would satisfy both thresholds
     there.
     """
@@ -34,7 +37,7 @@ def count_npf(snapshot, optima, fitness_accuracies, distance_accuracy):
     # optimum, the first of a tie; a row without optima has none
     nearest = distances == distances.min(1, keepdims=True, initial=np.inf)
     nearest &= nearest.cumsum(1) == 1
-    close = nearest & (distances < distance_accuracy)
+    close = nearest & (distances < DISTANCE_ACCURACY)
     gaps = np.abs(fitness[:, None] - values)
     levels = np.asarray(fitness_accuracies, dtype=float)
     hit = (gaps < levels[:, None, None]) & close
@@ -92,6 +95,5 @@ def score_run(snapshots, ground_truth, settings):
         optima = ground_truth(snapshot.environment)
         peaks.append(len(optima[0]))
         npf.append(count_npf(snapshot, optima,
-                             settings.fitness_accuracy_levels,
-                             settings.distance_accuracy))
+                             settings.fitness_accuracy_levels))
     return peaks, np.array(npf)

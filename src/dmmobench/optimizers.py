@@ -86,9 +86,9 @@ class CrowdingDE:
         mutants *= cfg.scale_factor
         mutants += x1
         cross = rng.uniform_vector(0.0, 1.0, (subs, size, dim))
-        # truncation is floor on these non-negative draws
+        # truncation is floor on these non-negative draws; numpy draws
+        # 0.0 + dim * u with u < 1, which rounds to below dim
         forced = rng.uniform_vector(0.0, dim, (subs, size)).astype(np.intp)
-        np.minimum(forced, dim - 1, out=forced)
         mask = cross < cfg.crossover_rate
         mask[self._rows, self._columns, forced] = True
         trials = np.where(mask, mutants, pop)

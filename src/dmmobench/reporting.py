@@ -20,10 +20,11 @@ import numpy as np
 from .config import BenchmarkSettings, OptimizerConfig
 # the CLI calls dump_environments_text through this module, where the
 # benchmark's tracer wraps it
-from .controller import (PopulationSnapshot, create_problem,
-                         dump_environments_text, iterate_environments)
-from .core import (CONE_FAMILIES, DOMAIN_HIGH, DOMAIN_LOW, check_integer,
-                   format_rows, make_rng, problem_spec)
+from .controller import (PopulationSnapshot, check_dim_override,
+                         create_problem, dump_environments_text,
+                         iterate_environments)
+from .core import (CONE_FAMILIES, DOMAIN_HIGH, DOMAIN_LOW, RngStream,
+                   check_integer, format_rows, problem_spec)
 # count_npf is unused here, but the benchmark's tracer patches it by name.
 from .metrics import (RunRecord, best_worst, count_npf,  # noqa: F401
                       peak_ratio, score_run)
@@ -101,7 +102,7 @@ def execute_run(problem, seed, optimizer="baseline",
     """
     instance = create_problem(problem, seed, settings)
     engine = make_optimizer(optimizer, optimizer_config)
-    engine.optimize(instance, make_rng(seed, OPTIMIZER_STREAM))
+    engine.optimize(instance, RngStream(seed, OPTIMIZER_STREAM))
     if not instance.frozen:
         raise RuntimeError(
             f"optimizer {optimizer!r} returned with {len(instance.snapshots)}"
@@ -394,6 +395,18 @@ def rescore_snapshots(out_dir, settings=BenchmarkSettings()):
     return BenchmarkReport(table, records, [])
 
 
+def check_grid(env, resolution, settings, dim_override=None):
+    """Raise ValueError for the arguments `export_landscape_grid`
+    refuses, whatever the problem and seed."""
+    check_integer("env", env)
+    if not 1 <= env <= settings.environments:
+        raise ValueError(
+            f"environment {env} outside 1..{settings.environments}")
+    check_integer("resolution", resolution, 2)
+    if dim_override is not None:
+        check_dim_override(dim_override)
+
+
 def export_landscape_grid(problem, seed, env=1, resolution=101,
                           settings=BenchmarkSettings(), dim_override=None):
     """Fitness samples over a 2-D slice of one environment, as text.
@@ -404,11 +417,7 @@ def export_landscape_grid(problem, seed, env=1, resolution=101,
     (2 is the useful one, for direct visualisation), at least 2.
     `env`, `resolution` and `dim_override` must be integers.
     """
-    check_integer("env", env)
-    if not 1 <= env <= settings.environments:
-        raise ValueError(
-            f"environment {env} outside 1..{settings.environments}")
-    check_integer("resolution", resolution, 2)
+    check_grid(env, resolution, settings, dim_override)
     for t, landscape, _ in iterate_environments(
             problem, seed, settings, dim_override=dim_override):
         if t == env:

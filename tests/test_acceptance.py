@@ -19,13 +19,14 @@ from dmmobench.controller import (
 )
 from dmmobench.core import (
     PROBLEM_INDICES,
+    RngStream,
     RunFrozenError,
-    make_rng,
     problem_spec,
 )
 from dmmobench.dynamics import (random_pairing, random_rotation,
                                 rotation_from_pairs)
 from dmmobench.metrics import (
+    DISTANCE_ACCURACY,
     RunRecord,
     best_worst,
     count_npf,
@@ -158,7 +159,6 @@ def test_criterion_06_count_modes():
 
 
 def test_criterion_07_npf_oracle_equivalence():
-    distance = BenchmarkSettings().distance_accuracy
     rng = np.random.default_rng(77)
     for case in range(1000):
         dim = int(rng.integers(1, 6))
@@ -194,9 +194,9 @@ def test_criterion_07_npf_oracle_equivalence():
             else np.empty((0, dim))
         fitness = np.array(fitness)
         snapshot = PopulationSnapshot(1, individuals, fitness)
-        fast, = count_npf(snapshot, (positions, values), [1e-3], distance)
+        fast, = count_npf(snapshot, (positions, values), [1e-3])
         slow = helpers.count_npf(snapshot, (positions, values), 1e-3,
-                                 distance)
+                                 DISTANCE_ACCURACY)
         assert fast == slow, case
     _ok(7)
 
@@ -261,18 +261,18 @@ def test_criterion_10_baseline_beats_random():
 
 
 def test_criterion_11_rotation_machinery():
-    rng = make_rng(2024)
+    rng = RngStream(2024)
     for i in range(1000):
         dim = 2 + (i % 9)
         matrix = random_rotation(dim, rng)
         assert np.abs(matrix @ matrix.T - np.eye(dim)).max() <= 1e-9
     for dim in (2, 3, 5, 8, 11):
-        pairs = random_pairing(dim, make_rng(dim))
+        pairs = random_pairing(dim, RngStream(dim))
         assert np.array_equal(rotation_from_pairs(dim, pairs, 0.0),
                               np.eye(dim))
     for dim in (3, 5, 7, 9):
         matrix = rotation_from_pairs(
-            dim, random_pairing(dim, make_rng(dim)), 0.9)
+            dim, random_pairing(dim, RngStream(dim)), 0.9)
         fixed = [i for i in range(dim)
                  if np.array_equal(matrix[i], np.eye(dim)[i])
                  and np.array_equal(matrix[:, i], np.eye(dim)[i])]

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from dmmobench import cli, reporting
 from dmmobench.cli import main, parse_problems, parse_seeds
 from dmmobench.optimizers import OPTIMIZERS
 
@@ -316,6 +317,8 @@ BAD_ARGUMENTS = [
      "environment 0"),
     (["grid", "--problems", "P1", "--seeds", "1", "--resolution", "1"],
      "resolution"),
+    (["grid", "--problems", "P1", "--seeds", "1", "--dim", "1"],
+     "at least 2"),
     (["dump", "--problems", "P1", "--seeds", "1"], "min_peak_distance",
      FIXED_KEY),
     (["grid", "--problems", "P5", "--seeds", "1"], "min_peak_distance",
@@ -344,14 +347,23 @@ UNUSABLE_OUT_DIRS = [
     (["score"], "missing"),
     (["score"], "file"),
     (["dump", "--problems", "P1", "--seeds", "1"], os.path.join("file", "x")),
+    (["grid", "--problems", "P1", "--seeds", "1"], os.path.join("file", "x")),
 ]
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("a text was made before --out-dir was")
 
 
 @pytest.mark.parametrize("case", UNUSABLE_OUT_DIRS,
                          ids=[f"{case[0][0]} --out-dir {case[1]}"
                               for case in UNUSABLE_OUT_DIRS])
-def test_an_unusable_out_dir_exits_2(tmp_path, config_path, capsys, case):
+def test_an_unusable_out_dir_exits_2(tmp_path, config_path, capsys,
+                                     monkeypatch, case):
     args, target = case
+    # refused before any dump or grid is made
+    monkeypatch.setattr(reporting, "dump_environments_text", _unreachable)
+    monkeypatch.setattr(cli, "export_landscape_grid", _unreachable)
     (tmp_path / "file").write_text("")
     out = tmp_path / target
     code = run_cli(args + ["--config", config_path, "--out-dir", out])

@@ -15,10 +15,10 @@ from dmmobench.config import (BenchmarkSettings, ConfigError, OptimizerConfig,
     "fitness_accuracy_levels = nan",
     "fitness_accuracy_levels = 0",
     "fitness_accuracy_levels = 1e-3, 1e-3",
+    # the problem definition's constants are not options
     "distance_accuracy = nan",
     "distance_accuracy = inf",
     "distance_accuracy = -0.05",
-    # the problem definition's constants are not options
     "min_peak_distance = nan",
     "min_peak_distance = inf",
     "min_peak_distance = 0",
@@ -47,7 +47,7 @@ def test_meaningless_settings_are_rejected(line):
 
 @pytest.mark.parametrize("kind, name, value", [
     (BenchmarkSettings, "environments", 0),
-    (BenchmarkSettings, "distance_accuracy", math.nan),
+    (BenchmarkSettings, "fitness_accuracy_levels", (math.nan,)),
     (OptimizerConfig, "subpopulation_size", 2),
     (OptimizerConfig, "scale_factor", math.nan),
     (OptimizerConfig, "scale_factor", math.inf),
@@ -69,9 +69,8 @@ def test_invalid_settings_cannot_be_built(kind, name, value):
 
 
 def test_every_key_sets_its_own_field():
-    settings = BenchmarkSettings(
-        evals_per_dim=7, environments=5, distance_accuracy=0.04,
-        fitness_accuracy_levels=(0.01, 0.002))
+    settings = BenchmarkSettings(evals_per_dim=7, environments=5,
+                                 fitness_accuracy_levels=(0.01, 0.002))
     optimizer = OptimizerConfig(
         subpopulations=3, subpopulation_size=5, scale_factor=0.6,
         crossover_rate=0.8, memory_size=4, reinit_fraction=0.25)
@@ -88,13 +87,16 @@ def test_every_key_sets_its_own_field():
 
 def test_the_problem_definition_is_not_a_setting():
     assert [field.name for field in fields(BenchmarkSettings)] == [
-        "evals_per_dim", "environments", "distance_accuracy",
-        "fitness_accuracy_levels"]
+        "evals_per_dim", "environments", "fitness_accuracy_levels"]
     for key in ("alpha", "alpha_max", "chaos_factor", "period",
                 "noise_severity", "min_peak_distance", "height_severity",
                 "width_severity", "rotation_severity"):
         with pytest.raises(ConfigError, match=f"unknown option '{key}'"):
             parse_config_text(f"{key} = 0.1\n")
+    # the peak-counting radius too, even at the value it always had
+    with pytest.raises(ConfigError,
+                       match="unknown option 'distance_accuracy'"):
+        parse_config_text("distance_accuracy = 0.05\n")
 
 
 @pytest.mark.parametrize("key", [

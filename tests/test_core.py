@@ -9,9 +9,9 @@ from dmmobench.core import (
     PROBLEM_INDICES,
     PROBLEM_TABLE,
     PlacementError,
+    RngStream,
     draw_spaced_points,
     format_rows,
-    make_rng,
     problem_spec,
     reflect_into_domain,
     squared_distances,
@@ -20,38 +20,38 @@ from helpers import min_pairwise_distance
 
 
 def test_rng_same_seed_same_sequence():
-    a = make_rng(7)
-    b = make_rng(7)
+    a = RngStream(7)
+    b = RngStream(7)
     assert [a.uniform(0, 1) for _ in range(20)] \
         == [b.uniform(0, 1) for _ in range(20)]
 
 
 def test_rng_streams_are_independent():
-    base = make_rng(7)
-    other = make_rng(7, stream=1)
+    base = RngStream(7)
+    other = RngStream(7, stream=1)
     assert base.uniform(0, 1) != other.uniform(0, 1)
 
 
 def test_rng_rejects_negative_seed():
     with pytest.raises(ValueError):
-        make_rng(-1)
+        RngStream(-1)
 
 
 def test_randint_is_inclusive_both_ends():
-    rng = make_rng(3)
+    rng = RngStream(3)
     draws = {rng.randint(2, 4) for _ in range(200)}
     assert draws == {2, 3, 4}
 
 
 def test_index_permutation_covers_all_indices():
-    rng = make_rng(5)
+    rng = RngStream(5)
     perm = rng.index_permutation(8)
     assert sorted(perm) == list(range(8))
 
 
 @pytest.mark.parametrize("rows, n", [(0, 5), (1, 4), (10, 10), (3, 1)])
 def test_index_permutations_draw_as_successive_permutations(rows, n):
-    batched, looped = make_rng(5, 1), make_rng(5, 1)
+    batched, looped = RngStream(5, 1), RngStream(5, 1)
     expected = [looped.index_permutation(n) for _ in range(rows)]
     perms = batched.index_permutations(rows, n)
     assert perms.shape == (rows, n)
@@ -60,7 +60,7 @@ def test_index_permutations_draw_as_successive_permutations(rows, n):
 
 
 def test_draw_spaced_points_respects_spacing():
-    rng = make_rng(11)
+    rng = RngStream(11)
     points = draw_spaced_points(8, 5, rng, min_dist=0.1)
     assert points.shape == (8, 5)
     assert min_pairwise_distance(points) >= 0.1
@@ -68,7 +68,7 @@ def test_draw_spaced_points_respects_spacing():
 
 
 def test_draw_spaced_points_impossible_spacing():
-    rng = make_rng(11)
+    rng = RngStream(11)
     with pytest.raises(PlacementError):
         draw_spaced_points(5, 2, rng, min_dist=50.0)
 
@@ -84,7 +84,7 @@ def test_reflect_into_domain_folds_back():
 
 
 def test_reflect_identity_inside_domain():
-    rng = make_rng(2)
+    rng = RngStream(2)
     points = rng.uniform_vector(DOMAIN_LOW, DOMAIN_HIGH, (30, 4))
     assert np.array_equal(reflect_into_domain(points), points)
 
@@ -254,7 +254,7 @@ def test_each_draw_method_keeps_its_stored_hash(draw, expected):
     digest = hashlib.sha256()
     for seed in (1, 2, 7):
         for stream in (0, 1):
-            rng = make_rng(seed, stream)
+            rng = RngStream(seed, stream)
             for _ in range(5):
                 digest.update(np.asarray(draw(rng), dtype=float).tobytes())
     assert digest.hexdigest() == expected

@@ -6,7 +6,7 @@ import pytest
 from dmmobench import dynamics
 from dmmobench.composition import init_composition
 from dmmobench.core import MIN_PEAK_DISTANCE as SPACING
-from dmmobench.core import PlacementError, make_rng
+from dmmobench.core import PlacementError, RngStream
 from dmmobench.df import init_df
 from dmmobench.dynamics import (
     ChangeState,
@@ -112,7 +112,7 @@ def test_noisy_recurrent_hand_value():
 
 
 def test_noisy_recurrent_residual_scale():
-    rng = make_rng(7)
+    rng = RngStream(7)
     residuals = [
         apply_scalar_change(at("C6", 6), 50.0, HEIGHT_PARAMS, rng) - 50.0
         for _ in range(1000)
@@ -134,21 +134,21 @@ def test_unknown_mode_rejected():
 
 
 def test_zero_angle_rotation_is_identity():
-    pairs = random_pairing(6, make_rng(1))
+    pairs = random_pairing(6, RngStream(1))
     assert np.array_equal(rotation_from_pairs(6, pairs, 0.0), np.eye(6))
 
 
 @pytest.mark.parametrize("dim", [2, 3, 5, 8, 10])
 def test_random_rotations_are_orthogonal(dim):
     for seed in range(1, 21):
-        matrix = random_rotation(dim, make_rng(seed))
+        matrix = random_rotation(dim, RngStream(seed))
         gap = np.abs(matrix @ matrix.T - np.eye(dim)).max()
         assert gap <= 1e-12
         assert np.linalg.det(matrix) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_odd_dimension_fixes_exactly_one_axis():
-    matrix = rotation_from_pairs(5, random_pairing(5, make_rng(3)), 0.7)
+    matrix = rotation_from_pairs(5, random_pairing(5, RngStream(3)), 0.7)
     fixed = [
         i for i in range(5)
         if np.array_equal(matrix[i], np.eye(5)[i])
@@ -168,7 +168,7 @@ def test_rotation_from_pairs_block_structure():
 
 
 def test_pairing_is_disjoint():
-    pairs = random_pairing(7, make_rng(9))
+    pairs = random_pairing(7, RngStream(9))
     assert pairs.shape == (3, 2)
     flat = pairs.ravel()
     assert len(set(flat.tolist())) == 6
@@ -176,7 +176,7 @@ def test_pairing_is_disjoint():
 
 def test_spacing_repair_leaves_good_sets_alone():
     points = np.array([[0.0, 0.0], [1.0, 1.0], [-2.0, 3.0]])
-    repaired = enforce_min_distance(points, make_rng(1), SPACING)
+    repaired = enforce_min_distance(points, RngStream(1), SPACING)
     assert np.array_equal(repaired, points)
 
 
@@ -188,8 +188,8 @@ def test_spacing_repair_moves_by_exactly_min_dist():
 
 
 def test_spacing_repair_fixes_random_clusters():
-    rng = make_rng(5)
-    points = make_rng(6).uniform_vector(-0.05, 0.05, (8, 3))
+    rng = RngStream(5)
+    points = RngStream(6).uniform_vector(-0.05, 0.05, (8, 3))
     repaired = enforce_min_distance(points, rng, SPACING)
     assert min_pairwise_distance(repaired) >= 0.1 - 1e-12
     assert (np.abs(repaired) <= 5.0).all()
@@ -233,7 +233,7 @@ def test_sweep_walks_a_triangle_wave():
 
 def test_random_count_covers_its_range():
     state = ChangeState("C8", 8)
-    rng = make_rng(11)
+    rng = RngStream(11)
     seen = set()
     for _ in range(10000):
         update_active_count(state, rng)
@@ -248,9 +248,9 @@ def test_count_update_rejects_other_modes():
 
 
 def test_initial_state_draws_do_not_depend_on_mode():
-    landscapes = [init_df("F1", 5, make_rng(3), SPACING) for _ in range(2)]
-    state_a = init_change_state(landscapes[0], "C1", make_rng(4))
-    state_b = init_change_state(landscapes[1], "C8", make_rng(4))
+    landscapes = [init_df("F1", 5, RngStream(3), SPACING) for _ in range(2)]
+    state_a = init_change_state(landscapes[0], "C1", RngStream(4))
+    state_b = init_change_state(landscapes[1], "C8", RngStream(4))
     assert np.array_equal(state_a.pairings["positions"],
                           state_b.pairings["positions"])
     for name in ("positions", "heights", "widths"):
@@ -265,7 +265,7 @@ def test_changes_follow_the_settings_the_run_started_with(monkeypatch):
                             WIDTH_SEVERITY=2.0,
                             ROTATION_SEVERITY=0.5).items():
         monkeypatch.setattr(dynamics, name, value)
-    rng = make_rng(1)
+    rng = RngStream(1)
     landscape = init_df("F2", 2, rng, 2.0)
     state = init_change_state(landscape, "C1", rng)
     assert [state.rules[name].severity
@@ -278,7 +278,7 @@ def test_changes_follow_the_settings_the_run_started_with(monkeypatch):
 
 
 def test_one_change_keeps_cone_invariants():
-    rng = make_rng(21)
+    rng = RngStream(21)
     landscape = init_df("F2", 5, rng, SPACING)
     state = init_change_state(landscape, "C1", rng)
     advance_environment(landscape, state, rng)
@@ -290,7 +290,7 @@ def test_one_change_keeps_cone_invariants():
 
 
 def test_sixty_changes_keep_rotations_orthogonal():
-    rng = make_rng(22)
+    rng = RngStream(22)
     landscape = init_composition("F5", 5, rng, SPACING)
     state = init_change_state(landscape, "C1", rng)
     for _ in range(59):
@@ -301,7 +301,7 @@ def test_sixty_changes_keep_rotations_orthogonal():
 
 
 def test_recurrent_shifts_revisit_exactly():
-    rng = make_rng(23)
+    rng = RngStream(23)
     landscape = init_composition("F8", 5, rng, SPACING)
     state = init_change_state(landscape, "C5", rng)
     trail = {}
@@ -313,7 +313,7 @@ def test_recurrent_shifts_revisit_exactly():
 
 
 def test_count_sweep_drives_active_optima():
-    rng = make_rng(24)
+    rng = RngStream(24)
     landscape = init_df("F2", 5, rng, SPACING)
     state = init_change_state(landscape, "C7", rng)
     advance_environment(landscape, state, rng)

@@ -21,7 +21,7 @@ from dmmobench.controller import (create_problem, dump_environments_text,
                                   format_environment)
 from dmmobench.core import (CHANGE_MODES, CONE_FAMILIES, DOMAIN_HIGH,
                             DOMAIN_LOW, MIN_PEAK_DISTANCE, PROBLEM_INDICES,
-                            RngStream, make_rng)
+                            RngStream)
 from dmmobench.df import init_df
 from dmmobench.dynamics import advance_environment, init_change_state
 from dmmobench.optimizers import OPTIMIZERS, make_optimizer
@@ -355,7 +355,7 @@ TRAJECTORIES = "0b82f34755dcef540568c1767394459b24c153c8ff51ddf66f48c204deabdd63
 def _trajectory(family, mode, dim, seed=7):
     """The labels and values of every environment of one run, as
     `format_environment` lays them out."""
-    rng = make_rng(seed)
+    rng = RngStream(seed)
     init = init_df if family in CONE_FAMILIES else init_composition
     landscape = init(family, dim, rng, MIN_PEAK_DISTANCE)
     state = init_change_state(landscape, mode, rng)

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 import helpers
+from dmmobench import metrics
 from dmmobench.config import BenchmarkSettings
 from dmmobench.controller import PopulationSnapshot, create_problem
 from dmmobench.metrics import (
+    DISTANCE_ACCURACY,
     RunRecord,
     best_worst,
     count_npf,
@@ -12,8 +14,7 @@ from dmmobench.metrics import (
     score_run,
 )
 
-#: The default settings' position tolerance and fitness accuracies.
-DISTANCE = BenchmarkSettings().distance_accuracy
+#: The default settings' fitness accuracies.
 LEVELS = BenchmarkSettings().fitness_accuracy_levels
 
 
@@ -22,11 +23,9 @@ def snap(individuals, fitness):
                               np.asarray(fitness, dtype=float))
 
 
-def count_at(snapshot, optima, fitness_accuracy=1e-3,
-             distance_accuracy=DISTANCE):
+def count_at(snapshot, optima, fitness_accuracy=1e-3):
     """count_npf at a single fitness accuracy."""
-    count, = count_npf(snapshot, optima, [fitness_accuracy],
-                       distance_accuracy)
+    count, = count_npf(snapshot, optima, [fitness_accuracy])
     return count
 
 
@@ -57,16 +56,17 @@ def test_fitness_gap_blocks_a_near_point():
     assert count == 1
 
 
-def test_thresholds_are_strict():
+def test_thresholds_are_strict(monkeypatch):
     # 0.25 is exactly representable, so both gaps land exactly on the
     # threshold and must be rejected
+    monkeypatch.setattr(metrics, "DISTANCE_ACCURACY", 0.25)
     optima = (np.array([[0.0, 0.0, 0.0]]), np.array([75.0]))
     on_distance = snap([[0.25, 0.0, 0.0]], [75.0])
-    assert count_at(on_distance, optima, 0.25, 0.25) == 0
+    assert count_at(on_distance, optima, 0.25) == 0
     on_fitness = snap([[0.0, 0.0, 0.0]], [75.25])
-    assert count_at(on_fitness, optima, 0.25, 0.25) == 0
+    assert count_at(on_fitness, optima, 0.25) == 0
     inside = snap([[0.2, 0.0, 0.0]], [75.2])
-    assert count_at(inside, optima, 0.25, 0.25) == 1
+    assert count_at(inside, optima, 0.25) == 1
 
 
 def test_individual_only_scores_its_nearest_optimum():
@@ -104,7 +104,7 @@ def test_matches_brute_force_on_random_cases():
         population = snap(individuals, fitness)
         count = count_at(population, (positions, values))
         oracle = helpers.count_npf(population, (positions, values), 1e-3,
-                                   DISTANCE)
+                                   DISTANCE_ACCURACY)
         assert count == oracle
 
 
@@ -131,7 +131,7 @@ def test_tighter_accuracy_never_finds_more():
         0, 0.02, (30, 3))
     fitness = values[rng.integers(0, 6, 30)] + rng.normal(0, 5e-4, 30)
     population = snap(individuals, fitness)
-    counts = count_npf(population, (positions, values), LEVELS, DISTANCE)
+    counts = count_npf(population, (positions, values), LEVELS)
     assert counts[0] >= counts[1] >= counts[2]
 
 

@@ -157,6 +157,14 @@ def test_make_trials_matches_the_loop_reference(shape, seed, scale,
     assert rng_state(rng) == rng_state(ref_rng)
 
 
+def test_forced_crossover_index_stays_below_the_dimension():
+    # the forced index truncates numpy's uniform draw 0.0 + dim * u,
+    # where u is at most the largest double below 1; the product rounds
+    # below dim, so the index needs no clamp to dim - 1
+    dims = np.arange(1, 100_001, dtype=float)
+    assert (0.0 + dims * np.nextafter(1.0, 0.0) < dims).all()
+
+
 @st.composite
 def crowding_inputs(draw):
     subs, size, dim = draw(SHAPES)

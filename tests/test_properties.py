@@ -2,9 +2,11 @@ import math
 from functools import cache
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
+from dmmobench import metrics
 from dmmobench.config import BenchmarkSettings
 from dmmobench.controller import PopulationSnapshot, create_problem
 from dmmobench.core import format_rows, reflect_into_domain
@@ -157,9 +159,11 @@ def scorings(draw):
 @given(scorings())
 def test_count_npf_matches_the_individual_by_individual_count(scoring):
     snapshot, optima, levels, distance = scoring
-    assert count_npf(*scoring).tolist() == [
-        helpers.count_npf(snapshot, optima, level, distance)
-        for level in levels]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "DISTANCE_ACCURACY", distance)
+        assert count_npf(snapshot, optima, levels).tolist() == [
+            helpers.count_npf(snapshot, optima, level, distance)
+            for level in levels]
 
 
 #: Cone and composition problems of both dimensions, every kind of
