@@ -153,8 +153,9 @@ def test_composition_evaluate_many(benchmark, family, dim):
 @pytest.mark.parametrize("dim", [5, 10])
 @pytest.mark.parametrize("kind", list(BASIC_FUNCTIONS))
 def test_basic_function(benchmark, kind, dim):
-    """One basic function on 100 points drawn in the domain, the rows
-    one component of `CompositionLandscape.evaluate_many` passes it."""
+    """One basic function on 100 points drawn in the domain, one
+    component's rows; `CompositionLandscape.evaluate_many` passes a run
+    of equal kinds, two components in every recipe, in one call."""
     points = population(dim).reshape(-1, dim)
     values = benchmark(BASIC_FUNCTIONS[kind], points)
     assert values.shape == (len(points),)

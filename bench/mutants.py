@@ -103,6 +103,12 @@ MUTANTS = [
     mutant("composition rotation by a BLAS product", "composition.py",
            'rotated = np.einsum("bnd,nde->bne", scaled, self.rotations)',
            "rotated = (scaled[:, :, None, :] @ self.rotations)[:, :, 0, :]"),
+    # one basic-function call per run of equal kinds, refreshed at changes
+    mutant("a run of kinds scored by its first component", "composition.py",
+           "BASIC_FUNCTIONS[kind](z[..., run, :])",
+           "BASIC_FUNCTIONS[kind](z[..., run.start, None, :])"),
+    mutant("peak magnitudes not refreshed after a change", "dynamics.py",
+           "    landscape.refresh_normalization()\n", ""),
     # last report wins, and only for its own environment
     mutant("first report wins", "controller.py",
            "        self._pending_report = _checked_batch(",

@@ -1,4 +1,4 @@
-"""Record end-to-end benchmark numbers of one or more source trees.
+"""Record end-to-end and per-layer benchmark numbers of source trees.
 
 Each tree is measured with `perfbench/run.py --trace 0`, run from the
 tree's root, on every workload that BENCHMARK.json lists, for
@@ -15,17 +15,20 @@ so every tree runs the same benchmark code and digests on its own
 `src/`.
 
 A run that exits non-zero, or whose result is not `correct` or has a
-failed operation, stops the recording.  After the last round the
-Tier-1 test command runs once in each tree, from its root with
-`PYTHONPATH=src`, so each tree's tests run on its own `src/`.  For each
-tree `LABEL`, `BENCH_<LABEL>.json` is written to the current directory:
-the environment record of the tree's first run, whether the tree was a
-clean git checkout before recording (`git_clean`: true or false, null
-for a tree without `.git`, whose environment record names no commit),
-per workload the median and quartiles (inclusive method) of every
-end-to-end metric and every round's values, and `tier1`: the tests
-that passed, those that failed or errored, and the command's wall time
-in seconds, interpreter start and collection included.
+failed operation, stops the recording.  After the last round each tree
+runs `perfbench/run.py --trace 1` once per workload, for the same
+`run_seconds`, and then the Tier-1 test command once, from its root
+with `PYTHONPATH=src`, so each tree's tests run on its own `src/`.  For
+each tree `LABEL`, `BENCH_<LABEL>.json` is written to the current
+directory: the environment record of the tree's first run, whether the
+tree was a clean git checkout before recording (`git_clean`: true or
+false, null for a tree without `.git`, whose environment record names
+no commit), per workload the median and quartiles (inclusive method)
+of every end-to-end metric, every round's values and `layers`, the
+traced run's per-layer metrics (medians over its traced executions),
+and `tier1`: the tests that passed, those that failed or errored, and
+the command's wall time in seconds, interpreter start and collection
+included.
 
     git archive 0d58935 | tar -x -C /tmp/tree-0d58935
     python3 bench/record.py --tree 0d58935=/tmp/tree-0d58935 \\
@@ -77,11 +80,11 @@ def prepare_tree(path):
     shutil.copy(ROOT / "BENCHMARK.json", path / "BENCHMARK.json")
 
 
-def run_once(path, workload, seconds):
+def run_once(path, workload, seconds, trace=0):
     """(environment record, result) of one perfbench run in `path`."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seed", str(SEED), "--seconds", str(seconds),
-               "--trace", "0"]
+               "--trace", str(trace)]
     # the tree imports its own src/, whatever the caller's path holds
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     done = subprocess.run(command, cwd=path, env=env, capture_output=True,
@@ -181,6 +184,13 @@ def main(argv=None):
             # finished rounds
             for label, entry in records.items():
                 write_record(label, entry)
+    for workload in workloads:
+        for label in labels:
+            _, outcome = run_once(trees[label], workload, seconds, trace=1)
+            records[label]["workloads"][workload]["layers"] = (
+                outcome["metrics"])
+            print(f"traced  {workload:8} {label:12} spans "
+                  f"{outcome['metrics']['trace.spans']['value']}", flush=True)
     for label, entry in records.items():
         entry["tier1"] = run_tier1(trees[label])
         print(f"tier-1 {label:12} {entry['tier1']}", flush=True)

@@ -43,9 +43,11 @@ def _rastrigin(z):
 
 def _weierstrass(z):
     # The BLAS product `@ _W_AMP` must see the rows in (point,
-    # coordinate, term) order: laid out (coordinate, point, term), the
-    # same rows give other bits at D = 10.
-    per_dim = np.cos((z + 0.5)[..., None] * _W_FREQ) @ _W_AMP
+    # component, coordinate, term) order: laid out (coordinate, point,
+    # term), the same rows give other bits at D = 10.  The cosines
+    # overwrite the phases, which keeps a run of components fast.
+    phases = np.multiply((z + 0.5)[..., None], _W_FREQ)
+    per_dim = np.cos(phases, out=phases) @ _W_AMP
     return per_dim.sum(-1) - z.shape[-1] * _W_OFFSET
 
 
@@ -109,10 +111,11 @@ class CompositionLandscape:
         self.set_active_count(len(kinds))
         # the domain's far corner, stretched by each component
         self._corners = np.full(dim, DOMAIN_HIGH) / stretches[:, None]
-        self._kind_rows = {kind: np.flatnonzero([k == kind for k in kinds])
-                           for kind in dict.fromkeys(kinds)}
-        #: |raw value| at the domain's far corner, used for normalization.
-        self.peak_magnitudes = np.empty(len(kinds))
+        # (kind, slice) of each run of equal consecutive kinds
+        bounds = [0] + [i for i in range(1, len(kinds))
+                        if kinds[i] != kinds[i - 1]] + [len(kinds)]
+        self._runs = [(kinds[a], slice(a, b))
+                      for a, b in zip(bounds, bounds[1:])]
         self.refresh_normalization()
 
     @property
@@ -132,22 +135,25 @@ class CompositionLandscape:
         refreshed whenever rotations change.
         """
         corners = np.matmul(self._corners[:, None, :], self.rotations)[:, 0]
-        for kind, rows in self._kind_rows.items():
-            self.peak_magnitudes[rows] = np.abs(
-                BASIC_FUNCTIONS[kind](corners[rows]))
+        #: |raw value| at the domain's far corner, used for normalization.
+        self.peak_magnitudes = np.abs(self._component_values(corners))
 
     def evaluate_many(self, xs):
         xs = np.asarray(xs, dtype=float)
         scaled = (xs[:, None, :] - self.shifts) / self.stretches[:, None]
         rotated = np.einsum("bnd,nde->bne", scaled, self.rotations)
-
-        normalized = np.empty((xs.shape[0], self.n_components))
-        for i, kind in enumerate(self.kinds):
-            raw = BASIC_FUNCTIONS[kind](rotated[:, i, :])
-            normalized[:, i] = NORMALIZATION_SCALE * raw / self.peak_magnitudes[i]
-        normalized += self._penalty[None, :]
-
+        normalized = (NORMALIZATION_SCALE * self._component_values(rotated)
+                      / self.peak_magnitudes + self._penalty)
         return -(self._weights(xs) * normalized).sum(1)
+
+    def _component_values(self, z):
+        """Each component's basic function of its own coordinates: `z`
+        is shaped (..., components, D), the result (..., components).
+        One call per run of equal kinds, on a view of the run."""
+        values = np.empty(z.shape[:-1])
+        for kind, run in self._runs:
+            values[..., run] = BASIC_FUNCTIONS[kind](z[..., run, :])
+        return values
 
     def _weights(self, xs):
         sq_dist = squared_distances(xs, self.shifts)

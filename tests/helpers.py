@@ -4,6 +4,10 @@ import math
 
 import numpy as np
 
+from dmmobench.composition import (BASIC_FUNCTIONS, DEACTIVATION_PENALTY,
+                                   NORMALIZATION_SCALE)
+from dmmobench.core import DOMAIN_HIGH
+
 
 def min_pairwise_distance(points):
     """Smallest distance between any two distinct rows (inf for < 2 rows)."""
@@ -58,3 +62,25 @@ def count_npf(snapshot, optima, fitness_accuracy, distance_accuracy):
                 and best_d < distance_accuracy):
             found.add(best_j)
     return len(found)
+
+
+def composition_blend(landscape, xs):
+    """(fitness of `xs`, peak magnitudes) of a composition landscape,
+    each basic function called on one component at a time, as the blend
+    and its normalization were first written.  The rotations and the
+    weights are computed as the landscape computes them."""
+    xs = np.asarray(xs, dtype=float)
+    stretches = landscape.stretches[:, None]
+    corners = np.matmul((np.full(landscape.dim, DOMAIN_HIGH) / stretches)
+                        [:, None, :], landscape.rotations)[:, 0]
+    scaled = (xs[:, None, :] - landscape.shifts) / stretches
+    rotated = np.einsum("bnd,nde->bne", scaled, landscape.rotations)
+    magnitudes = np.empty(landscape.n_components)
+    normalized = np.empty((len(xs), landscape.n_components))
+    for i, kind in enumerate(landscape.kinds):
+        basic = BASIC_FUNCTIONS[kind]
+        magnitudes[i] = abs(basic(corners[i:i + 1])[0])
+        normalized[:, i] = (NORMALIZATION_SCALE * basic(rotated[:, i, :])
+                            / magnitudes[i])
+    normalized += np.where(landscape.active, 0.0, DEACTIVATION_PENALTY)
+    return -(landscape._weights(xs) * normalized).sum(1), magnitudes

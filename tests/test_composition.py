@@ -1,12 +1,17 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from dmmobench.composition import BASIC_FUNCTIONS, init_composition
+from dmmobench.composition import (BASIC_FUNCTIONS, CompositionLandscape,
+                                   init_composition)
+from dmmobench.controller import iterate_environments
 from dmmobench.core import MIN_PEAK_DISTANCE as SPACING
-from dmmobench.core import RngStream
-from helpers import min_pairwise_distance
+from dmmobench.core import (CONE_FAMILIES, DOMAIN_HIGH, DOMAIN_LOW,
+                            PROBLEM_INDICES, RngStream, problem_spec)
+from dmmobench.dynamics import random_rotation
+from helpers import composition_blend, min_pairwise_distance
 
 
 EXPECTED_RECIPES = {
@@ -109,6 +114,41 @@ def test_evaluate_matches_evaluate_many():
     batch = landscape.evaluate_many(xs)
     single = np.array([landscape.evaluate_many([x])[0] for x in xs])
     assert np.array_equal(batch, single)
+
+
+#: P5-P16 and P21-P24.
+COMPOSITION_PROBLEMS = [p for p in PROBLEM_INDICES
+                        if problem_spec(p).family not in CONE_FAMILIES]
+
+BATCH_SIZES = (0, 1, 7, 100)
+
+
+def _assert_blend_is_the_component_loop(landscape, rng):
+    for size in BATCH_SIZES:
+        xs = rng.uniform(DOMAIN_LOW, DOMAIN_HIGH, (size, landscape.dim))
+        fitness, magnitudes = composition_blend(landscape, xs)
+        assert np.array_equal(landscape.peak_magnitudes, magnitudes)
+        assert np.array_equal(landscape.evaluate_many(xs), fitness)
+
+
+@pytest.mark.parametrize("problem", COMPOSITION_PROBLEMS)
+def test_blend_equals_the_component_loop_bit_for_bit(problem):
+    rng = np.random.default_rng(int(problem[1:]))
+    for _, landscape, _ in itertools.islice(
+            iterate_environments(problem, 1), 3):
+        _assert_blend_is_the_component_loop(landscape, rng)
+
+
+def test_blend_of_equal_kinds_apart_equals_the_component_loop():
+    # the recipes put equal kinds side by side; a landscape need not
+    kinds = ("sphere", "griewank", "sphere", "weierstrass", "griewank")
+    rng = RngStream(14)
+    landscape = CompositionLandscape(
+        5, kinds, rng.uniform_vector(-4.0, 4.0, (5, 5)),
+        np.stack([random_rotation(5, rng) for _ in kinds]),
+        np.array([1.0, 0.5, 2.0, 8.0, 0.2]), np.ones(5))
+    landscape.set_active_count(4)
+    _assert_blend_is_the_component_loop(landscape, np.random.default_rng(14))
 
 
 def test_deactivated_component_sinks_to_minus_one():

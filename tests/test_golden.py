@@ -165,6 +165,28 @@ def test_other_problems_match_stored_hashes(optimizer, tmp_path):
     assert _hashes(tmp_path) == REST_GOLDEN[optimizer]
 
 
+# -- one cell of the paper's table at full budget -----------------------------
+
+#: P1, seed 1, the baseline at the default settings: 60 environments at
+#: 5000 evaluations per dimension.  It finds 60, 56 and 3 of the 240
+#: optima at the three accuracy levels, so these are the only stored
+#: non-zero counts of a bundled optimizer, and the only stored DE
+#: trajectory over a whole run.
+FULL_BUDGET = {
+    "records_P1.csv": "2afe2d257c0bdff36b644bd290c248ead0f62f05e4a4aa92e735422f2e46d137",
+    "snapshots_P1_seed1.txt": "c0bc568d6c0ad046f002a6c075bcc858b31e6e8c74361104daf86c8f4ef61451",
+}
+
+
+def test_full_budget_cell_matches_stored_hashes(tmp_path):
+    report = run_benchmark(("P1",), [1], "baseline", BenchmarkSettings(),
+                           out_dir=str(tmp_path), save_snapshots=True)
+    assert report.failures == []
+    digests = {name: digest for name, digest in _hashes(tmp_path).items()
+               if name in FULL_BUDGET}
+    assert digests == FULL_BUDGET
+
+
 # -- dynamics dumps and landscape grids ---------------------------------------
 
 DUMP_SEEDS = (1, 2)
