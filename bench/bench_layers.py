@@ -20,8 +20,7 @@ from dmmobench import (BenchmarkSettings, PopulationSnapshot, count_npf,
 from dmmobench.composition import BASIC_FUNCTIONS, init_composition
 from dmmobench.config import OptimizerConfig
 from dmmobench.core import (CONE_FAMILIES, DOMAIN_HIGH, DOMAIN_LOW,
-                            MIN_PEAK_DISTANCE, RngStream, format_rows,
-                            squared_distances)
+                            RngStream, format_rows, squared_distances)
 from dmmobench.df import init_df
 from dmmobench.dynamics import advance_environment, init_change_state
 from dmmobench.optimizers import CrowdingDE
@@ -153,12 +152,14 @@ def test_composition_evaluate_many(benchmark, family, dim):
 @pytest.mark.parametrize("dim", [5, 10])
 @pytest.mark.parametrize("kind", list(BASIC_FUNCTIONS))
 def test_basic_function(benchmark, kind, dim):
-    """One basic function on 100 points drawn in the domain, one
-    component's rows; `CompositionLandscape.evaluate_many` passes a run
-    of equal kinds, two components in every recipe, in one call."""
-    points = population(dim).reshape(-1, dim)
+    """One basic function on the (100, 2, D) rows that
+    `CompositionLandscape.evaluate_many` passes it: 100 points drawn in
+    the domain, for a run of two components of one kind, as in every
+    recipe."""
+    points = np.stack([population(dim, seed).reshape(-1, dim)
+                       for seed in (1, 2)], axis=1)
     values = benchmark(BASIC_FUNCTIONS[kind], points)
-    assert values.shape == (len(points),)
+    assert values.shape == (len(points), 2)
 
 
 @pytest.mark.benchmark(group="composition.weights")
@@ -199,7 +200,7 @@ def changing_run(problem, seed=1):
     spec = problem_spec(problem)
     rng = RngStream(seed)
     init = init_df if spec.family in CONE_FAMILIES else init_composition
-    landscape = init(spec.family, spec.dimension, rng, MIN_PEAK_DISTANCE)
+    landscape = init(spec.family, spec.dimension, rng)
     state = init_change_state(landscape, spec.mode, rng)
     return landscape, state, rng
 

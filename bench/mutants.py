@@ -13,14 +13,18 @@ Run from the root of a checkout (about 10 minutes on two cores):
     python3 bench/mutants.py NAME ...   # only the named ones
 
 The plain test run does not collect this file.  Exit status 1 means a
-mutant that is not marked equivalent survived.
+mutant that is not marked equivalent survived.  Ctrl-C or SIGTERM stops
+every running suite, with the processes it started, and removes each
+copy of the tree.
 """
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -125,7 +129,10 @@ MUTANTS = [
            "start = 2.0 * math.pi * (state.t % PERIOD) / PERIOD",
            "start = 2.0 * math.pi * state.t / PERIOD"),
     mutant("optima spaced at half the constant", "dynamics.py",
-           "min_dist=MIN_PEAK_DISTANCE)", "min_dist=0.5 * MIN_PEAK_DISTANCE)"),
+           "_first_violation(points, MIN_PEAK_DISTANCE)",
+           "_first_violation(points, 0.5 * MIN_PEAK_DISTANCE)"),
+    mutant("peaks placed at half the constant", "core.py",
+           ">= MIN_PEAK_DISTANCE:", ">= 0.5 * MIN_PEAK_DISTANCE:"),
     # the run's change rules, fixed when it starts
     mutant("heights change at the width severity", "dynamics.py",
            "LOCAL_HEIGHT_LOW, LOCAL_HEIGHT_HIGH, HEIGHT_SEVERITY,",
@@ -299,35 +306,68 @@ def _mutated_text(spec):
     return text.replace(spec["old"], spec["new"])
 
 
-def run_suite(spec=None):
-    """(passed, seconds, first failing test or reason) of the fast suite
-    on a copy of the tree, mutated by `spec` unless it is None."""
-    with tempfile.TemporaryDirectory(prefix="dmmobench-mutant-") as tmp:
-        tree = Path(tmp)
-        _copy_tree(tree)
-        if spec is not None:
-            (tree / spec["path"]).write_text(_mutated_text(spec),
-                                             encoding="utf-8")
-        env = dict(os.environ, PYTHONPATH=str(tree / "src"),
-                   PYTHONDONTWRITEBYTECODE="1")
-        command = [sys.executable, "-m", "pytest", "-x", "-q", "-rf",
-                   "-p", "no:cacheprovider", "tests"]
-        for test in SLOW_TESTS:
-            command += ["--deselect", test]
-        start = time.perf_counter()
-        try:
-            done = subprocess.run(command, cwd=tree, env=env,
-                                  capture_output=True, text=True,
-                                  timeout=TIMEOUT_S)
-        except subprocess.TimeoutExpired:
-            return False, time.perf_counter() - start, "timeout"
-        seconds = time.perf_counter() - start
-        failed = [line.split(" ", 1)[1].split(" - ")[0]
-                  for line in done.stdout.splitlines()
-                  if line.startswith(("FAILED ", "ERROR "))]
-        reason = (failed[0] if failed
-                  else (done.stdout.strip().splitlines() or [""])[-1])
-        return done.returncode == 0, seconds, reason
+class SuiteRunner:
+    """Runs the fast suite on copies of the tree, each suite the leader
+    of a process group of its own, until a signal asks it to stop."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._running = set()
+        self._stopping = False
+
+    def stop(self, signum, frame):
+        """Kill every running suite's process group, then unwind as
+        Ctrl-C does, so that each copy of the tree is removed."""
+        with self._lock:
+            self._stopping = True
+            for process in self._running:
+                try:
+                    os.killpg(process.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+        raise KeyboardInterrupt
+
+    def run_suite(self, spec=None):
+        """(passed, seconds, first failing test or reason) of the fast
+        suite on a copy of the tree, mutated by `spec` unless it is
+        None."""
+        with tempfile.TemporaryDirectory(prefix="dmmobench-mutant-") as tmp:
+            tree = Path(tmp)
+            _copy_tree(tree)
+            if spec is not None:
+                (tree / spec["path"]).write_text(_mutated_text(spec),
+                                                 encoding="utf-8")
+            env = dict(os.environ, PYTHONPATH=str(tree / "src"),
+                       PYTHONDONTWRITEBYTECODE="1")
+            command = [sys.executable, "-m", "pytest", "-x", "-q", "-rf",
+                       "-p", "no:cacheprovider", "tests"]
+            for test in SLOW_TESTS:
+                command += ["--deselect", test]
+            start = time.perf_counter()
+            with self._lock:
+                if self._stopping:
+                    return False, 0.0, "stopped"
+                process = subprocess.Popen(
+                    command, cwd=tree, env=env, stdout=subprocess.PIPE,
+                    stderr=subprocess.DEVNULL, text=True,
+                    start_new_session=True)
+                self._running.add(process)
+            with process:
+                try:
+                    stdout = process.communicate(timeout=TIMEOUT_S)[0]
+                except subprocess.TimeoutExpired:
+                    os.killpg(process.pid, signal.SIGKILL)
+                    return False, time.perf_counter() - start, "timeout"
+                finally:
+                    with self._lock:
+                        self._running.discard(process)
+            seconds = time.perf_counter() - start
+            failed = [line.split(" ", 1)[1].split(" - ")[0]
+                      for line in stdout.splitlines()
+                      if line.startswith(("FAILED ", "ERROR "))]
+            reason = (failed[0] if failed
+                      else (stdout.strip().splitlines() or [""])[-1])
+            return process.returncode == 0, seconds, reason
 
 
 def main(names):
@@ -338,16 +378,23 @@ def main(names):
     # a mistyped edit fails here, before any suite runs
     for spec in chosen:
         _mutated_text(spec)
-    passed, seconds, reason = run_suite()
-    if not passed:
-        raise SystemExit(f"the unmutated suite fails ({reason}); "
-                         "mutants would prove nothing")
-    print(f"unmutated suite passes in {seconds:.0f} s", flush=True)
-
+    # each suite leads its own process group, out of reach of the
+    # terminal's Ctrl-C, so both signals stop them through `stop`; the
+    # suites start in pool threads only, so the handler, which runs in
+    # this thread, never finds the runner's lock held by the thread it
+    # interrupts
+    runner = SuiteRunner()
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, runner.stop)
     killed = survived = equivalent = 0
     with ThreadPoolExecutor(PARALLEL) as pool:
+        passed, seconds, reason = pool.submit(runner.run_suite).result()
+        if not passed:
+            raise SystemExit(f"the unmutated suite fails ({reason}); "
+                             "mutants would prove nothing")
+        print(f"unmutated suite passes in {seconds:.0f} s", flush=True)
         for spec, (passed, seconds, reason) in zip(
-                chosen, pool.map(run_suite, chosen)):
+                chosen, pool.map(runner.run_suite, chosen)):
             if spec["equivalent"]:
                 equivalent += 1
                 verdict = "equivalent, " + ("survived" if passed

@@ -170,12 +170,13 @@ class CompositionLandscape:
         return positions, values
 
 
-def init_composition(family, dim, rng, min_dist):
+def init_composition(family, dim, rng):
     """Build the initial landscape for one of F5-F8.
 
-    Shifts are drawn with the spacing rejection used everywhere else;
-    each component then gets an independent random rotation.  Draw
-    order: all shifts first, then rotations component by component.
+    Shifts are drawn at least `core.MIN_PEAK_DISTANCE` apart by the
+    spacing rejection used everywhere else; each component then gets an
+    independent random rotation.  Draw order: all shifts first, then
+    rotations component by component.
     """
     try:
         kinds, stretches, spreads = _FAMILY_RECIPES[family]
@@ -183,7 +184,7 @@ def init_composition(family, dim, rng, min_dist):
         raise ValueError(f"unknown composition family {family!r}") from None
 
     count = len(kinds)
-    shifts = draw_spaced_points(count, dim, rng, min_dist)
+    shifts = draw_spaced_points(count, dim, rng)
     rotations = np.stack([random_rotation(dim, rng) for _ in range(count)])
     return CompositionLandscape(dim, kinds, shifts, rotations,
                                 np.asarray(stretches), np.asarray(spreads))

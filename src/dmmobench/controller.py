@@ -11,9 +11,9 @@ import numpy as np
 
 from .composition import init_composition
 from .config import BenchmarkSettings
-from .core import (CONE_FAMILIES, DOMAIN_HIGH, DOMAIN_LOW, MIN_PEAK_DISTANCE,
-                   ProblemSpec, RngStream, RunFrozenError, check_integer,
-                   format_rows, problem_spec)
+from .core import (CONE_FAMILIES, DOMAIN_HIGH, DOMAIN_LOW, ProblemSpec,
+                   RngStream, RunFrozenError, check_integer, format_rows,
+                   problem_spec)
 from .df import init_df
 from .dynamics import advance_environment, init_change_state
 
@@ -49,8 +49,7 @@ class ProblemInstance:
         self.settings = settings
         self._rng = RngStream(seed)
         init = init_df if spec.family in CONE_FAMILIES else init_composition
-        self.landscape = init(spec.family, spec.dimension, self._rng,
-                              MIN_PEAK_DISTANCE)
+        self.landscape = init(spec.family, spec.dimension, self._rng)
         self.state = init_change_state(self.landscape, spec.mode, self._rng)
         self.budget = settings.environment_budget(spec.dimension)
         self.evaluations_used_in_env = 0

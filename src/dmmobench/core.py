@@ -260,9 +260,9 @@ def squared_distances(a, b):
     return total
 
 
-def draw_spaced_points(count, dim, rng, min_dist):
+def draw_spaced_points(count, dim, rng):
     """Draw `count` points uniformly in the box, rejecting any placement
-    closer than `min_dist` to an earlier point.
+    closer than `MIN_PEAK_DISTANCE` to an earlier point.
 
     The box is vast relative to the exclusion balls, so rejection is
     practically free; exhausting the retry cap indicates a bug.
@@ -272,12 +272,13 @@ def draw_spaced_points(count, dim, rng, min_dist):
         for _ in range(PLACEMENT_ATTEMPTS):
             candidate = rng.uniform_vector(DOMAIN_LOW, DOMAIN_HIGH, dim)
             gaps = np.sqrt(squared_distances(points[:i], candidate[None]))
-            if gaps.min(initial=np.inf) >= min_dist:
+            if gaps.min(initial=np.inf) >= MIN_PEAK_DISTANCE:
                 points[i] = candidate
                 break
         else:
             raise PlacementError(
-                f"could not place point {i + 1}/{count} with spacing {min_dist}")
+                f"could not place point {i + 1}/{count} "
+                f"with spacing {MIN_PEAK_DISTANCE}")
     return points
 
 

@@ -90,19 +90,19 @@ class DFLandscape:
         return positions, values
 
 
-def init_df(family, dim, rng, min_dist):
+def init_df(family, dim, rng):
     """Build the initial landscape for one of F1-F4.
 
-    F1 draws everything: a local-peak count in 0..4, spaced positions,
-    widths in [1, 12] and local heights in [30, 70].  F2-F4 are fully
-    deterministic layouts.  Draw order is fixed and part of the
-    reproducibility contract: local count, positions, widths, local
-    heights.
+    F1 draws everything: a local-peak count in 0..4, positions spaced
+    at least `core.MIN_PEAK_DISTANCE` apart, widths in [1, 12] and local
+    heights in [30, 70].  F2-F4 are fully deterministic layouts.  Draw
+    order is fixed and part of the reproducibility contract: local
+    count, positions, widths, local heights.
     """
     if family == "F1":
         n_local = rng.randint(0, MAX_LOCAL_PEAKS)
         n_peaks = GLOBAL_PEAK_COUNT + n_local
-        positions = draw_spaced_points(n_peaks, dim, rng, min_dist)
+        positions = draw_spaced_points(n_peaks, dim, rng)
         widths = rng.uniform_vector(WIDTH_LOW, WIDTH_HIGH, n_peaks)
         heights = np.full(n_peaks, GLOBAL_PEAK_HEIGHT)
         if n_local:

@@ -158,18 +158,20 @@ def random_rotation(dim, rng):
     return rotation_from_pairs(dim, pairs, angles)
 
 
-def enforce_min_distance(positions, rng, min_dist):
-    """Repair a point set until every pairwise distance reaches `min_dist`.
+def enforce_min_distance(positions, rng):
+    """Repair a point set until every pairwise distance reaches the
+    optimum spacing `MIN_PEAK_DISTANCE`.
 
-    A violating point is nudged by exactly `min_dist` in a uniformly
-    random direction (then clamped to the box), as many times as it
-    takes; the total move budget guards against pathological layouts.
+    A violating point is nudged by exactly `MIN_PEAK_DISTANCE` in a
+    uniformly random direction (then clamped to the box), as many times
+    as it takes; the total move budget guards against pathological
+    layouts.
     """
     points = np.array(positions, dtype=float)
     dim = points.shape[1]
     moves = 0
     while True:
-        culprit = _first_violation(points, min_dist)
+        culprit = _first_violation(points, MIN_PEAK_DISTANCE)
         if culprit is None:
             return points
         if moves >= REPAIR_MOVE_CAP:
@@ -181,7 +183,7 @@ def enforce_min_distance(positions, rng, min_dist):
         if norm == 0.0:
             continue
         points[culprit] = np.clip(
-            points[culprit] + direction * (min_dist / norm),
+            points[culprit] + direction * (MIN_PEAK_DISTANCE / norm),
             DOMAIN_LOW, DOMAIN_HIGH)
 
 
@@ -295,8 +297,7 @@ def _move_optima(name, state, rng):
     """The named optimum set rotated, reflected into the domain and
     repaired to the optimum spacing."""
     moved = apply_matrix_change(name, state, rng)
-    return enforce_min_distance(reflect_into_domain(moved), rng,
-                                min_dist=MIN_PEAK_DISTANCE)
+    return enforce_min_distance(reflect_into_domain(moved), rng)
 
 
 def advance_environment(landscape, state, rng):

@@ -1,4 +1,4 @@
-"""Oracles shared by several test modules."""
+"""Oracles and scripted draws shared by several test modules."""
 
 import math
 
@@ -7,6 +7,22 @@ import numpy as np
 from dmmobench.composition import (BASIC_FUNCTIONS, DEACTIVATION_PENALTY,
                                    NORMALIZATION_SCALE)
 from dmmobench.core import DOMAIN_HIGH
+
+
+class StubRng:
+    """Plays back scripted draws so change formulas and placement can be
+    hand-checked; each scripted value, a scalar or a vector, answers one
+    draw call."""
+
+    def __init__(self, uniforms=(), normals=()):
+        self.uniforms = list(uniforms)
+        self.normals = list(normals)
+
+    def uniform_vector(self, low, high, size):
+        return np.broadcast_to(self.uniforms.pop(0), size)
+
+    def normal_vector(self, size):
+        return np.broadcast_to(self.normals.pop(0), size)
 
 
 def min_pairwise_distance(points):

@@ -7,7 +7,6 @@ import pytest
 from dmmobench.composition import (BASIC_FUNCTIONS, CompositionLandscape,
                                    init_composition)
 from dmmobench.controller import iterate_environments
-from dmmobench.core import MIN_PEAK_DISTANCE as SPACING
 from dmmobench.core import (CONE_FAMILIES, DOMAIN_HIGH, DOMAIN_LOW,
                             PROBLEM_INDICES, RngStream, problem_spec)
 from dmmobench.dynamics import random_rotation
@@ -29,7 +28,7 @@ EXPECTED_RECIPES = {
 
 @pytest.mark.parametrize("family,kinds", sorted(EXPECTED_RECIPES.items()))
 def test_component_recipes(family, kinds):
-    landscape = init_composition(family, 5, RngStream(1), SPACING)
+    landscape = init_composition(family, 5, RngStream(1))
     assert list(landscape.kinds) == kinds
     assert landscape.n_components == len(kinds)
 
@@ -76,7 +75,7 @@ def test_expanded_griewank_rosenbrock_hand_value():
 
 @pytest.mark.parametrize("family", ["F5", "F6", "F7", "F8"])
 def test_shifts_are_global_optima_at_zero(family):
-    landscape = init_composition(family, 5, RngStream(2), SPACING)
+    landscape = init_composition(family, 5, RngStream(2))
     positions, values = landscape.global_optima()
     assert (values == 0.0).all()
     for point in positions:
@@ -85,31 +84,31 @@ def test_shifts_are_global_optima_at_zero(family):
 
 
 def test_no_point_exceeds_zero():
-    landscape = init_composition("F6", 5, RngStream(4), SPACING)
+    landscape = init_composition("F6", 5, RngStream(4))
     xs = np.random.default_rng(1).uniform(-5, 5, (5000, 5))
     assert landscape.evaluate_many(xs).max() <= 1e-9
 
 
 def test_shift_spacing_and_domain():
-    landscape = init_composition("F8", 10, RngStream(5), SPACING)
+    landscape = init_composition("F8", 10, RngStream(5))
     assert min_pairwise_distance(landscape.shifts) >= 0.1
     assert (np.abs(landscape.shifts) <= 5.0).all()
 
 
 def test_rotations_are_orthogonal():
-    landscape = init_composition("F7", 5, RngStream(6), SPACING)
+    landscape = init_composition("F7", 5, RngStream(6))
     for matrix in landscape.rotations:
         gap = np.abs(matrix @ matrix.T - np.eye(5)).max()
         assert gap <= 1e-12
 
 
 def test_normalization_magnitudes_positive():
-    landscape = init_composition("F5", 5, RngStream(7), SPACING)
+    landscape = init_composition("F5", 5, RngStream(7))
     assert (landscape.peak_magnitudes > 0).all()
 
 
 def test_evaluate_matches_evaluate_many():
-    landscape = init_composition("F8", 5, RngStream(8), SPACING)
+    landscape = init_composition("F8", 5, RngStream(8))
     xs = RngStream(9).uniform_vector(-5, 5, (40, 5))
     batch = landscape.evaluate_many(xs)
     single = np.array([landscape.evaluate_many([x])[0] for x in xs])
@@ -152,7 +151,7 @@ def test_blend_of_equal_kinds_apart_equals_the_component_loop():
 
 
 def test_deactivated_component_sinks_to_minus_one():
-    landscape = init_composition("F5", 5, RngStream(10), SPACING)
+    landscape = init_composition("F5", 5, RngStream(10))
     landscape.set_active_count(4)
     positions, _ = landscape.global_optima()
     assert len(positions) == 4
@@ -169,17 +168,17 @@ def test_deactivated_component_sinks_to_minus_one():
 @pytest.mark.parametrize("dim", [5, 10])
 def test_empty_batch_evaluates_to_no_values(family, dim):
     # a seal with no report in force evaluates an empty batch
-    landscape = init_composition(family, dim, RngStream(13), SPACING)
+    landscape = init_composition(family, dim, RngStream(13))
     values = landscape.evaluate_many(np.empty((0, dim)))
     assert values.shape == (0,) and values.dtype == np.float64
 
 
 def test_dimension_mismatch_rejected():
-    landscape = init_composition("F5", 5, RngStream(12), SPACING)
+    landscape = init_composition("F5", 5, RngStream(12))
     with pytest.raises(ValueError):
         landscape.evaluate_many([np.zeros(4)])
 
 
 def test_unknown_family_rejected():
     with pytest.raises(ValueError):
-        init_composition("F1", 5, RngStream(1), SPACING)
+        init_composition("F1", 5, RngStream(1))

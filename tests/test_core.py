@@ -3,9 +3,11 @@ import hashlib
 import numpy as np
 import pytest
 
+from dmmobench import core
 from dmmobench.core import (
     DOMAIN_HIGH,
     DOMAIN_LOW,
+    MIN_PEAK_DISTANCE,
     PROBLEM_INDICES,
     PROBLEM_TABLE,
     PlacementError,
@@ -16,7 +18,7 @@ from dmmobench.core import (
     reflect_into_domain,
     squared_distances,
 )
-from helpers import min_pairwise_distance
+from helpers import StubRng, min_pairwise_distance
 
 
 def test_rng_same_seed_same_sequence():
@@ -61,16 +63,25 @@ def test_index_permutations_draw_as_successive_permutations(rows, n):
 
 def test_draw_spaced_points_respects_spacing():
     rng = RngStream(11)
-    points = draw_spaced_points(8, 5, rng, min_dist=0.1)
+    points = draw_spaced_points(8, 5, rng)
     assert points.shape == (8, 5)
-    assert min_pairwise_distance(points) >= 0.1
+    assert min_pairwise_distance(points) >= MIN_PEAK_DISTANCE
     assert (points >= DOMAIN_LOW).all() and (points <= DOMAIN_HIGH).all()
 
 
-def test_draw_spaced_points_impossible_spacing():
+def test_draw_spaced_points_rejects_candidates_inside_the_spacing():
+    # the second draw lies 0.07 from the first, inside the 0.1 spacing
+    # but outside half of it, so only the far third draw may join
+    first, close, far = [0.0, 0.0], [0.07, 0.0], [3.0, -2.0]
+    points = draw_spaced_points(2, 2, StubRng(uniforms=[first, close, far]))
+    assert np.array_equal(points, [first, far])
+
+
+def test_draw_spaced_points_impossible_spacing(monkeypatch):
+    monkeypatch.setattr(core, "MIN_PEAK_DISTANCE", 50.0)
     rng = RngStream(11)
     with pytest.raises(PlacementError):
-        draw_spaced_points(5, 2, rng, min_dist=50.0)
+        draw_spaced_points(5, 2, rng)
 
 
 def test_reflect_into_domain_folds_back():

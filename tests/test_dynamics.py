@@ -5,7 +5,6 @@ import pytest
 
 from dmmobench import dynamics
 from dmmobench.composition import init_composition
-from dmmobench.core import MIN_PEAK_DISTANCE as SPACING
 from dmmobench.core import PlacementError, RngStream
 from dmmobench.df import init_df
 from dmmobench.dynamics import (
@@ -20,22 +19,7 @@ from dmmobench.dynamics import (
     rotation_from_pairs,
     update_active_count,
 )
-from helpers import min_pairwise_distance
-
-
-class StubRng:
-    """Plays back scripted draws so change formulas can be hand-checked;
-    each scripted value, a scalar or a vector, answers one draw call."""
-
-    def __init__(self, uniforms=(), normals=()):
-        self.uniforms = list(uniforms)
-        self.normals = list(normals)
-
-    def uniform_vector(self, low, high, size):
-        return np.broadcast_to(self.uniforms.pop(0), size)
-
-    def normal_vector(self, size):
-        return np.broadcast_to(self.normals.pop(0), size)
+from helpers import StubRng, min_pairwise_distance
 
 
 HEIGHT_PARAMS = ScalarChangeParams(30.0, 70.0, 7.0, 0.0)
@@ -176,13 +160,13 @@ def test_pairing_is_disjoint():
 
 def test_spacing_repair_leaves_good_sets_alone():
     points = np.array([[0.0, 0.0], [1.0, 1.0], [-2.0, 3.0]])
-    repaired = enforce_min_distance(points, RngStream(1), SPACING)
+    repaired = enforce_min_distance(points, RngStream(1))
     assert np.array_equal(repaired, points)
 
 
 def test_spacing_repair_moves_by_exactly_min_dist():
     points = [[0.0, 0.0], [0.01, 0.0]]
-    repaired = enforce_min_distance(points, StubRng(normals=[[3.0, 4.0]]), SPACING)
+    repaired = enforce_min_distance(points, StubRng(normals=[[3.0, 4.0]]))
     assert np.allclose(repaired[1], [0.07, 0.08], atol=1e-15)
     assert min_pairwise_distance(repaired) >= 0.1
 
@@ -190,7 +174,7 @@ def test_spacing_repair_moves_by_exactly_min_dist():
 def test_spacing_repair_fixes_random_clusters():
     rng = RngStream(5)
     points = RngStream(6).uniform_vector(-0.05, 0.05, (8, 3))
-    repaired = enforce_min_distance(points, rng, SPACING)
+    repaired = enforce_min_distance(points, rng)
     assert min_pairwise_distance(repaired) >= 0.1 - 1e-12
     assert (np.abs(repaired) <= 5.0).all()
 
@@ -200,7 +184,7 @@ def test_spacing_repair_gives_up_eventually():
     # pair can never separate
     stub = StubRng(normals=[[0.0, 1.0]] * 20000)
     with pytest.raises(PlacementError):
-        enforce_min_distance([[5.0, 5.0], [5.0, 4.95]], stub, SPACING)
+        enforce_min_distance([[5.0, 5.0], [5.0, 4.95]], stub)
 
 
 def _count_state(mode, g, direction, g_max=8):
@@ -248,7 +232,7 @@ def test_count_update_rejects_other_modes():
 
 
 def test_initial_state_draws_do_not_depend_on_mode():
-    landscapes = [init_df("F1", 5, RngStream(3), SPACING) for _ in range(2)]
+    landscapes = [init_df("F1", 5, RngStream(3)) for _ in range(2)]
     state_a = init_change_state(landscapes[0], "C1", RngStream(4))
     state_b = init_change_state(landscapes[1], "C8", RngStream(4))
     assert np.array_equal(state_a.pairings["positions"],
@@ -266,7 +250,7 @@ def test_changes_follow_the_settings_the_run_started_with(monkeypatch):
                             ROTATION_SEVERITY=0.5).items():
         monkeypatch.setattr(dynamics, name, value)
     rng = RngStream(1)
-    landscape = init_df("F2", 2, rng, 2.0)
+    landscape = init_df("F2", 2, rng)
     state = init_change_state(landscape, "C1", rng)
     assert [state.rules[name].severity
             for name in ("positions", "heights", "widths")] == [0.5, 3.0, 2.0]
@@ -279,7 +263,7 @@ def test_changes_follow_the_settings_the_run_started_with(monkeypatch):
 
 def test_one_change_keeps_cone_invariants():
     rng = RngStream(21)
-    landscape = init_df("F2", 5, rng, SPACING)
+    landscape = init_df("F2", 5, rng)
     state = init_change_state(landscape, "C1", rng)
     advance_environment(landscape, state, rng)
     assert state.t == 2
@@ -291,7 +275,7 @@ def test_one_change_keeps_cone_invariants():
 
 def test_sixty_changes_keep_rotations_orthogonal():
     rng = RngStream(22)
-    landscape = init_composition("F5", 5, rng, SPACING)
+    landscape = init_composition("F5", 5, rng)
     state = init_change_state(landscape, "C1", rng)
     for _ in range(59):
         advance_environment(landscape, state, rng)
@@ -302,7 +286,7 @@ def test_sixty_changes_keep_rotations_orthogonal():
 
 def test_recurrent_shifts_revisit_exactly():
     rng = RngStream(23)
-    landscape = init_composition("F8", 5, rng, SPACING)
+    landscape = init_composition("F8", 5, rng)
     state = init_change_state(landscape, "C5", rng)
     trail = {}
     for _ in range(30):
@@ -314,7 +298,7 @@ def test_recurrent_shifts_revisit_exactly():
 
 def test_count_sweep_drives_active_optima():
     rng = RngStream(24)
-    landscape = init_df("F2", 5, rng, SPACING)
+    landscape = init_df("F2", 5, rng)
     state = init_change_state(landscape, "C7", rng)
     advance_environment(landscape, state, rng)
     positions, values = landscape.global_optima()

@@ -20,8 +20,7 @@ from dmmobench.config import BenchmarkSettings
 from dmmobench.controller import (create_problem, dump_environments_text,
                                   format_environment)
 from dmmobench.core import (CHANGE_MODES, CONE_FAMILIES, DOMAIN_HIGH,
-                            DOMAIN_LOW, MIN_PEAK_DISTANCE, PROBLEM_INDICES,
-                            RngStream)
+                            DOMAIN_LOW, PROBLEM_INDICES, RngStream)
 from dmmobench.df import init_df
 from dmmobench.dynamics import advance_environment, init_change_state
 from dmmobench.optimizers import OPTIMIZERS, make_optimizer
@@ -379,7 +378,7 @@ def _trajectory(family, mode, dim, seed=7):
     `format_environment` lays them out."""
     rng = RngStream(seed)
     init = init_df if family in CONE_FAMILIES else init_composition
-    landscape = init(family, dim, rng, MIN_PEAK_DISTANCE)
+    landscape = init(family, dim, rng)
     state = init_change_state(landscape, mode, rng)
     for env in range(1, 61):
         if env > 1:
