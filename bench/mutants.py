@@ -76,11 +76,6 @@ MUTANTS = [
            "0.0 <= self.reinit_fraction <= 2.0"),
     mutant("memory_size -1 accepted", "config.py",
            "memory_size=0))", "memory_size=-1))"),
-    mutant("spacing repair without its zero-norm guard", "dynamics.py",
-           "        if norm == 0.0:\n            continue\n", "",
-           equivalent="the direction is a fresh standard normal vector; "
-           "its norm is exactly 0 only if every coordinate draws exactly "
-           "0.0, which no seed reaches in practice"),
     # budget accounting and change after the exhausting evaluation
     mutant("environment sealed one evaluation early", "controller.py",
            "if self.evaluations_used_in_env == self.budget:",
@@ -124,6 +119,9 @@ MUTANTS = [
            "(0, self.spec.dimension))\n", ""),
     mutant("optimizer returning early is scored", "reporting.py",
            "    if not instance.frozen:", "    if False:"),
+    mutant("baseline reports at a one-batch horizon", "optimizers.py",
+           "remaining_budget() <= 2 * subs * size",
+           "remaining_budget() <= subs * size"),
     # exact periodicity and optimum spacing
     mutant("recurrent level from t unreduced", "dynamics.py",
            "start = 2.0 * math.pi * (state.t % PERIOD) / PERIOD",

@@ -17,18 +17,22 @@ so every tree runs the same benchmark code and digests on its own
 A run that exits non-zero, or whose result is not `correct` or has a
 failed operation, stops the recording.  After the last round each tree
 runs `perfbench/run.py --trace 1` once per workload, for the same
-`run_seconds`, and then the Tier-1 test command once, from its root
-with `PYTHONPATH=src`, so each tree's tests run on its own `src/`.  For
-each tree `LABEL`, `BENCH_<LABEL>.json` is written to the current
+`run_seconds`, then the Tier-1 test command once, from its root with
+`PYTHONPATH=src`, so each tree's tests run on its own `src/`, and then
+the full-budget timings once, in one process run from its root with
+`PYTHONPATH=src` and `OPENBLAS_NUM_THREADS=1`.  For each tree `LABEL`,
+`BENCH_<LABEL>.json` is written to the current
 directory: the environment record of the tree's first run, whether the
 tree was a clean git checkout before recording (`git_clean`: true or
 false, null for a tree without `.git`, whose environment record names
 no commit), per workload the median and quartiles (inclusive method)
 of every end-to-end metric, every round's values and `layers`, the
 traced run's per-layer metrics (medians over its traced executions),
-and `tier1`: the tests that passed, those that failed or errored, and
-the command's wall time in seconds, interpreter start and collection
-included.
+`tier1`: the tests that passed, those that failed or errored, and the
+command's wall time in seconds, interpreter start and collection
+included, and `full_budget`: the seconds of one `execute_run` of P1,
+of P8 and of P24 at seed 1 and the default (full) budget, and of the
+24-problem sweep at `evals_per_dim = 500`, seed 1, in one process.
 
     git archive 0d58935 | tar -x -C /tmp/tree-0d58935
     python3 bench/record.py --tree 0d58935=/tmp/tree-0d58935 \\
@@ -54,6 +58,25 @@ SEED = 1
 #: The Tier-1 test command, run from a tree's root.
 TIER1 = [sys.executable, "-m", "pytest", "-q",
          "--continue-on-collection-errors"]
+
+#: The full-budget timings, run from a tree's root; prints their JSON.
+FULL_BUDGET = """
+import json, time
+from dmmobench.config import BenchmarkSettings
+from dmmobench.reporting import execute_run, run_benchmark
+seconds = {}
+for problem in ("P1", "P8", "P24"):
+    start = time.perf_counter()
+    execute_run(problem, 1)
+    seconds[problem + "_s"] = time.perf_counter() - start
+start = time.perf_counter()
+report = run_benchmark([f"P{i}" for i in range(1, 25)], [1],
+                       settings=BenchmarkSettings(evals_per_dim=500))
+seconds["sweep_s"] = time.perf_counter() - start
+if report.failures:
+    raise SystemExit(f"failed runs: {report.failures}")
+print(json.dumps(seconds))
+"""
 
 
 def git_clean(path):
@@ -119,6 +142,19 @@ def run_tier1(path):
     return {"passed": counts.get("passed", 0),
             "failed": counts.get("failed", 0) + counts.get("error", 0),
             "wall_s": wall_s}
+
+
+def run_full_budget(path):
+    """{P1_s, P8_s, P24_s, sweep_s} of one run of FULL_BUDGET in
+    `path`."""
+    env = dict(os.environ, PYTHONPATH="src", OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", FULL_BUDGET], cwd=path,
+                          env=env, capture_output=True, text=True,
+                          check=False)
+    if done.returncode != 0:
+        raise SystemExit(f"error: {path}: full-budget timings exited "
+                         f"{done.returncode}\n{done.stderr}")
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 def summary(rounds):
@@ -194,6 +230,8 @@ def main(argv=None):
     for label, entry in records.items():
         entry["tier1"] = run_tier1(trees[label])
         print(f"tier-1 {label:12} {entry['tier1']}", flush=True)
+        entry["full_budget"] = run_full_budget(trees[label])
+        print(f"full   {label:12} {entry['full_budget']}", flush=True)
         write_record(label, entry)
     return 0
 

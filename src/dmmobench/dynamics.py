@@ -179,9 +179,8 @@ def enforce_min_distance(positions, rng):
                 f"spacing repair exceeded {REPAIR_MOVE_CAP} moves")
         moves += 1
         direction = rng.normal_vector(dim)
+        # an all-zero draw (about 2**(-52 D)) raises ZeroDivisionError
         norm = float(np.sqrt((direction * direction).sum()))
-        if norm == 0.0:
-            continue
         points[culprit] = np.clip(
             points[culprit] + direction * (MIN_PEAK_DISTANCE / norm),
             DOMAIN_LOW, DOMAIN_HIGH)

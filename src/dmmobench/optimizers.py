@@ -19,13 +19,17 @@ from .core import DOMAIN_HIGH, DOMAIN_LOW, RunFrozenError, squared_distances
 class CrowdingDE:
     """DE/rand/1/bin with crowding replacement across subpopulations.
 
-    Each generation reports the whole population, so whichever report
-    is in force when an environment seals is at most one generation
-    old.  When `instance.t` shows a new environment after a generation,
-    the stale best of every subpopulation enters a bounded memory, the
-    worst fraction of each subpopulation is redrawn uniformly, one
-    memory entry reseeds each subpopulation, and everything is
-    re-evaluated (on budget) under the new landscape.
+    A generation reports the whole population once at most two batches
+    (evaluations of the whole population) of the environment's budget
+    remain: before the next report the DE may be charged a batch of
+    trials and, when its reading of `instance.t` lags a seal that its
+    last change response made, a change response, so any earlier report
+    would be replaced before the seal.  When `instance.t` shows a new
+    environment after a generation, the stale best of every
+    subpopulation enters a bounded memory, the worst fraction of each
+    subpopulation is redrawn uniformly, one memory entry reseeds each
+    subpopulation, and everything is re-evaluated (on budget) under the
+    new landscape.
     """
 
     name = "baseline"
@@ -61,7 +65,8 @@ class CrowdingDE:
             memory = deque(maxlen=cfg.memory_size)
 
             while not instance.frozen:
-                instance.report_population(pop.reshape(-1, dim))
+                if instance.remaining_budget() <= 2 * subs * size:
+                    instance.report_population(pop.reshape(-1, dim))
                 trials = self._make_trials(pop, rng)
                 trial_fitness = instance.evaluate_many(
                     trials.reshape(-1, dim)).reshape(subs, size)

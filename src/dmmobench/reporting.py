@@ -35,15 +35,6 @@ from .optimizers import make_optimizer
 OPTIMIZER_STREAM = 1
 
 
-@dataclass
-class RunResult:
-    """Scored outcome of one run: optima per environment, and found
-    counts per environment and accuracy level."""
-
-    peaks: list
-    npf: np.ndarray
-
-
 class ResultsTable:
     """The per-problem score table: PR, Best, Worst at each level,
     under the levels' column keys."""
@@ -94,7 +85,8 @@ def execute_run(problem, seed, optimizer="baseline",
                 settings=BenchmarkSettings(),
                 optimizer_config=OptimizerConfig(), snapshot_dir=None):
     """One full run: build the instance, optimize until frozen, score,
-    then write the snapshot file into `snapshot_dir`, if one is given.
+    then write the snapshot file into `snapshot_dir`, if one is given;
+    return `score_run`'s (peaks, npf) pair.
 
     Raises RuntimeError if the optimizer returns before the run froze:
     a run scored on only the environments it sealed would read as
@@ -107,11 +99,11 @@ def execute_run(problem, seed, optimizer="baseline",
         raise RuntimeError(
             f"optimizer {optimizer!r} returned with {len(instance.snapshots)}"
             f" of {settings.environments} environments sealed")
-    peaks, npf = score_run(instance.snapshots, instance.ground_truth, settings)
+    outcome = score_run(instance.snapshots, instance.ground_truth, settings)
     if snapshot_dir is not None:
         write_artifact(snapshot_dir, f"snapshots_{problem}_seed{seed}.txt",
                        render_snapshots(problem, seed, instance.snapshots))
-    return RunResult(peaks, npf)
+    return outcome
 
 
 def run_benchmark(problems, seeds, optimizer="baseline",
@@ -213,8 +205,8 @@ def _tabulate(problems, seeds, outcomes, settings):
                 if (problem, seed) in outcomes]
         if not rows:
             continue
-        record = records[problem] = RunRecord(
-            np.moveaxis([r.npf for r in rows], -1, 0), [r.peaks for r in rows])
+        peaks, npf = zip(*rows)
+        record = records[problem] = RunRecord(np.moveaxis(npf, -1, 0), peaks)
         table.add_row(problem, problem_spec(problem).group,
                       list(zip(peak_ratio(record), *best_worst(record))))
     return table, records
@@ -227,8 +219,7 @@ def render_records_csv(problem, seeds, outcomes, keys):
         result = outcomes.get((problem, seed))
         if result is None:
             continue
-        for env, (peaks, npf) in enumerate(zip(result.peaks, result.npf),
-                                           start=1):
+        for env, (peaks, npf) in enumerate(zip(*result), start=1):
             lines.append(",".join(map(str, [seed, env, peaks, *npf])))
     return "\n".join(lines) + "\n"
 
@@ -386,8 +377,8 @@ def rescore_snapshots(out_dir, settings=BenchmarkSettings()):
         truths = {env: landscape.global_optima()
                   for env, landscape, _ in iterate_environments(
                       problem, seed, settings)}
-        outcomes[(problem, seed)] = RunResult(
-            *score_run(snapshots, truths.__getitem__, settings))
+        outcomes[(problem, seed)] = score_run(
+            snapshots, truths.__getitem__, settings)
 
     problems = sorted({p for p, _ in outcomes}, key=lambda p: int(p[1:]))
     seeds = sorted({s for _, s in outcomes})

@@ -69,6 +69,33 @@ def test_config_controls_population_shape():
     assert len(instance.snapshots[0]) == 18
 
 
+def sealed_snapshots(problem, seed, evals_per_dim, every_generation):
+    """(environment, individuals, fitness) bytes of each snapshot of a
+    six-environment baseline run."""
+    settings = BenchmarkSettings(evals_per_dim=evals_per_dim, environments=6)
+    instance = create_problem(problem, seed, settings)
+    if every_generation:
+        # no budget left, as far as the baseline can tell
+        instance.remaining_budget = lambda: 0
+    CrowdingDE().optimize(instance, RngStream(seed, stream=1))
+    return [(s.environment, s.individuals.tobytes(), s.fitness.tobytes())
+            for s in instance.snapshots]
+
+
+def test_baseline_reports_in_time_for_every_seal():
+    # budgets from below one batch (the whole population, 100 points) to
+    # several: seals inside the first batch, inside trials, and inside a
+    # change response, also one that lags a seal the last response made
+    cases = [(problem, evals) for problem in ("P1", "P17")
+             for evals in range(1, 61)]
+    cases += [("P5", evals) for evals in (19, 25, 33, 77)]
+    for seed in (1, 2):
+        for problem, evals in cases:
+            assert (sealed_snapshots(problem, seed, evals, False)
+                    == sealed_snapshots(problem, seed, evals, True)), (
+                problem, seed, evals)
+
+
 def test_unknown_optimizer_rejected():
     with pytest.raises(ValueError):
         make_optimizer("tabu")
