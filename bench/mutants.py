@@ -127,10 +127,11 @@ MUTANTS = [
            "start = 2.0 * math.pi * (state.t % PERIOD) / PERIOD",
            "start = 2.0 * math.pi * state.t / PERIOD"),
     mutant("optima spaced at half the constant", "dynamics.py",
-           "_first_violation(points, MIN_PEAK_DISTANCE)",
-           "_first_violation(points, 0.5 * MIN_PEAK_DISTANCE)"),
+           "first_violation(points, MIN_PEAK_DISTANCE)",
+           "first_violation(points, 0.5 * MIN_PEAK_DISTANCE)"),
     mutant("peaks placed at half the constant", "core.py",
-           ">= MIN_PEAK_DISTANCE:", ">= 0.5 * MIN_PEAK_DISTANCE:"),
+           "first_violation(points[:i + 1], MIN_PEAK_DISTANCE)",
+           "first_violation(points[:i + 1], 0.5 * MIN_PEAK_DISTANCE)"),
     # the run's change rules, fixed when it starts
     mutant("heights change at the width severity", "dynamics.py",
            "LOCAL_HEIGHT_LOW, LOCAL_HEIGHT_HIGH, HEIGHT_SEVERITY,",

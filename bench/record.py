@@ -20,8 +20,9 @@ runs `perfbench/run.py --trace 1` once per workload, for the same
 `run_seconds`, then the Tier-1 test command once, from its root with
 `PYTHONPATH=src`, so each tree's tests run on its own `src/`, and then
 the full-budget timings once, in one process run from its root with
-`PYTHONPATH=src` and `OPENBLAS_NUM_THREADS=1`.  For each tree `LABEL`,
-`BENCH_<LABEL>.json` is written to the current
+`PYTHONPATH=src` and `OPENBLAS_NUM_THREADS=1`, and then its own
+`bench/mutants.py` once, from its root (about 10 minutes).  For each
+tree `LABEL`, `BENCH_<LABEL>.json` is written to the current
 directory: the environment record of the tree's first run, whether the
 tree was a clean git checkout before recording (`git_clean`: true or
 false, null for a tree without `.git`, whose environment record names
@@ -32,7 +33,12 @@ traced run's per-layer metrics (medians over its traced executions),
 command's wall time in seconds, interpreter start and collection
 included, and `full_budget`: the seconds of one `execute_run` of P1,
 of P8 and of P24 at seed 1 and the default (full) budget, and of the
-24-problem sweep at `evals_per_dim = 500`, seed 1, in one process.
+24-problem sweep at `evals_per_dim = 500`, seed 1, in one process,
+and `mutants`: the mutation check's counts of mutants killed, survived
+and marked equivalent, their total, and its wall time in seconds.  A
+surviving mutant is recorded, not fatal; a mutation check whose output
+does not end in its summary line stops the recording, and a tree
+without `bench/mutants.py` is refused before the first round.
 
     git archive 0d58935 | tar -x -C /tmp/tree-0d58935
     python3 bench/record.py --tree 0d58935=/tmp/tree-0d58935 \\
@@ -78,6 +84,10 @@ if report.failures:
 print(json.dumps(seconds))
 """
 
+#: The last line of `bench/mutants.py`'s output.
+MUTANTS_SUMMARY = re.compile(
+    r"(\d+) killed, (\d+) survived, (\d+) equivalent, of (\d+) mutants")
+
 
 def git_clean(path):
     """Whether `git status --porcelain` in `path` prints nothing, or
@@ -94,6 +104,9 @@ def prepare_tree(path):
     """Give a tree other than this checkout this checkout's benchmark."""
     if not (path / "src" / "dmmobench").is_dir():
         raise SystemExit(f"error: no dmmobench sources under {path}")
+    # checked before the rounds, not after them
+    if not (path / "bench" / "mutants.py").is_file():
+        raise SystemExit(f"error: no bench/mutants.py under {path}")
     if path == ROOT:
         return
     if (path / "perfbench").exists():
@@ -155,6 +168,23 @@ def run_full_budget(path):
         raise SystemExit(f"error: {path}: full-budget timings exited "
                          f"{done.returncode}\n{done.stderr}")
     return json.loads(done.stdout.splitlines()[-1])
+
+
+def run_mutants(path):
+    """{killed, survived, equivalent, total, wall_s} of one run of
+    `bench/mutants.py` in `path`."""
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "bench/mutants.py"], cwd=path,
+                          capture_output=True, text=True, check=False)
+    wall_s = time.perf_counter() - start
+    last = (done.stdout.strip().splitlines() or [""])[-1]
+    match = MUTANTS_SUMMARY.fullmatch(last)
+    if match is None:
+        raise SystemExit(f"error: {path}: the mutation check exited "
+                         f"{done.returncode} without a summary\n{done.stderr}")
+    counts = dict(zip(("killed", "survived", "equivalent", "total"),
+                      map(int, match.groups())))
+    return {**counts, "wall_s": wall_s}
 
 
 def summary(rounds):
@@ -232,6 +262,8 @@ def main(argv=None):
         print(f"tier-1 {label:12} {entry['tier1']}", flush=True)
         entry["full_budget"] = run_full_budget(trees[label])
         print(f"full   {label:12} {entry['full_budget']}", flush=True)
+        entry["mutants"] = run_mutants(trees[label])
+        print(f"mutant {label:12} {entry['mutants']}", flush=True)
         write_record(label, entry)
     return 0
 

@@ -260,6 +260,19 @@ def squared_distances(a, b):
     return total
 
 
+def first_violation(points, min_dist):
+    """Index of the first point closer than `min_dist` to an earlier
+    one, or None: the one spacing check of placement and repair."""
+    gaps = np.sqrt(squared_distances(points, points))
+    # a gap of -inf makes each point close to itself under any spacing,
+    # so a row's first close point comes before it exactly when the point
+    # is too close to an earlier one
+    np.fill_diagonal(gaps, -np.inf)
+    first_close = (gaps < min_dist).argmax(1)
+    late = np.flatnonzero(first_close < np.arange(len(points)))
+    return int(late[0]) if len(late) else None
+
+
 def draw_spaced_points(count, dim, rng):
     """Draw `count` points uniformly in the box, rejecting any placement
     closer than `MIN_PEAK_DISTANCE` to an earlier point.
@@ -270,10 +283,8 @@ def draw_spaced_points(count, dim, rng):
     points = np.empty((count, dim))
     for i in range(count):
         for _ in range(PLACEMENT_ATTEMPTS):
-            candidate = rng.uniform_vector(DOMAIN_LOW, DOMAIN_HIGH, dim)
-            gaps = np.sqrt(squared_distances(points[:i], candidate[None]))
-            if gaps.min(initial=np.inf) >= MIN_PEAK_DISTANCE:
-                points[i] = candidate
+            points[i] = rng.uniform_vector(DOMAIN_LOW, DOMAIN_HIGH, dim)
+            if first_violation(points[:i + 1], MIN_PEAK_DISTANCE) is None:
                 break
         else:
             raise PlacementError(

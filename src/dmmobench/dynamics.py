@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DOMAIN_HIGH, DOMAIN_LOW, MIN_PEAK_DISTANCE,
-                   PlacementError, reflect_into_domain, squared_distances)
+                   PlacementError, first_violation, reflect_into_domain)
 from .df import LOCAL_HEIGHT_HIGH, LOCAL_HEIGHT_LOW, WIDTH_HIGH, WIDTH_LOW
 
 #: Total single moves allowed while repairing optimum spacing after one
@@ -171,7 +171,7 @@ def enforce_min_distance(positions, rng):
     dim = points.shape[1]
     moves = 0
     while True:
-        culprit = _first_violation(points, MIN_PEAK_DISTANCE)
+        culprit = first_violation(points, MIN_PEAK_DISTANCE)
         if culprit is None:
             return points
         if moves >= REPAIR_MOVE_CAP:
@@ -184,19 +184,6 @@ def enforce_min_distance(positions, rng):
         points[culprit] = np.clip(
             points[culprit] + direction * (MIN_PEAK_DISTANCE / norm),
             DOMAIN_LOW, DOMAIN_HIGH)
-
-
-def _first_violation(points, min_dist):
-    """Index of the first point closer than `min_dist` to an earlier
-    one, or None."""
-    gaps = np.sqrt(squared_distances(points, points))
-    # a gap of -inf makes each point close to itself under any spacing,
-    # so a row's first close point comes before it exactly when the point
-    # is too close to an earlier one
-    np.fill_diagonal(gaps, -np.inf)
-    first_close = (gaps < min_dist).argmax(1)
-    late = np.flatnonzero(first_close < np.arange(len(points)))
-    return int(late[0]) if len(late) else None
 
 
 class ChangeState:

@@ -18,6 +18,7 @@ from dmmobench.core import (
     reflect_into_domain,
     squared_distances,
 )
+import helpers
 from helpers import StubRng, min_pairwise_distance
 
 
@@ -75,6 +76,34 @@ def test_draw_spaced_points_rejects_candidates_inside_the_spacing():
     first, close, far = [0.0, 0.0], [0.07, 0.0], [3.0, -2.0]
     points = draw_spaced_points(2, 2, StubRng(uniforms=[first, close, far]))
     assert np.array_equal(points, [first, far])
+
+
+@pytest.mark.parametrize("spacing", [0.1, 1.0, 1.5])
+@pytest.mark.parametrize("dim", [2, 5])
+def test_draw_spaced_points_keeps_what_the_loop_oracle_accepts(
+        monkeypatch, spacing, dim):
+    # a random walk of steps 0.3 to 2 spacings long, so many candidates
+    # fall inside the spacing, some of them beyond half of it
+    monkeypatch.setattr(core, "MIN_PEAK_DISTANCE", spacing)
+    walk = np.random.default_rng(dim)
+    steps = walk.standard_normal((80, dim))
+    steps *= (spacing * walk.uniform(0.3, 2.0, (80, 1))
+              / np.linalg.norm(steps, axis=1, keepdims=True))
+    candidates = np.clip(steps.cumsum(0), DOMAIN_LOW, DOMAIN_HIGH)
+    kept, drawn, half_only = [], 0, 0
+    for candidate in candidates:
+        if len(kept) == 8:
+            break
+        drawn += 1
+        trial = np.array(kept + [candidate])
+        if helpers.first_violation(trial, spacing) is None:
+            kept.append(candidate)
+        elif helpers.first_violation(trial, 0.5 * spacing) is None:
+            half_only += 1
+    assert len(kept) == 8 and half_only > 0
+    rng = StubRng(uniforms=candidates[:drawn])
+    assert np.array_equal(draw_spaced_points(8, dim, rng), kept)
+    assert rng.uniforms == []
 
 
 def test_draw_spaced_points_impossible_spacing(monkeypatch):
@@ -206,7 +235,7 @@ def test_format_floats_matches_format_e16():
 
 #: Leading shapes of the kernel's (a, b): 2-D point sets with fewer and
 #: with more than 128 pairs, the DE's (subpopulation, trial, member)
-#: batch, and an empty `a`, the first placement of `draw_spaced_points`.
+#: batch, and an empty `a`, as `count_npf` passes for an empty report.
 KERNEL_SHAPES = {"2-D": ((7,), (5,)), "DE batch": ((10, 10), (10, 10)),
                  "empty a": ((0,), (1,)), "2-D, many pairs": ((30,), (8,))}
 

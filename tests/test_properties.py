@@ -9,10 +9,10 @@ import helpers
 from dmmobench import metrics
 from dmmobench.config import BenchmarkSettings
 from dmmobench.controller import PopulationSnapshot, create_problem
-from dmmobench.core import format_rows, reflect_into_domain
+from dmmobench.core import (first_violation, format_rows,
+                            reflect_into_domain)
 from dmmobench.dynamics import (ChangeState, ScalarChangeParams,
-                                _first_violation, apply_scalar_change,
-                                rotation_from_pairs)
+                                apply_scalar_change, rotation_from_pairs)
 from dmmobench.metrics import count_npf
 
 
@@ -92,7 +92,7 @@ def spacings(draw):
 
 @given(spacings())
 def test_first_violation_matches_the_point_by_point_check(spacing):
-    assert _first_violation(*spacing) == helpers.first_violation(*spacing)
+    assert first_violation(*spacing) == helpers.first_violation(*spacing)
 
 
 angles = st.floats(-4.0, 4.0)
